@@ -13,7 +13,6 @@ import sys
 from dataclasses import asdict
 
 from .experiment import (
-    CellStats,
     MetricsReport,
     RECORD_HEADER,
     emit_report,
@@ -21,6 +20,7 @@ from .experiment import (
     write_records,
 )
 from .measures import MeasureKind
+from .process import GuardRecord, Outcome
 from .scenario import (
     SCENARIO_PRESETS,
     SchemaError,
@@ -118,30 +118,35 @@ def _ingest_record_file(report: MetricsReport, path: str) -> None:
     for lineno, line in enumerate(lines, 1):
         if not line or line == RECORD_HEADER:
             continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ScenarioInputError(f"{path}:{lineno}: malformed record line")
-        _, _, measure_name, constraint, _, truth, measured, outcome = parts
-        measure = _measure_arg(measure_name)
-        stats = report.cell(measure, constraint)
-        _ingest_outcome(stats, outcome, truth, measured, f"{path}:{lineno}")
+        try:
+            record = _parse_record(line)
+        except ScenarioInputError as exc:
+            raise ScenarioInputError(f"{path}:{lineno}: {exc}") from None
+        report.cell(record.measure_kind, record.constraint_type).add(record)
         report.runs = max(report.runs, 1)
 
 
-def _ingest_outcome(stats: CellStats, outcome: str, truth: str, measured: str, where: str):
-    counters = {
-        "TP": "tp", "TN": "tn", "FP": "fp", "FN": "fn",
-        "Match": "match", "Mismatch": "mismatch", "StuckPending": "stuck",
-    }
-    attr = counters.get(outcome)
-    if attr is None:
-        raise ScenarioInputError(f"{where}: unknown outcome {outcome!r}")
-    setattr(stats, attr, getattr(stats, attr) + 1)
-    if truth and measured:
-        err = abs(int(measured) - int(truth))
-        stats.err_sum += err
-        stats.err_count += 1
-        stats.err_max = max(stats.err_max, err)
+def _parse_record(line: str) -> GuardRecord:
+    """A record-stream line back as the record fields a report aggregates."""
+    parts = line.split(",")
+    if len(parts) != 8:
+        raise ScenarioInputError("malformed record line")
+    _, _, measure, constraint, element, truth, measured, outcome = parts
+    return GuardRecord(
+        element=element,
+        constraint_type=constraint,
+        measure_kind=_parse_field("measure", measure, MeasureKind),
+        outcome=_parse_field("outcome", outcome, Outcome),
+        ground_truth_ms=_parse_field("ground_truth_ms", truth, int) if truth else None,
+        measured_ms=_parse_field("measured_ms", measured, int) if measured else None,
+    )
+
+
+def _parse_field(name: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ScenarioInputError(f"invalid {name} {text!r}") from None
 
 
 def _cmd_parse_timer(args) -> int:

@@ -92,12 +92,6 @@ class MetricsReport:
         )
 
 
-def run_single(
-    config: ScenarioConfig, seed: int, measure: MeasureKind | None = None
-) -> RunTrace:
-    return run(config, seed, measure)
-
-
 def sweep(
     config: ScenarioConfig,
     seeds: Iterable[int],

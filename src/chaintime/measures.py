@@ -11,9 +11,8 @@ asynchronous request/callback).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping
 
 from .chain import SimTime, Transaction
 
@@ -85,28 +84,6 @@ class OracleCell:
             )
         return self._values[idx - 1]
 
-    def history(self) -> list[tuple[tuple[int, int], SimTime]]:
-        return list(zip(self._positions, self._values))
-
-
-@dataclass
-class PendingMeasure:
-    """An outstanding request/response oracle query."""
-
-    request_id: int
-    requested_block: int
-    requested_at: SimTime
-    resolved_value: SimTime | None = None
-    callback_tx_id: str | None = None
-
-    @property
-    def resolved(self) -> bool:
-        return self.resolved_value is not None
-
-
-class Unresolved(MeasureError):
-    """Pull-oracle callback not yet included on chain."""
-
 
 def measure_bt(ctx: TxContext) -> SimTime:
     """Block timestamp measure: the containing block's timestamp."""
@@ -139,13 +116,6 @@ def measure_so(ctx: TxContext) -> SimTime:
     if ctx.oracle_view is None:
         raise UninitializedOracle("no storage oracle configured")
     return ctx.oracle_view.read_before((ctx.block_number, ctx.position_in_block))
-
-
-def ro_resolve(pending: PendingMeasure) -> SimTime:
-    """Value delivered by the callback transaction, once included."""
-    if pending.resolved_value is None:
-        raise Unresolved(f"request {pending.request_id} has no callback yet")
-    return pending.resolved_value
 
 
 @dataclass(frozen=True)

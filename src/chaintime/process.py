@@ -264,11 +264,15 @@ class ProcessModel:
         if unreachable:
             raise ModelError(f"unreachable elements: {sorted(unreachable)}")
 
-    def gateway_of(self, branch_id: str) -> str | None:
-        for el in self.elements.values():
-            if isinstance(el, EventGateway) and branch_id in el.branches:
-                return el.id
-        return None
+
+def _constraint_type(element: StartTimer | TimerCatch) -> str:
+    """Start timers and dates are absolute, durations relative, and cycles of
+    either anchoring are cycles."""
+    if isinstance(element, StartTimer) or isinstance(element.spec, DateTimer):
+        return ABSOLUTE
+    if isinstance(element.spec, DurationTimer):
+        return RELATIVE
+    return CYCLE
 
 
 # ---------------------------------------------------------------------------
@@ -279,10 +283,21 @@ class ProcessModel:
 class GuardRecord:
     """One enforcement decision with simulator ground truth attached.
 
-    For absolute/cycle-absolute guards, measured_ms and ground_truth_ms are
-    timestamps (estimate vs. true creation instant); for relative/cycle
-    guards they are deltas. raw_measured_ms always carries the raw measure
-    value of the evaluated transaction, where one was obtained.
+    A timer guard's record has one of two shapes:
+
+    - instant (absolute guards, absolutely anchored cycles): deadline_ms is
+      set; measured_ms is the measured instant and ground_truth_ms the true
+      creation instant of the transaction.
+    - delta (relative guards, relative cycles): required_delta_ms is set;
+      measured_ms and ground_truth_ms are the measured and true intervals
+      since the enablement anchor, and a negative measured_ms means the
+      measure ran backwards.
+
+    raw_measured_ms carries the raw measure value of the evaluated
+    transaction in both shapes. Cycle records add iteration (0-based) and the
+    later iterations already overdue at acceptance. Deferred-choice records
+    carry winner and truth_winner instead; StuckPending records only the
+    creation instant of a guard whose callback never arrived.
     """
 
     element: str
@@ -298,7 +313,6 @@ class GuardRecord:
     block_number: int | None = None
     iteration: int | None = None
     missed_iterations: tuple[int, ...] = ()
-    negative_delta: bool = False
     winner: str | None = None
     truth_winner: str | None = None
     accepted: bool | None = None
@@ -321,7 +335,6 @@ class Anchor:
 @dataclass
 class _GatewayRound:
     gateway_id: str
-    index: int
     anchor: Anchor
     applied: list[tuple[str, bool]] = field(default_factory=list)
     resolved: bool = False
@@ -397,7 +410,6 @@ class ProcessInstance:
         self.records: list[GuardRecord] = []
         self.done = False
         self._request_counter = itertools.count()
-        self._round_counter = itertools.count()
         self._enabled: dict[str, _EnabledEntry] = {}
         self._cycles: dict[str, _CycleProgress] = {}
         self._pending: dict[int, _PendingGuard] = {}
@@ -440,17 +452,9 @@ class ProcessInstance:
         if self.done or element_id not in self._enabled:
             return ApplyResult(status="rejected", reason="element_not_enabled")
         element = self.model.elements[element_id]
-        entry = self._enabled[element_id]
-
         if isinstance(element, (Task, MessageCatch)):
-            return self._accept_unguarded(element, entry, tx, ctx, real_now)
-        if isinstance(element, StartTimer):
-            return self._apply_absolute(
-                element.id, entry, self._start_deadline(), tx, ctx, real_now
-            )
-        if isinstance(element, TimerCatch):
-            return self._apply_timer(element, entry, tx, ctx, real_now)
-        return ApplyResult(status="rejected", reason="element_not_applicable")
+            return self._accept_unguarded(element, tx, ctx, real_now)
+        return self._guard(element, tx, ctx, real_now)
 
     def on_callback(
         self, request_id: int, value: SimTime, tx: Transaction, ctx: TxContext, real_now: SimTime
@@ -465,8 +469,6 @@ class ProcessInstance:
             return ApplyResult(status="accepted")
         if self.done or pending.element not in self._enabled:
             return ApplyResult(status="rejected", reason="superseded")
-        element = self.model.elements[pending.element]
-        entry = self._enabled[pending.element]
         claim = Transaction(
             id=pending.tx_id,
             sender=tx.sender,
@@ -475,16 +477,9 @@ class ProcessInstance:
         )
         # the decision is attributed to the requesting block, not the callback's
         claim_ctx = replace(ctx, tx=claim, block_number=pending.requested_block)
-        if isinstance(element, StartTimer):
-            return self._apply_absolute(
-                element.id, entry, self._start_deadline(), claim, claim_ctx, real_now,
-                measured_override=value,
-            )
-        if isinstance(element, TimerCatch):
-            return self._apply_timer(
-                element, entry, claim, claim_ctx, real_now, measured_override=value
-            )
-        return ApplyResult(status="rejected", reason="element_not_applicable")
+        return self._guard(
+            self.model.elements[pending.element], claim, claim_ctx, real_now, measured=value
+        )
 
     def finalize(self, horizon_ms: SimTime) -> list[GuardRecord]:
         """Emit StuckPending records for guards still parked at the horizon."""
@@ -492,13 +487,9 @@ class ProcessInstance:
         for pending in self._pending.values():
             if pending.purpose != "guard":
                 continue
-            element = self.model.elements[pending.element]
-            ctype = ABSOLUTE
-            if isinstance(element, TimerCatch):
-                ctype = self._constraint_type(element.spec)
             record = GuardRecord(
                 element=pending.element,
-                constraint_type=ctype,
+                constraint_type=_constraint_type(self.model.elements[pending.element]),
                 measure_kind=self.measure_kind,
                 outcome=Outcome.STUCK_PENDING,
                 ground_truth_ms=pending.s_tx,
@@ -507,9 +498,7 @@ class ProcessInstance:
             )
             self.records.append(record)
             stuck.append(record)
-        self._pending = {
-            rid: p for rid, p in self._pending.items() if p.purpose != "guard"
-        }
+        self._pending = {rid: p for rid, p in self._pending.items() if p.purpose != "guard"}
         return stuck
 
     # -- measure evaluation ------------------------------------------------
@@ -528,7 +517,7 @@ class ProcessInstance:
 
     # -- guard paths -------------------------------------------------------
 
-    def _accept_unguarded(self, element, entry, tx, ctx, real_now) -> ApplyResult:
+    def _accept_unguarded(self, element, tx, ctx, real_now) -> ApplyResult:
         result = ApplyResult(status="accepted")
         anchor_value: SimTime | None = None
         try:
@@ -537,242 +526,117 @@ class ProcessInstance:
             pass  # anchor request issued below
         except (MissingParameter, UninitializedOracle):
             pass  # next anchor stays unmeasured; downstream guards will reject
-        if entry.round is not None:
-            entry.round.applied.append((element.id, True))
-            self._resolve_gateway(entry.round, element.id, real_now, result)
+        round_ = self._enabled[element.id].round
+        if round_ is not None:
+            round_.applied.append((element.id, True))
+            self._resolve_gateway(round_, element.id, real_now, result)
         if isinstance(element, MessageCatch):
             self._consume_message_note(element.id, tx.created_at)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
         if anchor_value is None and self.measure_kind is MeasureKind.REQUEST_RESPONSE_ORACLE:
-            self._issue_anchor_request(next_anchor, element.id, tx, result)
+            result.requests.append(self._request("anchor", element.id, tx, anchor=next_anchor))
         self._advance(element.id, next_anchor, result)
         return result
 
-    def _apply_absolute(
-        self, element_id, entry, deadline, tx, ctx, real_now, measured_override=None
-    ) -> ApplyResult:
-        result = ApplyResult(status="accepted")
-        try:
-            measured = (
-                measured_override
-                if measured_override is not None
-                else self._measure_sync(ctx)
-            )
-        except _NeedsCallback:
-            return self._park_guard(element_id, tx, entry, ctx)
-        except (MissingParameter, UninitializedOracle) as exc:
-            return ApplyResult(status="rejected", reason=type(exc).__name__)
-        eligible = measured >= deadline
-        outcome = classify_absolute(tx.created_at, deadline, measured)
-        record = GuardRecord(
-            element=element_id,
-            constraint_type=ABSOLUTE,
-            measure_kind=self.measure_kind,
-            outcome=outcome,
-            ground_truth_ms=tx.created_at,
-            measured_ms=measured,
-            deadline_ms=deadline,
-            raw_measured_ms=measured,
-            tx_id=tx.id,
-            block_number=ctx.block_number,
-            accepted=eligible,
-        )
-        self.records.append(record)
-        result.records.append(record)
-        if entry.round is not None:
-            entry.round.applied.append((element_id, eligible))
-        if not eligible:
-            result.status = "rejected"
-            result.reason = "deadline_not_reached"
-            return result
-        if entry.round is not None:
-            self._resolve_gateway(entry.round, element_id, real_now, result)
-        self._advance(element_id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result)
-        return result
-
-    def _apply_timer(
-        self, element: TimerCatch, entry, tx, ctx, real_now, measured_override=None
-    ) -> ApplyResult:
-        spec = element.spec
-        if isinstance(spec, DateTimer):
-            return self._apply_absolute(
-                element.id, entry, spec.instant_ms, tx, ctx, real_now, measured_override
-            )
-        if isinstance(spec, DurationTimer):
-            return self._apply_relative(element, entry, tx, ctx, real_now, measured_override)
-        return self._apply_cycle(element, entry, tx, ctx, real_now, measured_override)
-
-    def _apply_relative(
-        self, element, entry, tx, ctx, real_now, measured_override=None
-    ) -> ApplyResult:
-        result = ApplyResult(status="accepted")
+    def _guard(self, element, tx, ctx, real_now, measured=None) -> ApplyResult:
+        """Evaluate a timer guard against a deadline (measured instant) or a
+        required delta (measured interval since the anchor); cycles target
+        their next iteration and accept through `cycle_advance`. `measured`
+        is a pull-oracle callback's value; without it the guard measures now."""
+        entry = self._enabled[element.id]
         anchor = entry.anchor
-        try:
-            measured = (
-                measured_override
-                if measured_override is not None
-                else self._measure_sync(ctx)
+        ctype = _constraint_type(element)
+        deadline = required = iteration = progress = None
+        if ctype == CYCLE:
+            progress = self._cycles.get(element.id)
+            if progress is None:
+                progress = self._init_cycle(element.id, element.spec, anchor)
+            iteration = progress.next_index
+            if progress.abs_schedule is not None:
+                deadline = progress.abs_schedule[iteration]
+            else:
+                required = (iteration + 1) * progress.period_ms
+        elif isinstance(element, StartTimer):
+            deadline = self._start_deadline()
+        elif ctype == ABSOLUTE:
+            deadline = element.spec.instant_ms
+        else:
+            required = element.spec.length_ms
+
+        if measured is None:
+            try:
+                measured = self._measure_sync(ctx)
+            except _NeedsCallback:
+                request = self._request("guard", element.id, tx, block=ctx.block_number)
+                return ApplyResult(status="parked", requests=[request])
+            except (MissingParameter, UninitializedOracle) as exc:
+                return ApplyResult(status="rejected", reason=type(exc).__name__)
+
+        if deadline is not None:
+            truth, observed, target = tx.created_at, measured, deadline
+            outcome = classify_absolute(tx.created_at, deadline, measured)
+            reason = "deadline_not_reached"
+        else:
+            if anchor.measured_ms is None:
+                return ApplyResult(status="rejected", reason="anchor_pending")
+            truth = tx.created_at - anchor.truth_ms
+            observed, target = measured - anchor.measured_ms, required
+            outcome = check_relative(
+                anchor.measured_ms, measured, required, anchor.truth_ms, tx.created_at
             )
-        except _NeedsCallback:
-            return self._park_guard(element.id, tx, entry, ctx)
-        except (MissingParameter, UninitializedOracle) as exc:
-            return ApplyResult(status="rejected", reason=type(exc).__name__)
-        if anchor.measured_ms is None:
-            return ApplyResult(status="rejected", reason="anchor_pending")
-        required = element.spec.length_ms
-        measured_delta = measured - anchor.measured_ms
-        truth_delta = tx.created_at - anchor.truth_ms
-        eligible = measured_delta >= required
-        outcome = check_relative(
-            anchor.measured_ms, measured, required, anchor.truth_ms, tx.created_at
-        )
+            reason = "delta_not_reached"
+        accepted, missed = observed >= target, ()
+        if progress is not None:
+            schedule = progress.abs_schedule or tuple(
+                anchor.measured_ms + k * progress.period_ms
+                for k in range(1, progress.repetitions + 1)
+            )
+            state = CycleState(due_schedule=schedule, next_index=iteration)
+            state, accepted, missed = cycle_advance(state, measured)
+            reason = "iteration_not_due"
+
         record = GuardRecord(
             element=element.id,
-            constraint_type=RELATIVE,
+            constraint_type=ctype,
             measure_kind=self.measure_kind,
             outcome=outcome,
-            ground_truth_ms=truth_delta,
-            measured_ms=measured_delta,
+            ground_truth_ms=truth,
+            measured_ms=observed,
+            deadline_ms=deadline,
             required_delta_ms=required,
             raw_measured_ms=measured,
             tx_id=tx.id,
             block_number=ctx.block_number,
-            negative_delta=measured_delta < 0,
-            accepted=eligible,
+            iteration=iteration,
+            missed_iterations=tuple(missed),
+            accepted=accepted,
         )
         self.records.append(record)
-        result.records.append(record)
+        result = ApplyResult(status="accepted", records=[record])
         if entry.round is not None:
-            entry.round.applied.append((element.id, eligible))
-        if not eligible:
+            entry.round.applied.append((element.id, accepted))
+        if not accepted:
             result.status = "rejected"
-            result.reason = "delta_not_reached"
+            result.reason = reason
             return result
         if entry.round is not None:
             self._resolve_gateway(entry.round, element.id, real_now, result)
+        if progress is not None:
+            progress.next_index = state.next_index
+            if progress.next_index < progress.repetitions:
+                return result
+            del self._cycles[element.id]
         self._advance(element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result)
         return result
-
-    def _apply_cycle(
-        self, element, entry, tx, ctx, real_now, measured_override=None
-    ) -> ApplyResult:
-        result = ApplyResult(status="accepted")
-        spec = element.spec
-        progress = self._cycles.get(element.id)
-        if progress is None:
-            progress = self._init_cycle(element.id, spec, entry.anchor)
-        try:
-            measured = (
-                measured_override
-                if measured_override is not None
-                else self._measure_sync(ctx)
-            )
-        except _NeedsCallback:
-            return self._park_guard(element.id, tx, entry, ctx)
-        except (MissingParameter, UninitializedOracle) as exc:
-            return ApplyResult(status="rejected", reason=type(exc).__name__)
-        anchor = entry.anchor
-        if progress.abs_schedule is None and anchor.measured_ms is None:
-            return ApplyResult(status="rejected", reason="anchor_pending")
-        if progress.abs_schedule is not None:
-            schedule = progress.abs_schedule
-        else:
-            schedule = tuple(
-                anchor.measured_ms + k * progress.period_ms
-                for k in range(1, progress.repetitions + 1)
-            )
-        state = CycleState(due_schedule=schedule, next_index=progress.next_index)
-        new_state, accepted, missed = cycle_advance(state, measured)
-        k = progress.next_index
-        if not accepted:
-            # Rejections still leave an auditable decision behind.
-            record = self._cycle_record(
-                element, spec, progress, k, tx, ctx, measured, anchor, schedule,
-                accepted=False, missed=(),
-            )
-            result.status = "rejected"
-            result.reason = "iteration_not_due"
-            result.records.append(record)
-            if entry.round is not None:
-                entry.round.applied.append((element.id, False))
-            return result
-        record = self._cycle_record(
-            element, spec, progress, k, tx, ctx, measured, anchor, schedule,
-            accepted=True, missed=tuple(missed),
-        )
-        result.records.append(record)
-        progress.next_index = new_state.next_index
-        if entry.round is not None:
-            entry.round.applied.append((element.id, True))
-            self._resolve_gateway(entry.round, element.id, real_now, result)
-        if progress.next_index >= progress.repetitions:
-            del self._cycles[element.id]
-            self._advance(
-                element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result
-            )
-        return result
-
-    def _cycle_record(
-        self, element, spec, progress, k, tx, ctx, measured, anchor, schedule,
-        accepted, missed,
-    ) -> GuardRecord:
-        if progress.abs_schedule is not None:
-            outcome = classify_absolute(tx.created_at, schedule[k], measured)
-            record = GuardRecord(
-                element=element.id,
-                constraint_type=CYCLE,
-                measure_kind=self.measure_kind,
-                outcome=outcome,
-                ground_truth_ms=tx.created_at,
-                measured_ms=measured,
-                deadline_ms=schedule[k],
-                raw_measured_ms=measured,
-                tx_id=tx.id,
-                block_number=ctx.block_number,
-                iteration=k,
-                missed_iterations=missed,
-                accepted=accepted,
-            )
-        else:
-            required = (k + 1) * progress.period_ms
-            outcome = check_relative(
-                anchor.measured_ms, measured, required, anchor.truth_ms, tx.created_at
-            )
-            record = GuardRecord(
-                element=element.id,
-                constraint_type=CYCLE,
-                measure_kind=self.measure_kind,
-                outcome=outcome,
-                ground_truth_ms=tx.created_at - anchor.truth_ms,
-                measured_ms=measured - anchor.measured_ms,
-                required_delta_ms=required,
-                raw_measured_ms=measured,
-                tx_id=tx.id,
-                block_number=ctx.block_number,
-                iteration=k,
-                missed_iterations=missed,
-                accepted=accepted,
-            )
-        self.records.append(record)
-        return record
 
     def _init_cycle(self, element_id, spec, anchor) -> _CycleProgress:
         if isinstance(spec, CycleRelTimer):
             reps = spec.repetitions or self.cycle_limit
-            progress = _CycleProgress(
-                next_index=0, repetitions=reps, period_ms=spec.period_ms, abs_schedule=None
-            )
-        elif isinstance(spec, CycleAbsTimer):
+            progress = _CycleProgress(0, reps, spec.period_ms, abs_schedule=None)
+        else:
             schedule = tuple(due_times(spec, anchor.truth_ms, self.cycle_limit))
             schedule = tuple(d for d in schedule if d >= anchor.truth_ms) or schedule[-1:]
-            progress = _CycleProgress(
-                next_index=0,
-                repetitions=len(schedule),
-                period_ms=0,
-                abs_schedule=schedule,
-            )
-        else:
-            raise ModelError(f"element {element_id!r} is not a cycle timer")
+            progress = _CycleProgress(0, len(schedule), 0, abs_schedule=schedule)
         self._cycles[element_id] = progress
         return progress
 
@@ -810,9 +674,7 @@ class ProcessInstance:
         for branch in gateway.branches:
             element = self.model.elements[branch]
             if isinstance(element, TimerCatch):
-                dues = due_times(element.spec, round_.anchor.truth_ms, 1)
-                if dues:
-                    triggers[branch] = dues[0]
+                triggers[branch] = due_times(element.spec, round_.anchor.truth_ms, 1)[0]
             else:
                 notes = self._message_notes.get(branch, [])
                 candidates = [
@@ -844,32 +706,19 @@ class ProcessInstance:
             raise ModelError("no start due time at or after the activation floor")
         return self.activation_floor_ms + spec.period_ms
 
-    def _park_guard(self, element_id, tx, entry, ctx=None) -> ApplyResult:
+    def _request(self, purpose, element_id, tx, block=None, anchor=None) -> MeasureRequest:
+        """Register a pull-oracle query for a parked guard or a pending anchor."""
         request_id = next(self._request_counter)
         self._pending[request_id] = _PendingGuard(
             request_id=request_id,
             element=element_id,
             tx_id=tx.id,
             s_tx=tx.created_at,
-            purpose="guard",
-            requested_block=ctx.block_number if ctx is not None else None,
-        )
-        return ApplyResult(
-            status="parked",
-            requests=[MeasureRequest(request_id=request_id, purpose="guard")],
-        )
-
-    def _issue_anchor_request(self, anchor, element_id, tx, result) -> None:
-        request_id = next(self._request_counter)
-        self._pending[request_id] = _PendingGuard(
-            request_id=request_id,
-            element=element_id,
-            tx_id=tx.id,
-            s_tx=tx.created_at,
-            purpose="anchor",
+            purpose=purpose,
+            requested_block=block,
             anchor=anchor,
         )
-        result.requests.append(MeasureRequest(request_id=request_id, purpose="anchor"))
+        return MeasureRequest(request_id=request_id, purpose=purpose)
 
     def _advance(self, accepted_element, next_anchor, result) -> None:
         self._enabled.pop(accepted_element, None)
@@ -883,9 +732,7 @@ class ProcessInstance:
     def _enable(self, element_id, anchor, result) -> None:
         element = self.model.elements[element_id]
         if isinstance(element, EventGateway):
-            round_ = _GatewayRound(
-                gateway_id=element_id, index=next(self._round_counter), anchor=anchor
-            )
+            round_ = _GatewayRound(gateway_id=element_id, anchor=anchor)
             for branch in element.branches:
                 self._enabled[branch] = _EnabledEntry(anchor=anchor, round=round_)
                 result.newly_enabled.append(branch)

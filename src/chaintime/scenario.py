@@ -36,10 +36,6 @@ class SchemaError(ValueError):
         super().__init__(f"{path}: {reason}")
 
 
-class InvalidScenario(SchemaError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Config dataclasses
 # ---------------------------------------------------------------------------

@@ -54,15 +54,45 @@ class TestSweepAndReport:
         code = main(["report", *paths])
         assert code == EXIT_OK
         reported = capsys.readouterr().out
-        # same decisions in, same counters out
-        def counts(text):
-            return [line.split(",")[:9] for line in text.splitlines()[1:]]
-        assert counts(reported) == counts(swept)
+        # same decisions in, same counters and error columns out
+        assert reported == swept
 
     def test_report_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,record\n")
         assert main(["report", str(bad)]) == EXIT_SCENARIO
+        assert f"{bad}:1: malformed record line" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("s,0,parameter,absolute,start,x15000,15000,TP", "invalid ground_truth_ms 'x15000'"),
+            ("s,0,parameter,absolute,start,15000,1.5,TP", "invalid measured_ms '1.5'"),
+            ("s,0,sundial,absolute,start,15000,15000,TP", "invalid measure 'sundial'"),
+            ("s,0,parameter,absolute,start,15000,15000,Maybe", "invalid outcome 'Maybe'"),
+        ],
+    )
+    def test_report_bad_field_is_input_error_with_location(self, tmp_path, capsys, line, message):
+        bad = tmp_path / "bad.csv"
+        good = "s,0,parameter,absolute,start,15000,15000,TP"
+        bad.write_text(f"{RECORD_HEADER}\n{good}\n{line}\n")
+        assert main(["report", str(bad)]) == EXIT_SCENARIO
+        assert f"error: {bad}:3: {message}" in capsys.readouterr().err
+
+    def test_report_counts_records_without_times(self, tmp_path, capsys):
+        path = tmp_path / "records.csv"
+        path.write_text(
+            f"{RECORD_HEADER}\n"
+            "s,0,parameter,deferred_choice,gate,,,Match\n"
+            "s,0,parameter,absolute,start,100,,StuckPending\n"
+            "s,0,parameter,absolute,start,100,130,FP\n"
+        )
+        assert main(["report", str(path)]) == EXIT_OK
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows == [
+            "parameter,absolute,0,0,1,0,0,0,1,30.000,30",
+            "parameter,deferred_choice,0,0,0,0,1,0,0,,",
+        ]
 
 
 class TestParseTimer:

@@ -287,6 +287,140 @@ class TestRequestResponse:
         assert stuck[0].constraint_type == ABSOLUTE
 
 
+class TestEngineCycleAbsolute:
+    """A TimerCatch on an absolutely anchored cycle: instant-shaped records."""
+
+    def make(self) -> ProcessInstance:
+        elements = {
+            "start": StartTimer(id="start", spec=parse_timer("1970-01-01T00:00:01Z")),
+            # dues 2000, 3000, 4000; enabled at 2500, so 2000 is dropped
+            "tick": TimerCatch(id="tick", spec=parse_timer("R3/1970-01-01T00:00:02Z/PT1S")),
+        }
+        model = ProcessModel(elements=elements, flows={"start": "tick", "tick": None},
+                             start="start")
+        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS)
+        started(inst, at=2_500)
+        return inst
+
+    def test_rejection_before_first_due_is_recorded(self):
+        inst = self.make()
+        early = claim("tick", 2_800)
+        result = inst.apply(early, ctx_for(early), real_now=2_900)
+        assert result.status == "rejected" and result.reason == "iteration_not_due"
+        (record,) = result.records
+        assert record.constraint_type == CYCLE
+        assert record.deadline_ms == 3_000 and record.required_delta_ms is None
+        assert record.outcome is Outcome.TN and record.accepted is False
+        assert record.iteration == 0 and record.missed_iterations == ()
+        assert record.ground_truth_ms == 2_800 and record.measured_ms == 2_800
+
+    def test_iterations_carry_deadline_outcome_and_missed(self):
+        inst = self.make()
+        # a sender claiming 3100 for a tx created at 2900 passes the 3000 due
+        lying = Transaction(id="tick-lie", sender="p", created_at=2_900,
+                            payload={"op": "tick", "timestamp": 3_100})
+        result = inst.apply(lying, ctx_for(lying), real_now=3_000)
+        (record,) = result.records
+        assert result.accepted and record.outcome is Outcome.FP
+        assert record.deadline_ms == 3_000 and record.iteration == 0
+        assert record.ground_truth_ms == 2_900 and record.measured_ms == 3_100
+        tardy = claim("tick", 4_500)
+        result = inst.apply(tardy, ctx_for(tardy), real_now=4_600)
+        (record,) = result.records
+        assert result.accepted and record.outcome is Outcome.TP
+        assert record.deadline_ms == 4_000 and record.iteration == 1
+        assert record.missed_iterations == ()
+        assert inst.done
+
+    def test_missed_iterations_listed_on_late_acceptance(self):
+        inst = self.make()
+        tardy = claim("tick", 4_500)
+        result = inst.apply(tardy, ctx_for(tardy), real_now=4_600)
+        (record,) = result.records
+        assert result.accepted and record.outcome is Outcome.TP
+        assert record.deadline_ms == 3_000 and record.iteration == 0
+        assert record.missed_iterations == (1,)
+        assert inst.cycle_next_index("tick") == 1 and not inst.done
+
+
+def anchored_race_instance() -> ProcessInstance:
+    """Request/response instance whose gateway branches wait on an anchor
+    callback: start -> send (task) -> gate(wait PT2S | cycle R2/PT1S)."""
+    elements = {
+        "start": StartTimer(id="start", spec=parse_timer("1970-01-01T00:00:01Z")),
+        "send": Task(id="send", name="send", performer="p"),
+        "gate": EventGateway(id="gate", branches=("wait", "cycle")),
+        "wait": TimerCatch(id="wait", spec=parse_timer("PT2S")),
+        "cycle": TimerCatch(id="cycle", spec=parse_timer("R2/PT1S")),
+    }
+    flows = {"start": "send", "send": "gate", "wait": None, "cycle": None}
+    model = ProcessModel(elements=elements, flows=flows, start="start")
+    return ProcessInstance(model, MeasureKind.REQUEST_RESPONSE_ORACLE, PARAMS)
+
+
+def callback(inst, request_id: int, value: int, block: int = 9):
+    cb = Transaction(
+        id=f"cb-{request_id}", sender="oracle:pull", created_at=value,
+        payload={"op": "__callback__", "request_id": request_id, "value": value},
+    )
+    return inst.on_callback(request_id, value, cb, ctx_for(cb, block=block), value + 100)
+
+
+class TestRequestResponseAnchors:
+    def setup_pending_anchor(self):
+        inst = anchored_race_instance()
+        tx = claim("start", 1_500)
+        parked = inst.apply(tx, ctx_for(tx, block=1), real_now=1_600)
+        assert callback(inst, parked.requests[0].request_id, 1_700).accepted
+        send = claim("send", 2_000)
+        result = inst.apply(send, ctx_for(send, block=2), real_now=2_100)
+        assert result.accepted
+        (anchor_request,) = result.requests
+        assert anchor_request.purpose == "anchor"
+        return inst, anchor_request.request_id
+
+    @pytest.mark.parametrize("branch", ["wait", "cycle"])
+    def test_guard_on_pending_anchor_rejects_without_record(self, branch):
+        inst, _ = self.setup_pending_anchor()
+        before = len(inst.records)
+        tx = claim(branch, 9_000)
+        parked = inst.apply(tx, ctx_for(tx, block=3), real_now=9_100)
+        assert parked.status == "parked"
+        result = callback(inst, parked.requests[0].request_id, 9_500)
+        assert result.status == "rejected" and result.reason == "anchor_pending"
+        assert result.records == [] and len(inst.records) == before
+        assert inst.is_enabled(branch)
+
+    def test_relative_guard_parks_then_records_delta(self):
+        inst, anchor_id = self.setup_pending_anchor()
+        assert callback(inst, anchor_id, 2_400).accepted  # anchor measured at 2400
+        tx = claim("wait", 4_300)
+        parked = inst.apply(tx, ctx_for(tx, block=5), real_now=4_400)
+        assert parked.status == "parked"
+        result = callback(inst, parked.requests[0].request_id, 4_600)
+        assert result.accepted
+        record = next(r for r in result.records if r.constraint_type == RELATIVE)
+        assert record.element == "wait" and record.tx_id == "wait-4300"
+        assert record.measured_ms == 2_200 and record.raw_measured_ms == 4_600
+        assert record.ground_truth_ms == 2_300 and record.required_delta_ms == 2_000
+        assert record.deadline_ms is None and record.block_number == 5
+        assert record.outcome is Outcome.TP and record.accepted is True
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.winner == "wait" and not inst.is_enabled("cycle")
+        assert inst.done
+
+    def test_parked_timer_catch_becomes_stuck_with_its_constraint_type(self):
+        inst, _ = self.setup_pending_anchor()
+        for branch in ("wait", "cycle"):
+            tx = claim(branch, 9_000)
+            assert inst.apply(tx, ctx_for(tx, block=3), real_now=9_100).status == "parked"
+        stuck = inst.finalize(horizon_ms=20_000)
+        assert [(r.element, r.constraint_type) for r in stuck] == [
+            ("wait", RELATIVE), ("cycle", CYCLE),
+        ]
+        assert all(r.outcome is Outcome.STUCK_PENDING for r in stuck)
+
+
 class TestModelValidation:
     def test_gateway_needs_two_branches(self):
         elements = {
