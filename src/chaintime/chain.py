@@ -9,12 +9,16 @@ block since most simulated blocks are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Mapping
+from typing import IO, Iterator, Mapping, NewType
 
 import numpy as np
 
 SimTime = int
 DurationMs = int
+# A name that ends up in the comma-separated, line-delimited trace and record
+# streams (scenario, participant, provider, element): non-empty, with no ','
+# and no line break. Scenario loading checks every field annotated with it.
+_Ident = NewType("Ident", str)
 
 
 class ChainError(Exception):
@@ -23,10 +27,6 @@ class ChainError(Exception):
 
 class NonMonotonicTimestamp(ChainError):
     """Block timestamp does not strictly exceed its predecessor's."""
-
-
-class BadNumber(ChainError):
-    """Block number is not the successor of the current head."""
 
 
 class OutOfRange(ChainError):
@@ -75,8 +75,8 @@ class Block:
 class Chain:
     """Ordered list of blocks numbered consecutively from 0 (genesis).
 
-    Mutation happens only through append_block / bulk constructors, which
-    enforce strictly increasing timestamps and consecutive numbering.
+    A chain is built in one shot by from_schedule, which enforces strictly
+    increasing timestamps; a bare Chain() is empty.
     """
 
     def __init__(self):
@@ -136,21 +136,6 @@ class Chain:
     def blocks(self) -> Iterator[Block]:
         for i in range(len(self)):
             yield self.block(i)
-
-    def append_block(self, block: Block) -> "Chain":
-        if block.number != len(self):
-            raise BadNumber(f"expected block {len(self)}, got {block.number}")
-        if len(self) and block.timestamp <= int(self._timestamps[-1]):
-            raise NonMonotonicTimestamp(
-                f"timestamp {block.timestamp} <= previous {int(self._timestamps[-1])}"
-            )
-        self._timestamps = np.append(self._timestamps, block.timestamp)
-        self._mining = np.append(self._mining, block.mining_duration)
-        if block.transactions:
-            self._txs[block.number] = block.transactions
-            for pos, tx in enumerate(block.transactions):
-                self._tx_index[tx.id] = (block.number, pos)
-        return self
 
     def block_time(self, i: int) -> DurationMs:
         """Interval between block i and its predecessor."""

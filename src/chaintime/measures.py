@@ -14,7 +14,7 @@ import bisect
 from dataclasses import dataclass
 from enum import Enum
 
-from .chain import SimTime, Transaction
+from .chain import SimTime, Transaction, _Ident
 
 
 class MeasureKind(str, Enum):
@@ -122,7 +122,7 @@ def measure_so(ctx: TxContext) -> SimTime:
 class PushOracleConfig:
     """Provider that periodically writes a timestamp into its storage cell."""
 
-    provider: str
+    provider: _Ident
     cadence_ms: int = 60_000
     staleness_ms: int = 0
     active_from_ms: SimTime = 0
@@ -133,19 +133,27 @@ class PushOracleConfig:
             raise ValueError("cadence must be positive")
         if self.staleness_ms < 0:
             raise ValueError("staleness must be non-negative")
+        _check_outages(self.outages)
 
 
 @dataclass(frozen=True)
 class PullOracleConfig:
     """Provider that answers on-chain requests with a delayed callback."""
 
-    provider: str
+    provider: _Ident
     latency_ms: int = 30_000
     outages: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         if self.latency_ms < 0:
             raise ValueError("latency must be non-negative")
+        _check_outages(self.outages)
+
+
+def _check_outages(outages: tuple[tuple[int, int], ...]) -> None:
+    for start, end in outages:
+        if start >= end:
+            raise ValueError(f"outage [{start}, {end}] must start before it ends")
 
 
 def in_outage(outages: tuple[tuple[int, int], ...], now: SimTime) -> bool:

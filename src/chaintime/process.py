@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Mapping, Sequence
 
-from .chain import SimTime, Transaction
+from .chain import SimTime, Transaction, _Ident
 from .measures import (
     ChainParams,
     MeasureKind,
@@ -180,33 +180,33 @@ def resolve_deferred_choice(
 
 @dataclass(frozen=True)
 class StartTimer:
-    id: str
+    id: _Ident
     spec: TimerSpec
 
 
 @dataclass(frozen=True)
 class Task:
-    id: str
+    id: _Ident
     name: str
     performer: str
 
 
 @dataclass(frozen=True)
 class TimerCatch:
-    id: str
+    id: _Ident
     spec: TimerSpec
 
 
 @dataclass(frozen=True)
 class MessageCatch:
-    id: str
+    id: _Ident
     message: str
 
 
 @dataclass(frozen=True)
 class EventGateway:
-    id: str
-    branches: tuple[str, ...]
+    id: _Ident
+    branches: tuple[_Ident, ...]
 
 
 Element = StartTimer | Task | TimerCatch | MessageCatch | EventGateway
@@ -217,9 +217,9 @@ class ProcessModel:
     """Elements plus a successor map; branch elements flow onward from the
     gateway they belong to. A flow target of None ends the process."""
 
-    elements: Mapping[str, Element]
-    flows: Mapping[str, str | None]
-    start: str
+    elements: Mapping[_Ident, Element]
+    flows: Mapping[_Ident, _Ident | None]
+    start: _Ident
 
     def validate(self) -> None:
         if self.start not in self.elements:
@@ -263,6 +263,14 @@ class ProcessModel:
         unreachable = set(self.elements) - seen
         if unreachable:
             raise ModelError(f"unreachable elements: {sorted(unreachable)}")
+
+
+def _dues_from(spec: TimerSpec, anchor_ms: SimTime, limit: int) -> tuple[SimTime, ...]:
+    """A timer's due instants at or after its anchor: an absolutely anchored
+    cycle drops the dues that passed before enablement, and keeps its last
+    due if all of them did."""
+    dues = due_times(spec, anchor_ms, limit)
+    return tuple(d for d in dues if d >= anchor_ms) or tuple(dues[-1:])
 
 
 def _constraint_type(element: StartTimer | TimerCatch) -> str:
@@ -634,8 +642,7 @@ class ProcessInstance:
             reps = spec.repetitions or self.cycle_limit
             progress = _CycleProgress(0, reps, spec.period_ms, abs_schedule=None)
         else:
-            schedule = tuple(due_times(spec, anchor.truth_ms, self.cycle_limit))
-            schedule = tuple(d for d in schedule if d >= anchor.truth_ms) or schedule[-1:]
+            schedule = _dues_from(spec, anchor.truth_ms, self.cycle_limit)
             progress = _CycleProgress(0, len(schedule), 0, abs_schedule=schedule)
         self._cycles[element_id] = progress
         return progress
@@ -674,7 +681,9 @@ class ProcessInstance:
         for branch in gateway.branches:
             element = self.model.elements[branch]
             if isinstance(element, TimerCatch):
-                triggers[branch] = due_times(element.spec, round_.anchor.truth_ms, 1)[0]
+                triggers[branch] = _dues_from(
+                    element.spec, round_.anchor.truth_ms, self.cycle_limit
+                )[0]
             else:
                 notes = self._message_notes.get(branch, [])
                 candidates = [

@@ -7,14 +7,20 @@ named preset (``preset: invoice-demo``) and override individual keys.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Mapping
+from collections.abc import Mapping
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
+from functools import cache
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
+from .chain import _Ident
 from .dists import Distribution, constant, normal, uniform
 from .measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from .process import (
+    Element,
     EventGateway,
     MessageCatch,
     ProcessModel,
@@ -22,13 +28,17 @@ from .process import (
     Task,
     TimerCatch,
 )
-from .timers import format_timer, parse_timer
+from .timers import TimerParseError, TimerSpec, format_timer, parse_timer
 
 MS_PER_DAY = 86_400_000
 
 
 class SchemaError(ValueError):
-    """Scenario validation failure, carrying the offending field path."""
+    """Scenario validation failure, carrying the offending field path.
+
+    A config object's own checks name the field relative to the object;
+    build_config prefixes the object's path in the scenario tree.
+    """
 
     def __init__(self, path: str, reason: str):
         self.path = path
@@ -39,6 +49,10 @@ class SchemaError(ValueError):
 # ---------------------------------------------------------------------------
 # Config dataclasses
 # ---------------------------------------------------------------------------
+#
+# Each field is one scenario key: its name is the YAML key, its type hint
+# the YAML type, its default the YAML default, and the field order is the
+# order of `chaintime print-config`.
 
 @dataclass(frozen=True)
 class NetworkConfig:
@@ -51,15 +65,15 @@ class NetworkConfig:
 
     def __post_init__(self):
         if self.genesis_timestamp_ms < 0:
-            raise SchemaError("network.genesis_timestamp_ms", "must be non-negative")
+            raise SchemaError("genesis_timestamp_ms", "must be non-negative")
         if self.miner_ordering not in (
             "fifo_by_arrival",
             "priority_then_arrival",
             "adversarial_reorder",
         ):
-            raise SchemaError("network.miner_ordering", f"unknown policy {self.miner_ordering!r}")
+            raise SchemaError("miner_ordering", f"unknown policy {self.miner_ordering!r}")
         if self.assumed_mean_block_time_ms <= 0:
-            raise SchemaError("network.assumed_mean_block_time_ms", "must be positive")
+            raise SchemaError("assumed_mean_block_time_ms", "must be positive")
 
 
 @dataclass(frozen=True)
@@ -71,7 +85,7 @@ class FaultConfig:
 
     def __post_init__(self):
         if self.miner_drift_min_ms > self.miner_drift_max_ms:
-            raise SchemaError("faults.miner_drift_min_ms", "min must not exceed max")
+            raise SchemaError("miner_drift_min_ms", "min must not exceed max")
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ class ScriptEntry:
     """One participant behavior: send at a fixed time, on enablement, or
     around each ground-truth due time with jitter and retries."""
 
-    element: str
+    element: _Ident
     at_ms: int | None = None
     on_enabled_delay_ms: int | None = None
     on_due: bool = False
@@ -94,30 +108,29 @@ class ScriptEntry:
             (self.at_ms is not None, self.on_enabled_delay_ms is not None, self.on_due)
         )
         if modes != 1:
-            raise SchemaError(
-                f"participants.script[{self.element}]",
-                "exactly one of at_ms / on_enabled_delay_ms / on_due required",
-            )
-        if self.retry_ms <= 0 or self.max_attempts < 1:
-            raise SchemaError(
-                f"participants.script[{self.element}]",
-                "retry_ms must be positive and max_attempts >= 1",
-            )
+            raise ValueError("exactly one of at_ms / on_enabled_delay_ms / on_due required")
+        for name in ("at_ms", "on_enabled_delay_ms", "priority"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise SchemaError(name, "must be non-negative")
+        if self.retry_ms <= 0:
+            raise SchemaError("retry_ms", "must be positive")
+        if self.max_attempts < 1:
+            raise SchemaError("max_attempts", "must be >= 1")
 
 
 @dataclass(frozen=True)
 class Participant:
-    name: str
-    script: tuple[ScriptEntry, ...] = ()
+    name: _Ident
     lie_ms: int = 0
     inclusion_delay: Distribution | None = None
+    script: tuple[ScriptEntry, ...] = ()
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: str
+    name: _Ident
     network: NetworkConfig
-    horizon_ms: int
     faults: FaultConfig = FaultConfig()
     push_oracles: tuple[PushOracleConfig, ...] = ()
     pull_oracles: tuple[PullOracleConfig, ...] = ()
@@ -125,14 +138,20 @@ class ScenarioConfig:
     activation_floor_ms: int = 0
     measures: tuple[MeasureKind, ...] = (MeasureKind.PARAMETER,)
     participants: tuple[Participant, ...] = ()
+    # required, so keyword-only to keep its place in the print-config order
+    horizon_ms: int = field(kw_only=True)
     cycle_limit: int = 64
     simulate_unused_oracles: bool = False
 
     def __post_init__(self):
         if self.horizon_ms <= self.network.genesis_timestamp_ms:
             raise SchemaError("horizon_ms", "must lie after the genesis timestamp")
+        if self.activation_floor_ms < 0:
+            raise SchemaError("activation_floor_ms", "must be non-negative")
         if not self.measures:
             raise SchemaError("measures", "at least one measure kind required")
+        if self.cycle_limit < 1:
+            raise SchemaError("cycle_limit", "must be >= 1")
 
     def validate(self) -> None:
         if self.process is not None:
@@ -152,426 +171,251 @@ class ScenarioConfig:
             raise SchemaError(
                 "oracles.pull", "request_response_oracle measure needs a pull provider"
             )
+        if len(self.pull_oracles) > 1:
+            raise SchemaError(
+                "oracles.pull[1]",
+                "one pull provider at most: the contract queries oracles.pull[0]",
+            )
 
 
 # ---------------------------------------------------------------------------
 # Dict <-> config
 # ---------------------------------------------------------------------------
+#
+# build_config and config_to_dict walk the config dataclasses above (and the
+# distribution, oracle and process element ones they hold) by their fields
+# and type hints. The tables below are the only places where the YAML does
+# not mirror a dataclass.
 
-_MEASURE_NAMES = [m.value for m in MeasureKind]
+# Fields kept under a group key: {group: {key: field name}}.
+_GROUPS: dict[type, dict[str, dict[str, str]]] = {
+    ScenarioConfig: {"oracles": {"push": "push_oracles", "pull": "pull_oracles"}},
+    FaultConfig: {
+        "miner_drift": {
+            "enabled": "miner_drift_enabled",
+            "min_ms": "miner_drift_min_ms",
+            "max_ms": "miner_drift_max_ms",
+        },
+    },
+}
+
+# The parameters each distribution kind takes, all of them required.
+_DIST_KEYS = {
+    "constant": ("value_ms",),
+    "uniform": ("min_ms", "max_ms"),
+    "normal": ("mean_ms", "stddev_ms", "min_ms", "max_ms"),
+}
+
+# Process elements are listed as mappings tagged with their type.
+_ELEMENT_TYPES = {
+    "start_timer": StartTimer,
+    "task": Task,
+    "timer_catch": TimerCatch,
+    "message_catch": MessageCatch,
+    "event_gateway": EventGateway,
+}
+_ELEMENT_NAMES = {cls: name for name, cls in _ELEMENT_TYPES.items()}
+
+# Defaults a scenario file has and a config built in Python does not; each
+# is called with the fields built so far and the entry's index in its list.
+_FILE_DEFAULTS: dict[tuple[type, str], Callable[[dict, int], Any]] = {
+    (ScenarioConfig, "name"): lambda built, i: "scenario",
+    (ScenarioConfig, "network"): lambda built, i: _build(NetworkConfig, {}, "network"),
+    (ScenarioConfig, "activation_floor_ms"): (
+        lambda built, i: built["network"].genesis_timestamp_ms
+    ),
+    (NetworkConfig, "block_time"): lambda built, i: DEFAULT_BLOCK_TIME,
+    (NetworkConfig, "mining_time"): lambda built, i: DEFAULT_MINING_TIME,
+    (NetworkConfig, "inclusion_delay"): lambda built, i: DEFAULT_INCLUSION_DELAY,
+    (PushOracleConfig, "provider"): lambda built, i: f"push{i}",
+    (PullOracleConfig, "provider"): lambda built, i: f"pull{i}",
+}
 
 
-def _require_keys(tree: Mapping[str, Any], allowed: set[str], path: str) -> None:
-    unknown = set(tree) - allowed
-    if unknown:
-        raise SchemaError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+_SCALARS = {bool: "true or false", int: "an integer", str: "a string"}
 
 
-def _get_int(tree, key, path, default=None, minimum=None):
-    value = tree.get(key, default)
-    if value is None:
-        raise SchemaError(f"{path}.{key}", "required")
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{path}.{key}", f"expected integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise SchemaError(f"{path}.{key}", f"must be >= {minimum}")
+def _join(path: str, *keys: Any) -> str:
+    return ".".join([path, *map(str, keys)] if path else map(str, keys))
+
+
+def _yaml_key(cls: type, name: str) -> tuple[str, ...]:
+    """A field's YAML key: its name, or (group, key) for a grouped field."""
+    for group, members in _GROUPS.get(cls, {}).items():
+        for key, member in members.items():
+            if member == name:
+                return group, key
+    return (name,)
+
+
+@cache
+def _hints(cls: type) -> dict[str, Any]:
+    return get_type_hints(cls)
+
+
+def _expect(ok: bool, value: Any, path: str, what: str) -> None:
+    if not ok:
+        raise SchemaError(path or "<root>", f"expected {what}, got {value!r}")
+
+
+def _pick(table: Mapping[str, Any], value: Any, path: str, what: str) -> Any:
+    """The entry of a table that a YAML string names."""
+    if not isinstance(value, str) or value not in table:
+        raise SchemaError(path, f"unknown {what} {value!r}; known: {sorted(table)}")
+    return table[value]
+
+
+def _build(tp: Any, value: Any, path: str, index: int = 0) -> Any:
+    """One YAML node built as type hint `tp`, or a SchemaError at its path.
+    `index` is the node's position in its list, for defaults that use it."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp is _Ident:
+        ok = isinstance(value, str) and value != "" and not any(c in value for c in ",\r\n")
+        _expect(ok, value, path, "a name without ',' or line breaks")
+        return value
+    if tp == TimerSpec:
+        _expect(isinstance(value, str), value, path, "a timer string")
+        try:
+            return parse_timer(value)
+        except TimerParseError as exc:
+            raise SchemaError(path, str(exc)) from None
+    if tp == Element:
+        _expect(isinstance(value, Mapping), value, path, "a mapping")
+        cls = _pick(_ELEMENT_TYPES, value.get("type"), _join(path, "type"), "element type")
+        return _build_fields(cls, {k: v for k, v in value.items() if k != "type"}, path, index)
+    if origin in (Union, UnionType):  # an optional value: X | None
+        return None if value is None else _build(args[0], value, path, index)
+    if tp in _SCALARS:
+        ok = isinstance(value, tp) and (tp is bool or not isinstance(value, bool))
+        _expect(ok, value, path, _SCALARS[tp])
+        return value
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return _pick({m.value: m for m in tp}, value, path, tp.__name__)
+    if origin is tuple:
+        _expect(isinstance(value, list), value, path, "a list")
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        _expect(len(types) == len(value), value, path, f"a list of {len(types)} values")
+        return tuple(
+            _build(t, v, f"{path}[{i}]", i) for i, (t, v) in enumerate(zip(types, value))
+        )
+    if origin is Mapping and args[1] == Element:  # a list of elements keyed by id
+        elements: dict[str, Any] = {}
+        for i, element in enumerate(_build(tuple[Element, ...], value, path)):
+            if element.id in elements:
+                raise SchemaError(f"{path}[{i}].id", f"duplicate element id {element.id!r}")
+            elements[element.id] = element
+        return elements
+    if origin is Mapping:
+        _expect(isinstance(value, Mapping), value, path, "a mapping")
+        return {
+            _build(args[0], k, _join(path, k)): _build(args[1], v, _join(path, k))
+            for k, v in value.items()
+        }
+    if tp is ProcessModel and isinstance(value, str):
+        return _pick(PROCESS_PRESETS, value, path, "process preset")()
+    if tp is Distribution:
+        _expect(isinstance(value, Mapping), value, path, "a mapping with a 'kind' key")
+        keys = _pick(_DIST_KEYS, value.get("kind"), _join(path, "kind"), "distribution kind")
+        return _build_fields(tp, value, path, index, required=("kind", *keys))
+    return _build_fields(tp, value, path, index)
+
+
+def _build_fields(
+    cls: type, value: Any, path: str, index: int, required: tuple[str, ...] = ()
+) -> Any:
+    """A config dataclass from its YAML mapping, one field at a time. Only the
+    `required` fields are read if given; otherwise all, each with its default."""
+    _expect(isinstance(value, Mapping), value, path, "a mapping")
+    names = required or tuple(f.name for f in fields(cls))
+    given = _by_field(cls, value, names, path)
+    has_default = {
+        f.name: f.default is not MISSING or f.default_factory is not MISSING
+        for f in fields(cls)
+    }
+    built: dict[str, Any] = {}
+    for name in names:
+        field_path = _join(path, *_yaml_key(cls, name))
+        if given.get(name) is not None:
+            built[name] = _build(_hints(cls)[name], given[name], field_path)
+        elif (cls, name) in _FILE_DEFAULTS:
+            built[name] = _FILE_DEFAULTS[cls, name](built, index)
+        elif required or not has_default[name]:
+            raise SchemaError(field_path, "required")
+    try:
+        config = cls(**built)
+        if hasattr(config, "validate"):
+            config.validate()
+    except SchemaError as exc:
+        raise SchemaError(_join(path, *_yaml_key(cls, exc.path)), exc.reason) from None
+    except ValueError as exc:
+        raise SchemaError(path or "<root>", str(exc)) from None
+    return config
+
+
+def _by_field(cls: type, tree: Mapping, names: tuple[str, ...], path: str) -> dict:
+    """The values of a dataclass's YAML mapping by field name, its groups
+    opened; an unknown key is an error at its path."""
+    keys = {_yaml_key(cls, name): name for name in names}
+    groups = _GROUPS.get(cls, {})
+    out = {}
+    for key, value in tree.items():
+        if (key,) in keys:
+            out[keys[key,]] = value
+        elif key in groups:
+            group = {} if value is None else value
+            _expect(isinstance(group, Mapping), value, _join(path, key), "a mapping")
+            for sub, sub_value in group.items():
+                if (key, sub) not in keys:
+                    raise SchemaError(_join(path, key, sub), "unknown key")
+                out[keys[key, sub]] = sub_value
+        else:
+            raise SchemaError(_join(path, key), "unknown key")
+    return out
+
+
+def _dump(tp: Any, value: Any) -> Any:
+    """The YAML node of a value of type hint `tp`: the inverse of _build."""
+    origin, args = get_origin(tp), get_args(tp)
+    if tp == TimerSpec:
+        return format_timer(value)
+    if tp == Element:
+        tree = _dump_fields(type(value), value)
+        return {"id": tree.pop("id"), "type": _ELEMENT_NAMES[type(value)], **tree}
+    if origin in (Union, UnionType):
+        return None if value is None else _dump(args[0], value)
+    if isinstance(tp, type) and issubclass(tp, Enum):
+        return value.value
+    if origin is tuple:
+        types = [args[0]] * len(value) if args[-1] is Ellipsis else args
+        return [_dump(t, v) for t, v in zip(types, value)]
+    if origin is Mapping and args[1] == Element:
+        return [_dump(Element, element) for element in value.values()]
+    if origin is Mapping:
+        return {k: _dump(args[1], v) for k, v in value.items()}
+    if tp is Distribution:
+        return _dump_fields(tp, value, ("kind", *_DIST_KEYS[value.kind]))
+    if is_dataclass(tp):
+        return _dump_fields(tp, value)
     return value
 
 
-def _build_distribution(tree: Any, path: str) -> Distribution:
-    if not isinstance(tree, Mapping):
-        raise SchemaError(path, "expected a mapping with a 'kind' key")
-    kind = tree.get("kind")
-    try:
-        if kind == "constant":
-            _require_keys(tree, {"kind", "value_ms"}, path)
-            return constant(_get_int(tree, "value_ms", path, minimum=0))
-        if kind == "uniform":
-            _require_keys(tree, {"kind", "min_ms", "max_ms"}, path)
-            return uniform(
-                _get_int(tree, "min_ms", path, minimum=0), _get_int(tree, "max_ms", path)
-            )
-        if kind == "normal":
-            _require_keys(tree, {"kind", "mean_ms", "stddev_ms", "min_ms", "max_ms"}, path)
-            return normal(
-                _get_int(tree, "mean_ms", path),
-                _get_int(tree, "stddev_ms", path, minimum=0),
-                _get_int(tree, "min_ms", path, minimum=1),
-                _get_int(tree, "max_ms", path),
-            )
-    except ValueError as exc:
-        if isinstance(exc, SchemaError):
-            raise
-        raise SchemaError(path, str(exc)) from exc
-    raise SchemaError(f"{path}.kind", f"unknown distribution kind {kind!r}")
-
-
-def _dump_distribution(dist: Distribution) -> dict:
-    if dist.kind == "constant":
-        return {"kind": "constant", "value_ms": dist.value_ms}
-    if dist.kind == "uniform":
-        return {"kind": "uniform", "min_ms": dist.min_ms, "max_ms": dist.max_ms}
-    return {
-        "kind": "normal",
-        "mean_ms": dist.mean_ms,
-        "stddev_ms": dist.stddev_ms,
-        "min_ms": dist.min_ms,
-        "max_ms": dist.max_ms,
-    }
-
-
-def _build_outages(tree, path) -> tuple[tuple[int, int], ...]:
-    if tree is None:
-        return ()
-    if not isinstance(tree, list):
-        raise SchemaError(path, "expected a list of [start_ms, end_ms] pairs")
-    out = []
-    for i, pair in enumerate(tree):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise SchemaError(f"{path}[{i}]", "expected [start_ms, end_ms]")
-        start, end = pair
-        if not isinstance(start, int) or not isinstance(end, int) or start >= end:
-            raise SchemaError(f"{path}[{i}]", "need integers with start < end")
-        out.append((start, end))
-    return tuple(out)
-
-
-def _build_element(tree, path):
-    _require_keys(
-        tree, {"id", "type", "spec", "name", "performer", "message", "branches"}, path
-    )
-    el_id = tree.get("id")
-    el_type = tree.get("type")
-    if not isinstance(el_id, str) or not el_id:
-        raise SchemaError(f"{path}.id", "required string")
-    if el_type == "start_timer":
-        return StartTimer(id=el_id, spec=parse_timer(str(tree.get("spec", ""))))
-    if el_type == "task":
-        return Task(
-            id=el_id, name=str(tree.get("name", el_id)), performer=str(tree.get("performer", ""))
-        )
-    if el_type == "timer_catch":
-        return TimerCatch(id=el_id, spec=parse_timer(str(tree.get("spec", ""))))
-    if el_type == "message_catch":
-        return MessageCatch(id=el_id, message=str(tree.get("message", el_id)))
-    if el_type == "event_gateway":
-        branches = tree.get("branches")
-        if not isinstance(branches, list) or not all(isinstance(b, str) for b in branches):
-            raise SchemaError(f"{path}.branches", "expected a list of element ids")
-        return EventGateway(id=el_id, branches=tuple(branches))
-    raise SchemaError(f"{path}.type", f"unknown element type {el_type!r}")
-
-
-def _build_process(tree, path) -> ProcessModel:
-    if isinstance(tree, str):
-        if tree not in PROCESS_PRESETS:
-            raise SchemaError(
-                path, f"unknown process preset {tree!r}; known: {sorted(PROCESS_PRESETS)}"
-            )
-        return PROCESS_PRESETS[tree]()
-    if not isinstance(tree, Mapping):
-        raise SchemaError(path, "expected preset name or inline model")
-    _require_keys(tree, {"elements", "flows", "start"}, path)
-    elements = {}
-    for i, el_tree in enumerate(tree.get("elements") or []):
-        element = _build_element(el_tree, f"{path}.elements[{i}]")
-        elements[element.id] = element
-    flows_tree = tree.get("flows") or {}
-    flows = {str(k): (str(v) if v is not None else None) for k, v in flows_tree.items()}
-    start = tree.get("start")
-    if not isinstance(start, str):
-        raise SchemaError(f"{path}.start", "required string")
-    model = ProcessModel(elements=elements, flows=flows, start=start)
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
-    return model
-
-
-def _dump_element(element) -> dict:
-    if isinstance(element, StartTimer):
-        return {"id": element.id, "type": "start_timer", "spec": format_timer(element.spec)}
-    if isinstance(element, Task):
-        return {
-            "id": element.id, "type": "task",
-            "name": element.name, "performer": element.performer,
-        }
-    if isinstance(element, TimerCatch):
-        return {"id": element.id, "type": "timer_catch", "spec": format_timer(element.spec)}
-    if isinstance(element, MessageCatch):
-        return {"id": element.id, "type": "message_catch", "message": element.message}
-    return {"id": element.id, "type": "event_gateway", "branches": list(element.branches)}
-
-
-def _build_script_entry(tree, path) -> ScriptEntry:
-    _require_keys(
-        tree,
-        {"element", "at_ms", "on_enabled_delay_ms", "on_due", "jitter", "jitter_offset_ms",
-         "retry_ms", "max_attempts", "priority"},
-        path,
-    )
-    element = tree.get("element")
-    if not isinstance(element, str) or not element:
-        raise SchemaError(f"{path}.element", "required string")
-    jitter = None
-    if tree.get("jitter") is not None:
-        jitter = _build_distribution(tree["jitter"], f"{path}.jitter")
-    try:
-        return ScriptEntry(
-            element=element,
-            at_ms=tree.get("at_ms"),
-            on_enabled_delay_ms=tree.get("on_enabled_delay_ms"),
-            on_due=bool(tree.get("on_due", False)),
-            jitter=jitter,
-            jitter_offset_ms=tree.get("jitter_offset_ms", 0),
-            retry_ms=tree.get("retry_ms", 60_000),
-            max_attempts=tree.get("max_attempts", 120),
-            priority=tree.get("priority", 0),
-        )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError(path, str(exc)) from exc
+def _dump_fields(cls: type, config: Any, names: tuple[str, ...] = ()) -> dict:
+    tree: dict[str, Any] = {}
+    for name in names or tuple(f.name for f in fields(cls)):
+        *group, key = _yaml_key(cls, name)
+        node = tree.setdefault(group[0], {}) if group else tree
+        node[key] = _dump(_hints(cls)[name], getattr(config, name))
+    return tree
 
 
 def build_config(tree: Mapping[str, Any]) -> ScenarioConfig:
     """Construct and validate a ScenarioConfig from a plain dict tree."""
-    if not isinstance(tree, Mapping):
-        raise SchemaError("<root>", "scenario must be a mapping")
-    _require_keys(
-        tree,
-        {"name", "preset", "network", "faults", "oracles", "process",
-         "activation_floor_ms", "measures", "participants", "horizon_ms",
-         "cycle_limit", "simulate_unused_oracles"},
-        "<root>",
-    )
-
-    net_tree = tree.get("network") or {}
-    _require_keys(
-        net_tree,
-        {"block_time", "mining_time", "inclusion_delay", "genesis_timestamp_ms",
-         "miner_ordering", "assumed_mean_block_time_ms"},
-        "network",
-    )
-    network = NetworkConfig(
-        block_time=_build_distribution(
-            net_tree.get("block_time", _dump_distribution(DEFAULT_BLOCK_TIME)),
-            "network.block_time",
-        ),
-        mining_time=_build_distribution(
-            net_tree.get("mining_time", _dump_distribution(DEFAULT_MINING_TIME)),
-            "network.mining_time",
-        ),
-        inclusion_delay=_build_distribution(
-            net_tree.get("inclusion_delay", _dump_distribution(DEFAULT_INCLUSION_DELAY)),
-            "network.inclusion_delay",
-        ),
-        genesis_timestamp_ms=_get_int(net_tree, "genesis_timestamp_ms", "network", default=0),
-        miner_ordering=str(net_tree.get("miner_ordering", "fifo_by_arrival")),
-        assumed_mean_block_time_ms=_get_int(
-            net_tree, "assumed_mean_block_time_ms", "network", default=15_190
-        ),
-    )
-
-    faults_tree = tree.get("faults") or {}
-    _require_keys(
-        faults_tree,
-        {"miner_drift", "parameter_lies"},
-        "faults",
-    )
-    drift_tree = faults_tree.get("miner_drift") or {}
-    _require_keys(drift_tree, {"enabled", "min_ms", "max_ms"}, "faults.miner_drift")
-    lies_tree = faults_tree.get("parameter_lies") or {}
-    if not isinstance(lies_tree, Mapping) or not all(
-        isinstance(v, int) for v in lies_tree.values()
-    ):
-        raise SchemaError("faults.parameter_lies", "expected mapping sender -> offset_ms")
-    faults = FaultConfig(
-        miner_drift_enabled=bool(drift_tree.get("enabled", False)),
-        miner_drift_min_ms=drift_tree.get("min_ms", 0),
-        miner_drift_max_ms=drift_tree.get("max_ms", 15_000),
-        parameter_lies=dict(lies_tree),
-    )
-
-    oracle_tree = tree.get("oracles") or {}
-    _require_keys(oracle_tree, {"push", "pull"}, "oracles")
-    push_oracles = []
-    for i, p_tree in enumerate(oracle_tree.get("push") or []):
-        path = f"oracles.push[{i}]"
-        _require_keys(
-            p_tree, {"provider", "cadence_ms", "staleness_ms", "active_from_ms", "outages"}, path
-        )
-        try:
-            push_oracles.append(
-                PushOracleConfig(
-                    provider=str(p_tree.get("provider", f"push{i}")),
-                    cadence_ms=_get_int(p_tree, "cadence_ms", path, default=60_000),
-                    staleness_ms=_get_int(p_tree, "staleness_ms", path, default=0),
-                    active_from_ms=_get_int(p_tree, "active_from_ms", path, default=0),
-                    outages=_build_outages(p_tree.get("outages"), f"{path}.outages"),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"{path}.cadence_ms", str(exc)) from exc
-    pull_oracles = []
-    for i, p_tree in enumerate(oracle_tree.get("pull") or []):
-        path = f"oracles.pull[{i}]"
-        _require_keys(p_tree, {"provider", "latency_ms", "outages"}, path)
-        try:
-            pull_oracles.append(
-                PullOracleConfig(
-                    provider=str(p_tree.get("provider", f"pull{i}")),
-                    latency_ms=_get_int(p_tree, "latency_ms", path, default=30_000),
-                    outages=_build_outages(p_tree.get("outages"), f"{path}.outages"),
-                )
-            )
-        except ValueError as exc:
-            if isinstance(exc, SchemaError):
-                raise
-            raise SchemaError(f"{path}.latency_ms", str(exc)) from exc
-
-    process = None
-    if tree.get("process") is not None:
-        process = _build_process(tree["process"], "process")
-
-    measures = []
-    for i, name in enumerate(tree.get("measures") or ["parameter"]):
-        if name not in _MEASURE_NAMES:
-            raise SchemaError(
-                f"measures[{i}]", f"unknown measure {name!r}; valid kinds: {_MEASURE_NAMES}"
-            )
-        measures.append(MeasureKind(name))
-
-    participants = []
-    for i, p_tree in enumerate(tree.get("participants") or []):
-        path = f"participants[{i}]"
-        _require_keys(p_tree, {"name", "script", "lie_ms", "inclusion_delay"}, path)
-        name = p_tree.get("name")
-        if not isinstance(name, str) or not name:
-            raise SchemaError(f"{path}.name", "required string")
-        script = tuple(
-            _build_script_entry(s_tree, f"{path}.script[{j}]")
-            for j, s_tree in enumerate(p_tree.get("script") or [])
-        )
-        override = None
-        if p_tree.get("inclusion_delay") is not None:
-            override = _build_distribution(p_tree["inclusion_delay"], f"{path}.inclusion_delay")
-        participants.append(
-            Participant(
-                name=name,
-                script=script,
-                lie_ms=p_tree.get("lie_ms", 0),
-                inclusion_delay=override,
-            )
-        )
-
-    try:
-        config = ScenarioConfig(
-            name=str(tree.get("name", "scenario")),
-            network=network,
-            faults=faults,
-            push_oracles=tuple(push_oracles),
-            pull_oracles=tuple(pull_oracles),
-            process=process,
-            activation_floor_ms=_get_int(
-                tree, "activation_floor_ms", "<root>",
-                default=network.genesis_timestamp_ms, minimum=0,
-            ),
-            measures=tuple(measures),
-            participants=tuple(participants),
-            horizon_ms=_get_int(tree, "horizon_ms", "<root>", minimum=1),
-            cycle_limit=_get_int(tree, "cycle_limit", "<root>", default=64, minimum=1),
-            simulate_unused_oracles=bool(tree.get("simulate_unused_oracles", False)),
-        )
-    except SchemaError:
-        raise
-    except ValueError as exc:
-        raise SchemaError("<root>", str(exc)) from exc
-    config.validate()
-    return config
+    return _build(ScenarioConfig, tree, "")
 
 
 def config_to_dict(config: ScenarioConfig) -> dict:
     """Effective configuration as a plain tree (the print-config output)."""
-    tree: dict[str, Any] = {
-        "name": config.name,
-        "network": {
-            "block_time": _dump_distribution(config.network.block_time),
-            "mining_time": _dump_distribution(config.network.mining_time),
-            "inclusion_delay": _dump_distribution(config.network.inclusion_delay),
-            "genesis_timestamp_ms": config.network.genesis_timestamp_ms,
-            "miner_ordering": config.network.miner_ordering,
-            "assumed_mean_block_time_ms": config.network.assumed_mean_block_time_ms,
-        },
-        "faults": {
-            "miner_drift": {
-                "enabled": config.faults.miner_drift_enabled,
-                "min_ms": config.faults.miner_drift_min_ms,
-                "max_ms": config.faults.miner_drift_max_ms,
-            },
-            "parameter_lies": dict(config.faults.parameter_lies),
-        },
-        "oracles": {
-            "push": [
-                {
-                    "provider": p.provider,
-                    "cadence_ms": p.cadence_ms,
-                    "staleness_ms": p.staleness_ms,
-                    "active_from_ms": p.active_from_ms,
-                    "outages": [list(o) for o in p.outages],
-                }
-                for p in config.push_oracles
-            ],
-            "pull": [
-                {
-                    "provider": p.provider,
-                    "latency_ms": p.latency_ms,
-                    "outages": [list(o) for o in p.outages],
-                }
-                for p in config.pull_oracles
-            ],
-        },
-        "process": None,
-        "activation_floor_ms": config.activation_floor_ms,
-        "measures": [m.value for m in config.measures],
-        "participants": [
-            {
-                "name": p.name,
-                "lie_ms": p.lie_ms,
-                "inclusion_delay": (
-                    _dump_distribution(p.inclusion_delay) if p.inclusion_delay else None
-                ),
-                "script": [
-                    {
-                        "element": s.element,
-                        "at_ms": s.at_ms,
-                        "on_enabled_delay_ms": s.on_enabled_delay_ms,
-                        "on_due": s.on_due,
-                        "jitter": _dump_distribution(s.jitter) if s.jitter else None,
-                        "jitter_offset_ms": s.jitter_offset_ms,
-                        "retry_ms": s.retry_ms,
-                        "max_attempts": s.max_attempts,
-                        "priority": s.priority,
-                    }
-                    for s in p.script
-                ],
-            }
-            for p in config.participants
-        ],
-        "horizon_ms": config.horizon_ms,
-        "cycle_limit": config.cycle_limit,
-        "simulate_unused_oracles": config.simulate_unused_oracles,
-    }
-    if config.process is not None:
-        tree["process"] = {
-            "elements": [_dump_element(e) for e in config.process.elements.values()],
-            "flows": dict(config.process.flows),
-            "start": config.process.start,
-        }
-    return tree
+    return _dump(ScenarioConfig, config)
 
 
 def load_scenario(path: str) -> ScenarioConfig:
@@ -582,15 +426,11 @@ def load_scenario(path: str) -> ScenarioConfig:
         raise SchemaError("<root>", "empty scenario file")
     if not isinstance(tree, Mapping):
         raise SchemaError("<root>", "scenario must be a mapping")
-    preset_name = tree.get("preset")
+    tree = dict(tree)
+    preset_name = tree.pop("preset", None)
     if preset_name is not None:
-        if preset_name not in SCENARIO_PRESETS:
-            raise SchemaError(
-                "preset", f"unknown preset {preset_name!r}; known: {sorted(SCENARIO_PRESETS)}"
-            )
-        base = config_to_dict(SCENARIO_PRESETS[preset_name]())
-        merged = _deep_merge(base, {k: v for k, v in tree.items() if k != "preset"})
-        return build_config(merged)
+        preset = _pick(SCENARIO_PRESETS, preset_name, "preset", "preset")
+        tree = _deep_merge(config_to_dict(preset()), tree)
     return build_config(tree)
 
 

@@ -11,7 +11,6 @@ from chaintime.chain import (
     Chain,
     InsufficientBlocks,
     NonMonotonicTimestamp,
-    BadNumber,
     OutOfRange,
     Transaction,
     TxNotFound,
@@ -21,24 +20,17 @@ from chaintime.chain import (
 def small_chain() -> Chain:
     tx_a = Transaction(id="a", sender="alice", created_at=90, payload={"op": "ping"})
     tx_b = Transaction(id="b", sender="bob", created_at=150)
-    chain = Chain()
-    chain.append_block(Block(number=0, timestamp=0))
-    chain.append_block(Block(number=1, timestamp=100, transactions=(tx_a,), mining_duration=5))
-    chain.append_block(Block(number=2, timestamp=230, transactions=(tx_b,), mining_duration=7))
-    return chain
+    return Chain.from_schedule(
+        np.array([0, 100, 230], dtype=np.int64),
+        np.array([0, 5, 7], dtype=np.int64),
+        {1: (tx_a,), 2: (tx_b,)},
+    )
 
 
 class TestAppend:
-    def test_numbers_must_be_consecutive(self):
-        chain = Chain()
-        with pytest.raises(BadNumber):
-            chain.append_block(Block(number=1, timestamp=0))
-
     def test_timestamps_strictly_increase(self):
-        chain = Chain()
-        chain.append_block(Block(number=0, timestamp=50))
         with pytest.raises(NonMonotonicTimestamp):
-            chain.append_block(Block(number=1, timestamp=50))
+            Chain.from_schedule(np.array([50, 50]), np.zeros(2, dtype=np.int64))
 
     def test_negative_mining_rejected(self):
         with pytest.raises(ValueError):
@@ -65,8 +57,7 @@ class TestDerived:
         assert chain.mean_block_time() == pytest.approx(115.0)
 
     def test_mean_needs_two_blocks(self):
-        chain = Chain()
-        chain.append_block(Block(number=0, timestamp=0))
+        chain = Chain.from_schedule(np.array([0]), np.zeros(1, dtype=np.int64))
         with pytest.raises(InsufficientBlocks):
             chain.mean_block_time()
 

@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
 import pytest
+import yaml
 
 from chaintime.cli import EXIT_OK, EXIT_SCENARIO, main
 from chaintime.experiment import RECORD_HEADER, REPORT_HEADER
+from chaintime.scenario import config_to_dict, deferred_overtake_scenario
 
 
 class TestRun:
@@ -31,6 +33,30 @@ class TestRun:
         code = main(["run", "--scenario", "deferred-fifo", "--measure", "sundial"])
         assert code == EXIT_SCENARIO
         assert "block_timestamp" in capsys.readouterr().err
+
+    def test_malformed_scenario_file_is_input_error_with_path(self, tmp_path, capsys):
+        path = tmp_path / "bad.yaml"
+        path.write_text(
+            "preset: deferred-overtake\n"
+            "participants:\n"
+            "- name: customer\n"
+            "  script:\n"
+            "  - element: notice\n"
+            "    at_ms: soon\n"
+        )
+        assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert "error: participants[0].script[0].at_ms: " in capsys.readouterr().err
+
+    def test_element_id_with_comma_is_input_error(self, tmp_path, capsys):
+        tree = config_to_dict(deferred_overtake_scenario())
+        tree["process"]["elements"][1]["id"] = "race,gw"
+        tree["process"]["flows"]["start_timer"] = "race,gw"
+        path = tmp_path / "comma.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        out = tmp_path / "records.csv"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_SCENARIO
+        assert "error: process.elements[1].id: " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSweepAndReport:

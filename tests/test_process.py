@@ -342,6 +342,28 @@ class TestEngineCycleAbsolute:
         assert record.missed_iterations == (1,)
         assert inst.cycle_next_index("tick") == 1 and not inst.done
 
+    def test_gateway_trigger_is_first_due_after_enablement(self):
+        # the race opens at 2500, so the cycle branch triggers at its 3000 due,
+        # not at the 2000 one: the message created at 2700 came first
+        elements = {
+            "start": StartTimer(id="start", spec=parse_timer("1970-01-01T00:00:01Z")),
+            "gate": EventGateway(id="gate", branches=("tick", "note")),
+            "tick": TimerCatch(id="tick", spec=parse_timer("R3/1970-01-01T00:00:02Z/PT1S")),
+            "note": MessageCatch(id="note", message="note"),
+        }
+        flows = {"start": "gate", "tick": None, "note": None}
+        model = ProcessModel(elements=elements, flows=flows, start="start")
+        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS)
+        started(inst, at=2_500)
+        inst.note_message_created("note", 2_700)
+        tx = claim("tick", 3_100)
+        result = inst.apply(tx, ctx_for(tx), real_now=3_100)
+        assert result.accepted
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.outcome is Outcome.MISMATCH
+        assert gateway.winner == "tick" and gateway.truth_winner == "note"
+        assert gateway.ground_truth_ms == 2_700
+
 
 def anchored_race_instance() -> ProcessInstance:
     """Request/response instance whose gateway branches wait on an anchor

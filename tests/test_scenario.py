@@ -1,17 +1,36 @@
 """Scenario schema validation, presets, and config round-tripping."""
 
-import pytest
+import copy
+from dataclasses import replace
 
-from chaintime.measures import MeasureKind
+import pytest
+from hypothesis import given, strategies as st
+
+from chaintime.dists import constant, normal, uniform
+from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
+from chaintime.process import (
+    EventGateway,
+    MessageCatch,
+    ProcessModel,
+    StartTimer,
+    Task,
+    TimerCatch,
+)
 from chaintime.scenario import (
     SCENARIO_PRESETS,
+    FaultConfig,
+    NetworkConfig,
+    Participant,
+    ScenarioConfig,
     SchemaError,
+    ScriptEntry,
     build_config,
     config_to_dict,
     dump_config_yaml,
     invoice_demo_scenario,
     load_scenario,
 )
+from chaintime.timers import parse_timer
 
 
 def minimal_tree() -> dict:
@@ -106,16 +125,25 @@ class TestPresets:
         assert config.push_oracles[0].cadence_ms == 60_000
         assert config.pull_oracles[0].latency_ms == 30_000
 
-    def test_dump_build_roundtrip(self):
-        config = invoice_demo_scenario()
+    @pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+    def test_dump_build_roundtrip(self, name):
+        config = SCENARIO_PRESETS[name]()
         rebuilt = build_config(config_to_dict(config))
         assert rebuilt == config
 
-    def test_yaml_dump_is_loadable(self, tmp_path):
-        config = invoice_demo_scenario()
+    @pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
+    def test_yaml_dump_is_loadable(self, tmp_path, name):
+        config = SCENARIO_PRESETS[name]()
         path = tmp_path / "scenario.yaml"
         path.write_text(dump_config_yaml(config))
         assert load_scenario(str(path)) == config
+
+    def test_second_pull_provider_rejected(self):
+        config = invoice_demo_scenario()
+        second = PullOracleConfig(provider="backup", latency_ms=5_000)
+        with pytest.raises(SchemaError) as exc_info:
+            replace(config, pull_oracles=(*config.pull_oracles, second)).validate()
+        assert exc_info.value.path == "oracles.pull[1]"
 
 
 class TestPresetOverride:
@@ -138,3 +166,217 @@ class TestPresetOverride:
         with pytest.raises(SchemaError) as exc_info:
             load_scenario(str(path))
         assert "invoice-demo" in exc_info.value.reason
+
+
+def preset_tree(name: str) -> dict:
+    return config_to_dict(SCENARIO_PRESETS[name]())
+
+
+def malformed(preset: str, keys: list, value, path: str):
+    """A preset tree with the node at `keys` replaced, and the path that
+    build_config must report for it."""
+    tree = preset_tree(preset)
+    node = tree
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    return pytest.param(tree, path, id=f"{path}={value!r}")
+
+
+SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms": 2}]
+
+
+@pytest.mark.parametrize(
+    "tree, path",
+    [
+        malformed("deferred-overtake", ["participants", 1, "script", 0, "at_ms"], "soon",
+                  "participants[1].script[0].at_ms"),
+        malformed("invoice-demo", ["participants", 0, "lie_ms"], "x", "participants[0].lie_ms"),
+        malformed("invoice-demo", ["faults", "miner_drift", "enabled"], "false",
+                  "faults.miner_drift.enabled"),
+        malformed("invoice-demo", ["participants", 0, "script", 0, "on_due"], "no",
+                  "participants[0].script[0].on_due"),
+        malformed("deferred-overtake", ["process", "flows"], [1], "process.flows"),
+        malformed("deferred-overtake", ["participants", 0, "script", 0, "priority"], -1,
+                  "participants[0].script[0].priority"),
+        malformed("deferred-overtake", ["participants", 0, "script", 0, "at_ms"], -1,
+                  "participants[0].script[0].at_ms"),
+        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "soon",
+                  "process.elements[0].spec"),
+        malformed("deferred-overtake", ["process", "elements", 1, "id"], "race,gw",
+                  "process.elements[1].id"),
+        malformed("invoice-demo", ["participants", 0, "script", 0, "retry_ms"], "x",
+                  "participants[0].script[0].retry_ms"),
+        malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], "x",
+                  "faults.miner_drift.min_ms"),
+        malformed("invoice-demo", ["oracles", "push", 0, "outages"], [[True, 5]],
+                  "oracles.push[0].outages[0][0]"),
+        malformed("deferred-overtake", ["name"], 5, "name"),
+        # identifiers: non-empty, no ',' and no line break
+        malformed("deferred-overtake", ["name"], "", "name"),
+        malformed("deferred-overtake", ["process", "elements", 1, "branches", 0], "late,timer",
+                  "process.elements[1].branches[0]"),
+        malformed("deferred-overtake", ["process", "flows", "start_timer"], "race\ngateway",
+                  "process.flows.start_timer"),
+        malformed("deferred-overtake", ["participants", 0, "name"], "m,no",
+                  "participants[0].name"),
+        malformed("invoice-demo", ["oracles", "push", 0, "provider"], "time\nfeed",
+                  "oracles.push[0].provider"),
+        # range checks of the config objects, at the path of their field
+        malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], 20_000,
+                  "faults.miner_drift.min_ms"),
+        malformed("deferred-overtake", ["network", "genesis_timestamp_ms"], -1,
+                  "network.genesis_timestamp_ms"),
+        malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]"),
+    ],
+)
+def test_malformed_tree_reports_field_path(tree, path):
+    with pytest.raises(SchemaError) as exc_info:
+        build_config(tree)
+    assert exc_info.value.path == path
+
+
+# -- properties --------------------------------------------------------------
+
+idents = st.text(min_size=1, max_size=8).filter(lambda s: not set(s) & set(",\r\n"))
+instants = st.integers(0, 10**13)
+dists = st.one_of(
+    st.builds(constant, instants),
+    st.lists(instants, min_size=2, max_size=2).map(sorted).map(lambda b: uniform(*b)),
+    st.tuples(st.integers(-10**6, 10**13), instants, st.integers(1, 10**13),
+              st.integers(1, 10**13))
+    .map(lambda t: normal(t[0], t[1], min(t[2:]), max(t[2:]))),
+)
+timers = st.sampled_from(
+    ["P7D", "PT0S", "R7/PT24H", "R/PT1.5S", "R/2020-01-01/P1M",
+     "R3/1970-01-01T00:00:02Z/PT1S", "1970-01-01T00:00:10Z"]
+).map(parse_timer)
+outages = st.lists(
+    st.tuples(instants, st.integers(1, 10**6)).map(lambda t: (t[0], t[0] + t[1])), max_size=2
+).map(tuple)
+
+
+@st.composite
+def process_models(draw):
+    start, task, gate, wait, note = draw(st.lists(idents, min_size=5, max_size=5, unique=True))
+    elements = {
+        start: StartTimer(id=start, spec=draw(timers)),
+        task: Task(id=task, name=draw(st.text()), performer=draw(st.text())),
+        gate: EventGateway(id=gate, branches=(wait, note)),
+        wait: TimerCatch(id=wait, spec=draw(timers)),
+        note: MessageCatch(id=note, message=draw(st.text())),
+    }
+    flows = {start: task, task: gate, wait: None, note: task}
+    return ProcessModel(elements=elements, flows=flows, start=start)
+
+
+@st.composite
+def script_entries(draw, elements):
+    mode = draw(st.sampled_from(["at_ms", "on_enabled_delay_ms", "on_due"]))
+    return ScriptEntry(
+        element=draw(elements),
+        **{mode: True if mode == "on_due" else draw(instants)},
+        jitter=draw(st.none() | dists),
+        jitter_offset_ms=draw(st.integers(-10**6, 10**6)),
+        retry_ms=draw(st.integers(1, 10**7)),
+        max_attempts=draw(st.integers(1, 500)),
+        priority=draw(st.integers(0, 10)),
+    )
+
+
+@st.composite
+def scenario_configs(draw):
+    genesis = draw(instants)
+    drift_min, drift_max = sorted(draw(st.lists(instants, min_size=2, max_size=2)))
+    push = draw(st.lists(st.builds(
+        PushOracleConfig, provider=idents, cadence_ms=st.integers(1, 10**7),
+        staleness_ms=instants, active_from_ms=instants, outages=outages,
+    ), max_size=2))
+    pull = draw(st.lists(
+        st.builds(PullOracleConfig, provider=idents, latency_ms=instants, outages=outages),
+        max_size=1,
+    ))
+    process = draw(st.none() | process_models())
+    elements = st.sampled_from(sorted(process.elements)) if process else idents
+    measures = [
+        m for m in draw(st.lists(st.sampled_from(MeasureKind), min_size=1, unique=True))
+        if (m is not MeasureKind.STORAGE_ORACLE or push)
+        and (m is not MeasureKind.REQUEST_RESPONSE_ORACLE or pull)
+    ]
+    return ScenarioConfig(
+        name=draw(idents),
+        network=NetworkConfig(
+            block_time=draw(dists),
+            mining_time=draw(dists),
+            inclusion_delay=draw(dists),
+            genesis_timestamp_ms=genesis,
+            miner_ordering=draw(st.sampled_from(
+                ["fifo_by_arrival", "priority_then_arrival", "adversarial_reorder"]
+            )),
+            assumed_mean_block_time_ms=draw(st.integers(1, 10**6)),
+        ),
+        faults=FaultConfig(
+            miner_drift_enabled=draw(st.booleans()),
+            miner_drift_min_ms=drift_min,
+            miner_drift_max_ms=drift_max,
+            parameter_lies=draw(st.dictionaries(idents, st.integers(-10**6, 10**6), max_size=2)),
+        ),
+        push_oracles=tuple(push),
+        pull_oracles=tuple(pull),
+        process=process,
+        activation_floor_ms=draw(instants),
+        measures=tuple(measures) or (MeasureKind.PARAMETER,),
+        participants=tuple(draw(st.lists(st.builds(
+            Participant, name=idents, lie_ms=st.integers(-10**6, 10**6),
+            inclusion_delay=st.none() | dists,
+            script=st.lists(script_entries(elements), max_size=3).map(tuple),
+        ), max_size=2))),
+        horizon_ms=genesis + draw(st.integers(1, 10**12)),
+        cycle_limit=draw(st.integers(1, 100)),
+        simulate_unused_oracles=draw(st.booleans()),
+    )
+
+
+@given(scenario_configs())
+def test_generated_config_roundtrips(config):
+    assert build_config(config_to_dict(config)) == config
+
+
+def node_paths(tree, prefix=()):
+    """The key path of every node in a YAML tree, the root included."""
+    yield prefix
+    if isinstance(tree, (dict, list)):
+        for key, child in tree.items() if isinstance(tree, dict) else enumerate(tree):
+            yield from node_paths(child, (*prefix, key))
+
+
+PRESET_TREES = {name: preset_tree(name) for name in sorted(SCENARIO_PRESETS)}
+SCHEMA_KEYS = sorted({
+    path[-1] for tree in PRESET_TREES.values() for path in node_paths(tree)
+    if path and isinstance(path[-1], str)
+})
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(SCHEMA_KEYS) | st.text(max_size=6) | st.integers(),
+                      inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@given(st.data())
+def test_any_tree_builds_or_raises_schema_error(data):
+    tree = copy.deepcopy(PRESET_TREES[data.draw(st.sampled_from(sorted(PRESET_TREES)))])
+    path = data.draw(st.sampled_from(list(node_paths(tree))))
+    value = data.draw(junk)
+    if not path:
+        tree = value
+    else:
+        node = tree
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    try:
+        build_config(tree)
+    except SchemaError:
+        pass

@@ -106,6 +106,24 @@ class TestRunMechanics:
         for record in guard_records:
             assert record.raw_measured_ms <= int(trace.chain.timestamps[record.block_number])
 
+    def test_storage_oracle_reads_the_first_push_provider(self):
+        from dataclasses import replace
+        from chaintime.measures import PushOracleConfig
+
+        fresh = PushOracleConfig(provider="fresh", cadence_ms=1_000)
+        stale = PushOracleConfig(provider="stale", cadence_ms=1_000, staleness_ms=50_000)
+        base = replace(deferred_overtake_scenario(), measures=(MeasureKind.STORAGE_ORACLE,))
+
+        def lags(push_oracles):
+            trace = run(replace(base, push_oracles=push_oracles), seed=0)
+            read = [r for r in trace.records if r.raw_measured_ms is not None]
+            assert read
+            return [trace.tx_meta[r.tx_id].created_at - r.raw_measured_ms for r in read]
+
+        # the second provider is a bystander: only oracles.push[0] is read
+        assert max(map(abs, lags((fresh, stale)))) < 25_000
+        assert min(lags((stale, fresh))) > 25_000
+
     def test_pull_oracle_values_follow_block_visibility(self):
         config = invoice_demo_scenario()
         trace = run(config, seed=12, measure=MeasureKind.REQUEST_RESPONSE_ORACLE)
