@@ -15,12 +15,12 @@ from dataclasses import asdict
 from .experiment import (
     MetricsReport,
     RECORD_HEADER,
+    _parse_record,
     emit_report,
     sweep,
     write_records,
 )
 from .measures import MeasureKind
-from .process import GuardRecord, Outcome
 from .scenario import (
     SCENARIO_PRESETS,
     SchemaError,
@@ -120,33 +120,10 @@ def _ingest_record_file(report: MetricsReport, path: str) -> None:
             continue
         try:
             record = _parse_record(line)
-        except ScenarioInputError as exc:
+        except ValueError as exc:
             raise ScenarioInputError(f"{path}:{lineno}: {exc}") from None
         report.cell(record.measure_kind, record.constraint_type).add(record)
         report.runs = max(report.runs, 1)
-
-
-def _parse_record(line: str) -> GuardRecord:
-    """A record-stream line back as the record fields a report aggregates."""
-    parts = line.split(",")
-    if len(parts) != 8:
-        raise ScenarioInputError("malformed record line")
-    _, _, measure, constraint, element, truth, measured, outcome = parts
-    return GuardRecord(
-        element=element,
-        constraint_type=constraint,
-        measure_kind=_parse_field("measure", measure, MeasureKind),
-        outcome=_parse_field("outcome", outcome, Outcome),
-        ground_truth_ms=_parse_field("ground_truth_ms", truth, int) if truth else None,
-        measured_ms=_parse_field("measured_ms", measured, int) if measured else None,
-    )
-
-
-def _parse_field(name: str, text: str, parse):
-    try:
-        return parse(text)
-    except ValueError:
-        raise ScenarioInputError(f"invalid {name} {text!r}") from None
 
 
 def _cmd_parse_timer(args) -> int:

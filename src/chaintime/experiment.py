@@ -8,6 +8,7 @@ seed list.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
 
@@ -19,6 +20,7 @@ from .sim import RunTrace, run
 CONSTRAINT_ORDER = (ABSOLUTE, RELATIVE, CYCLE, DEFERRED_CHOICE)
 
 RECORD_HEADER = "scenario,seed,measure,constraint,element,ground_truth_ms,measured_ms,outcome"
+# the count columns tp..stuck follow Outcome's declaration order
 REPORT_HEADER = (
     "measure,constraint_type,tp,tn,fp,fn,match,mismatch,stuck,"
     "mean_abs_err_ms,max_abs_err_ms"
@@ -29,32 +31,13 @@ REPORT_HEADER = (
 class CellStats:
     """Aggregated outcomes for one (measure, constraint type) pair."""
 
-    tp: int = 0
-    tn: int = 0
-    fp: int = 0
-    fn: int = 0
-    match: int = 0
-    mismatch: int = 0
-    stuck: int = 0
+    counts: Counter[Outcome] = field(default_factory=Counter)
     err_sum: int = 0
     err_count: int = 0
     err_max: int = 0
 
     def add(self, record: GuardRecord) -> None:
-        if record.outcome is Outcome.TP:
-            self.tp += 1
-        elif record.outcome is Outcome.TN:
-            self.tn += 1
-        elif record.outcome is Outcome.FP:
-            self.fp += 1
-        elif record.outcome is Outcome.FN:
-            self.fn += 1
-        elif record.outcome is Outcome.MATCH:
-            self.match += 1
-        elif record.outcome is Outcome.MISMATCH:
-            self.mismatch += 1
-        else:
-            self.stuck += 1
+        self.counts[record.outcome] += 1
         if record.measured_ms is not None and record.ground_truth_ms is not None:
             err = abs(record.measured_ms - record.ground_truth_ms)
             self.err_sum += err
@@ -115,6 +98,30 @@ def sweep(
 # Text output
 # ---------------------------------------------------------------------------
 
+def _parse_record(line: str) -> GuardRecord:
+    """A record-stream line back as the record fields a report aggregates;
+    raises ValueError naming the malformed field."""
+    parts = line.split(",")
+    if len(parts) != 8:
+        raise ValueError("malformed record line")
+    _, _, measure, constraint, element, truth, measured, outcome = parts
+    return GuardRecord(
+        element=element,
+        constraint_type=constraint,
+        measure_kind=_parse_field("measure", measure, MeasureKind),
+        outcome=_parse_field("outcome", outcome, Outcome),
+        ground_truth_ms=_parse_field("ground_truth_ms", truth, int) if truth else None,
+        measured_ms=_parse_field("measured_ms", measured, int) if measured else None,
+    )
+
+
+def _parse_field(name: str, text: str, parse):
+    try:
+        return parse(text)
+    except ValueError:
+        raise ValueError(f"invalid {name} {text!r}") from None
+
+
 def record_lines(trace: RunTrace) -> list[str]:
     """One decision per line, in the documented record-stream format."""
     lines = []
@@ -148,13 +155,7 @@ def _row(measure: MeasureKind, constraint: str, stats: CellStats) -> list[str]:
     return [
         measure.value,
         constraint,
-        str(stats.tp),
-        str(stats.tn),
-        str(stats.fp),
-        str(stats.fn),
-        str(stats.match),
-        str(stats.mismatch),
-        str(stats.stuck),
+        *(str(stats.counts[outcome]) for outcome in Outcome),
         "" if mean is None else f"{mean:.3f}",
         "" if stats.err_count == 0 else str(stats.err_max),
     ]

@@ -118,6 +118,16 @@ def measure_so(ctx: TxContext) -> SimTime:
     return ctx.oracle_view.read_before((ctx.block_number, ctx.position_in_block))
 
 
+# The measures a contract can read while it executes; request/response has no
+# synchronous read and answers through a later callback transaction.
+_SYNC_READS = {
+    MeasureKind.BLOCK_TIMESTAMP: measure_bt,
+    MeasureKind.BLOCK_NUMBER: measure_bn,
+    MeasureKind.PARAMETER: measure_pa,
+    MeasureKind.STORAGE_ORACLE: measure_so,
+}
+
+
 @dataclass(frozen=True)
 class PushOracleConfig:
     """Provider that periodically writes a timestamp into its storage cell."""

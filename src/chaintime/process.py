@@ -17,15 +17,12 @@ from typing import Mapping, Sequence
 
 from .chain import SimTime, Transaction, _Ident
 from .measures import (
+    _SYNC_READS,
     ChainParams,
     MeasureKind,
     MissingParameter,
     TxContext,
     UninitializedOracle,
-    measure_bn,
-    measure_bt,
-    measure_pa,
-    measure_so,
 )
 from .timers import (
     CycleAbsTimer,
@@ -88,6 +85,8 @@ def classify_absolute(s_tx: SimTime, s_e: SimTime, measured: SimTime) -> Outcome
 
     The deadline truly elapsed iff s_e <= s_tx; the measure reports it
     elapsed iff s_e <= measured. The four outcomes partition the space.
+    Given intervals since an anchor and a required delay instead of
+    instants and a deadline, it classifies a minimum-delay decision.
     """
     if measured < s_e <= s_tx:
         return Outcome.FN
@@ -95,25 +94,6 @@ def classify_absolute(s_tx: SimTime, s_e: SimTime, measured: SimTime) -> Outcome
         return Outcome.FP
     if s_e <= s_tx:
         return Outcome.TP
-    return Outcome.TN
-
-
-def check_relative(
-    m_first: SimTime,
-    m_second: SimTime,
-    required_delta: int,
-    truth_first: SimTime,
-    truth_second: SimTime,
-) -> Outcome:
-    """Classify a minimum-delay decision between two causally ordered txs."""
-    measured_met = (m_second - m_first) >= required_delta
-    truth_met = (truth_second - truth_first) >= required_delta
-    if measured_met and truth_met:
-        return Outcome.TP
-    if measured_met:
-        return Outcome.FP
-    if truth_met:
-        return Outcome.FN
     return Outcome.TN
 
 
@@ -283,6 +263,21 @@ def _constraint_type(element: StartTimer | TimerCatch) -> str:
     return CYCLE
 
 
+def _is_delta(element: StartTimer | TimerCatch) -> bool:
+    """Durations and relative cycles are guarded on the interval since the
+    enablement anchor; every other timer on the instant."""
+    return isinstance(element, TimerCatch) and isinstance(
+        element.spec, (DurationTimer, CycleRelTimer)
+    )
+
+
+_NOT_DUE = {
+    ABSOLUTE: "deadline_not_reached",
+    RELATIVE: "delta_not_reached",
+    CYCLE: "iteration_not_due",
+}
+
+
 # ---------------------------------------------------------------------------
 # Guard records
 # ---------------------------------------------------------------------------
@@ -343,23 +338,20 @@ class Anchor:
 @dataclass
 class _GatewayRound:
     gateway_id: str
-    anchor: Anchor
     applied: list[tuple[str, bool]] = field(default_factory=list)
     resolved: bool = False
 
 
 @dataclass
 class _EnabledEntry:
+    """An enabled element. A timer also carries its due instants, fixed at
+    enablement, and its guard's progress through them: the targets are the
+    dues themselves, or for a delta-guarded timer the dues minus the anchor."""
+
     anchor: Anchor
     round: _GatewayRound | None = None
-
-
-@dataclass
-class _CycleProgress:
-    next_index: int
-    repetitions: int
-    period_ms: int
-    abs_schedule: tuple[SimTime, ...] | None  # None for relative cycles
+    dues: tuple[SimTime, ...] = ()
+    state: CycleState | None = None
 
 
 @dataclass(frozen=True)
@@ -394,10 +386,6 @@ class ApplyResult:
         return self.status == "accepted"
 
 
-class _NeedsCallback(Exception):
-    pass
-
-
 class ProcessInstance:
     """Mutable execution state of one process model under one time measure."""
 
@@ -413,17 +401,15 @@ class ProcessInstance:
         self.model = model
         self.measure_kind = measure_kind
         self.chain_params = chain_params
-        self.activation_floor_ms = activation_floor_ms
         self.cycle_limit = cycle_limit
         self.records: list[GuardRecord] = []
         self.done = False
         self._request_counter = itertools.count()
-        self._enabled: dict[str, _EnabledEntry] = {}
-        self._cycles: dict[str, _CycleProgress] = {}
+        self._read = _SYNC_READS.get(measure_kind)  # None: ask the pull oracle
         self._pending: dict[int, _PendingGuard] = {}
         self._message_notes: dict[str, list[tuple[SimTime, bool]]] = {}
         start_anchor = Anchor(truth_ms=activation_floor_ms, measured_ms=activation_floor_ms)
-        self._enabled[model.start] = _EnabledEntry(anchor=start_anchor)
+        self._enabled = {model.start: self._entry(model.start, start_anchor)}
 
     # -- public surface ----------------------------------------------------
 
@@ -434,21 +420,15 @@ class ProcessInstance:
         return element_id in self._enabled
 
     def element_due_times(self, element_id: str) -> list[SimTime]:
-        """Ground-truth due instants for an enabled timer element (actor view)."""
+        """Ground-truth due instants of an enabled timer element (actor view):
+        the schedule its guard steps through."""
         entry = self._enabled.get(element_id)
-        if entry is None:
-            return []
-        element = self.model.elements[element_id]
-        if isinstance(element, StartTimer):
-            return [self._start_deadline()]
-        if not isinstance(element, TimerCatch):
-            return []
-        return due_times(element.spec, entry.anchor.truth_ms, self.cycle_limit)
+        return [] if entry is None else list(entry.dues)
 
     def cycle_next_index(self, element_id: str) -> int:
         """Iterations already accepted for a cycle element (actor view)."""
-        progress = self._cycles.get(element_id)
-        return 0 if progress is None else progress.next_index
+        entry = self._enabled.get(element_id)
+        return 0 if entry is None or entry.state is None else entry.state.next_index
 
     def note_message_created(self, element_id: str, s_tx: SimTime) -> None:
         """Record a message transaction's creation for deferred-choice truth."""
@@ -509,31 +489,16 @@ class ProcessInstance:
         self._pending = {rid: p for rid, p in self._pending.items() if p.purpose != "guard"}
         return stuck
 
-    # -- measure evaluation ------------------------------------------------
-
-    def _measure_sync(self, ctx: TxContext) -> SimTime:
-        kind = self.measure_kind
-        if kind is MeasureKind.BLOCK_TIMESTAMP:
-            return measure_bt(ctx)
-        if kind is MeasureKind.BLOCK_NUMBER:
-            return measure_bn(ctx)
-        if kind is MeasureKind.PARAMETER:
-            return measure_pa(ctx)
-        if kind is MeasureKind.STORAGE_ORACLE:
-            return measure_so(ctx)
-        raise _NeedsCallback()
-
     # -- guard paths -------------------------------------------------------
 
     def _accept_unguarded(self, element, tx, ctx, real_now) -> ApplyResult:
         result = ApplyResult(status="accepted")
         anchor_value: SimTime | None = None
-        try:
-            anchor_value = self._measure_sync(ctx)
-        except _NeedsCallback:
-            pass  # anchor request issued below
-        except (MissingParameter, UninitializedOracle):
-            pass  # next anchor stays unmeasured; downstream guards will reject
+        if self._read is not None:
+            try:
+                anchor_value = self._read(ctx)
+            except (MissingParameter, UninitializedOracle):
+                pass  # next anchor stays unmeasured; downstream guards will reject
         round_ = self._enabled[element.id].round
         if round_ is not None:
             round_.applied.append((element.id, True))
@@ -541,81 +506,49 @@ class ProcessInstance:
         if isinstance(element, MessageCatch):
             self._consume_message_note(element.id, tx.created_at)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
-        if anchor_value is None and self.measure_kind is MeasureKind.REQUEST_RESPONSE_ORACLE:
+        if self._read is None:
             result.requests.append(self._request("anchor", element.id, tx, anchor=next_anchor))
         self._advance(element.id, next_anchor, result)
         return result
 
     def _guard(self, element, tx, ctx, real_now, measured=None) -> ApplyResult:
-        """Evaluate a timer guard against a deadline (measured instant) or a
-        required delta (measured interval since the anchor); cycles target
-        their next iteration and accept through `cycle_advance`. `measured`
-        is a pull-oracle callback's value; without it the guard measures now."""
+        """Evaluate a timer guard against the next target of its schedule:
+        the measured instant against a due, or for durations and relative
+        cycles the measured interval since the anchor against a required
+        delay. `measured` is a pull-oracle callback's value; without it the
+        guard measures now."""
         entry = self._enabled[element.id]
-        anchor = entry.anchor
-        ctype = _constraint_type(element)
-        deadline = required = iteration = progress = None
-        if ctype == CYCLE:
-            progress = self._cycles.get(element.id)
-            if progress is None:
-                progress = self._init_cycle(element.id, element.spec, anchor)
-            iteration = progress.next_index
-            if progress.abs_schedule is not None:
-                deadline = progress.abs_schedule[iteration]
-            else:
-                required = (iteration + 1) * progress.period_ms
-        elif isinstance(element, StartTimer):
-            deadline = self._start_deadline()
-        elif ctype == ABSOLUTE:
-            deadline = element.spec.instant_ms
-        else:
-            required = element.spec.length_ms
-
         if measured is None:
-            try:
-                measured = self._measure_sync(ctx)
-            except _NeedsCallback:
+            if self._read is None:
                 request = self._request("guard", element.id, tx, block=ctx.block_number)
                 return ApplyResult(status="parked", requests=[request])
+            try:
+                measured = self._read(ctx)
             except (MissingParameter, UninitializedOracle) as exc:
                 return ApplyResult(status="rejected", reason=type(exc).__name__)
-
-        if deadline is not None:
-            truth, observed, target = tx.created_at, measured, deadline
-            outcome = classify_absolute(tx.created_at, deadline, measured)
-            reason = "deadline_not_reached"
-        else:
+        truth, observed, delta = tx.created_at, measured, _is_delta(element)
+        if delta:
+            anchor = entry.anchor
             if anchor.measured_ms is None:
                 return ApplyResult(status="rejected", reason="anchor_pending")
-            truth = tx.created_at - anchor.truth_ms
-            observed, target = measured - anchor.measured_ms, required
-            outcome = check_relative(
-                anchor.measured_ms, measured, required, anchor.truth_ms, tx.created_at
-            )
-            reason = "delta_not_reached"
-        accepted, missed = observed >= target, ()
-        if progress is not None:
-            schedule = progress.abs_schedule or tuple(
-                anchor.measured_ms + k * progress.period_ms
-                for k in range(1, progress.repetitions + 1)
-            )
-            state = CycleState(due_schedule=schedule, next_index=iteration)
-            state, accepted, missed = cycle_advance(state, measured)
-            reason = "iteration_not_due"
-
+            truth, observed = truth - anchor.truth_ms, measured - anchor.measured_ms
+        ctype = _constraint_type(element)
+        iteration = entry.state.next_index
+        target = entry.state.due_schedule[iteration]
+        state, accepted, missed = cycle_advance(entry.state, observed)
         record = GuardRecord(
             element=element.id,
             constraint_type=ctype,
             measure_kind=self.measure_kind,
-            outcome=outcome,
+            outcome=classify_absolute(truth, target, observed),
             ground_truth_ms=truth,
             measured_ms=observed,
-            deadline_ms=deadline,
-            required_delta_ms=required,
+            deadline_ms=None if delta else target,
+            required_delta_ms=target if delta else None,
             raw_measured_ms=measured,
             tx_id=tx.id,
             block_number=ctx.block_number,
-            iteration=iteration,
+            iteration=iteration if ctype == CYCLE else None,
             missed_iterations=tuple(missed),
             accepted=accepted,
         )
@@ -625,27 +558,15 @@ class ProcessInstance:
             entry.round.applied.append((element.id, accepted))
         if not accepted:
             result.status = "rejected"
-            result.reason = reason
+            result.reason = _NOT_DUE[ctype]
             return result
         if entry.round is not None:
             self._resolve_gateway(entry.round, element.id, real_now, result)
-        if progress is not None:
-            progress.next_index = state.next_index
-            if progress.next_index < progress.repetitions:
-                return result
-            del self._cycles[element.id]
+        entry.state = state
+        if state.next_index < len(state.due_schedule):
+            return result
         self._advance(element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result)
         return result
-
-    def _init_cycle(self, element_id, spec, anchor) -> _CycleProgress:
-        if isinstance(spec, CycleRelTimer):
-            reps = spec.repetitions or self.cycle_limit
-            progress = _CycleProgress(0, reps, spec.period_ms, abs_schedule=None)
-        else:
-            schedule = _dues_from(spec, anchor.truth_ms, self.cycle_limit)
-            progress = _CycleProgress(0, len(schedule), 0, abs_schedule=schedule)
-        self._cycles[element_id] = progress
-        return progress
 
     # -- gateway handling --------------------------------------------------
 
@@ -654,7 +575,7 @@ class ProcessInstance:
             return
         round_.resolved = True
         gateway = self.model.elements[round_.gateway_id]
-        triggers = self._gateway_triggers(gateway, round_, real_now)
+        triggers = self._gateway_triggers(gateway, real_now)
         winner, truth_winner, outcome = resolve_deferred_choice(
             round_.applied, triggers
         )
@@ -674,16 +595,13 @@ class ProcessInstance:
         for branch in gateway.branches:
             if branch != winner_branch:
                 self._enabled.pop(branch, None)
-                self._cycles.pop(branch, None)
 
-    def _gateway_triggers(self, gateway, round_, real_now) -> dict[str, SimTime]:
+    def _gateway_triggers(self, gateway, real_now) -> dict[str, SimTime]:
         triggers: dict[str, SimTime] = {}
         for branch in gateway.branches:
             element = self.model.elements[branch]
             if isinstance(element, TimerCatch):
-                triggers[branch] = _dues_from(
-                    element.spec, round_.anchor.truth_ms, self.cycle_limit
-                )[0]
+                triggers[branch] = self._enabled[branch].dues[0]
             else:
                 notes = self._message_notes.get(branch, [])
                 candidates = [
@@ -701,19 +619,6 @@ class ProcessInstance:
                 return
 
     # -- plumbing ----------------------------------------------------------
-
-    def _start_deadline(self) -> SimTime:
-        spec = self.model.elements[self.model.start].spec
-        if isinstance(spec, DateTimer):
-            return spec.instant_ms
-        if isinstance(spec, DurationTimer):
-            return self.activation_floor_ms + spec.length_ms
-        if isinstance(spec, CycleAbsTimer):
-            for due in due_times(spec, self.activation_floor_ms, self.cycle_limit):
-                if due >= self.activation_floor_ms:
-                    return due
-            raise ModelError("no start due time at or after the activation floor")
-        return self.activation_floor_ms + spec.period_ms
 
     def _request(self, purpose, element_id, tx, block=None, anchor=None) -> MeasureRequest:
         """Register a pull-oracle query for a parked guard or a pending anchor."""
@@ -741,13 +646,27 @@ class ProcessInstance:
     def _enable(self, element_id, anchor, result) -> None:
         element = self.model.elements[element_id]
         if isinstance(element, EventGateway):
-            round_ = _GatewayRound(gateway_id=element_id, anchor=anchor)
+            round_ = _GatewayRound(gateway_id=element_id)
             for branch in element.branches:
-                self._enabled[branch] = _EnabledEntry(anchor=anchor, round=round_)
+                self._enabled[branch] = self._entry(branch, anchor, round_)
                 result.newly_enabled.append(branch)
         else:
-            self._enabled[element_id] = _EnabledEntry(anchor=anchor)
+            self._enabled[element_id] = self._entry(element_id, anchor)
             result.newly_enabled.append(element_id)
+
+    def _entry(self, element_id, anchor, round_=None) -> _EnabledEntry:
+        """Enable one element; a timer's due schedule is computed here, once.
+        Only a cycle keeps more than its first due."""
+        element = self.model.elements[element_id]
+        if not isinstance(element, (StartTimer, TimerCatch)):
+            return _EnabledEntry(anchor, round_)
+        dues = _dues_from(element.spec, anchor.truth_ms, self.cycle_limit)
+        if _constraint_type(element) != CYCLE:
+            if isinstance(element.spec, CycleAbsTimer) and dues[0] < anchor.truth_ms:
+                raise ModelError("no start due time at or after the activation floor")
+            dues = dues[:1]
+        targets = tuple(d - anchor.truth_ms for d in dues) if _is_delta(element) else dues
+        return _EnabledEntry(anchor, round_, dues, CycleState(due_schedule=targets))
 
 
 def apply_transaction(

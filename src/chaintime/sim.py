@@ -169,8 +169,10 @@ class _Runner:
             p.name: p for p in config.participants
         }
 
+        # blocks seal in number order; a key of pending_by_block is a block
+        # whose seal event is scheduled
         self.pending_by_block: dict[int, list[_PendingTx]] = {}
-        self.sealed_scheduled: set[int] = set()
+        self.last_sealed = 0  # genesis carries no transactions
         self.executed: dict[int, list[Transaction]] = {}
         self.requests_by_block: dict[int, list[int]] = {}
         self.enabled_by_block: dict[int, list[str]] = {}
@@ -210,21 +212,20 @@ class _Runner:
 
     def _submit(self, tx: Transaction) -> None:
         """Assign a created transaction to the first block mined after it
-        becomes visible to the network."""
+        becomes visible to the network and not sealed yet."""
         visible = tx.created_at + self._delay_for(tx.sender)
         idx = int(np.searchsorted(self.starts, visible, side="left"))
-        idx = max(idx, 1)  # genesis carries no transactions
+        idx = max(idx, self.last_sealed + 1)
         if idx >= self.n_blocks:
             self.trace.dropped.append(tx.id)
             self.trace.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, None)
             return
         self.trace.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx)
-        self.pending_by_block.setdefault(idx, []).append(
-            _PendingTx(tx=tx, visible_at=visible, arrival=next(self.seq))
-        )
-        if idx not in self.sealed_scheduled:
-            self.sealed_scheduled.add(idx)
+        pending = self.pending_by_block.get(idx)
+        if pending is None:
+            pending = self.pending_by_block[idx] = []
             self._push(int(self.starts[idx]), K_BLOCK_SEAL, idx)
+        pending.append(_PendingTx(tx=tx, visible_at=visible, arrival=next(self.seq)))
 
     # -- block sealing -----------------------------------------------------
 
@@ -238,9 +239,10 @@ class _Runner:
         return [entries[int(i)] for i in order]
 
     def _seal_block(self, number: int) -> None:
-        entries = self._order_block(self.pending_by_block.pop(number, []))
+        self.last_sealed = number
+        entries = self._order_block(self.pending_by_block.pop(number))
         real_now = int(self.starts[number])
-        executed = self.executed.setdefault(number, [])
+        executed = self.executed[number] = []
         for entry in entries:
             position = len(executed)
             executed.append(entry.tx)

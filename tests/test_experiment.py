@@ -12,6 +12,7 @@ from chaintime.experiment import (
     write_records,
 )
 from chaintime.measures import MeasureKind
+from chaintime.process import Outcome
 from chaintime.scenario import deferred_fifo_scenario, deferred_overtake_scenario
 from chaintime.sim import run
 
@@ -28,7 +29,7 @@ class TestSweep:
                 1 for r in trace.records if r.outcome.value == "Mismatch"
             )
         cell = report.cells[(MeasureKind.BLOCK_TIMESTAMP, "deferred_choice")]
-        assert cell.mismatch == manual_mismatch == 3
+        assert cell.counts[Outcome.MISMATCH] == manual_mismatch == 3
         assert report.runs == 3
 
     def test_per_run_callback_sees_every_trace(self):

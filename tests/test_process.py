@@ -24,7 +24,6 @@ from chaintime.process import (
     Task,
     TimerCatch,
     apply_transaction,
-    check_relative,
     classify_absolute,
     cycle_advance,
     resolve_deferred_choice,
@@ -58,15 +57,19 @@ class TestClassifyAbsolute:
         assert classify_absolute(s_tx, s_e, measured) is expected
 
 
-class TestCheckRelative:
+class TestClassifyDelta:
+    """Minimum-delay decisions: true and measured intervals since the anchor
+    against the required delay."""
+
     def test_quadrants(self):
-        assert check_relative(0, 100, 50, 0, 100) is Outcome.TP
-        assert check_relative(0, 40, 50, 0, 40) is Outcome.TN
-        assert check_relative(0, 100, 50, 0, 40) is Outcome.FP
-        assert check_relative(0, 40, 50, 0, 100) is Outcome.FN
+        assert classify_absolute(s_tx=100, s_e=50, measured=100) is Outcome.TP
+        assert classify_absolute(s_tx=40, s_e=50, measured=40) is Outcome.TN
+        assert classify_absolute(s_tx=40, s_e=50, measured=100) is Outcome.FP
+        assert classify_absolute(s_tx=100, s_e=50, measured=40) is Outcome.FN
 
     def test_negative_measured_delta_counts_as_not_met(self):
-        assert check_relative(100, 90, 5, 0, 100) is Outcome.FN
+        # anchor measured at 100, the claim at 90: the interval is -10
+        assert classify_absolute(s_tx=100, s_e=5, measured=-10) is Outcome.FN
 
 
 class TestCycleAdvance:
@@ -287,20 +290,67 @@ class TestRequestResponse:
         assert stuck[0].constraint_type == ABSOLUTE
 
 
+def tick_instance(spec: str, enabled_at: int, **kwargs) -> ProcessInstance:
+    """start (due 1000) -> tick (a timer catch on `spec`), with tick enabled."""
+    elements = {
+        "start": StartTimer(id="start", spec=parse_timer("1970-01-01T00:00:01Z")),
+        "tick": TimerCatch(id="tick", spec=parse_timer(spec)),
+    }
+    model = ProcessModel(elements=elements, flows={"start": "tick", "tick": None},
+                         start="start")
+    inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS, **kwargs)
+    started(inst, at=enabled_at)
+    return inst
+
+
+def claim_each_due(inst: ProcessInstance, element: str) -> list[int]:
+    """Claim every due the actors see, exactly at the due; the iterations."""
+    iterations = []
+    for due in inst.element_due_times(element):
+        tx = claim(element, due)
+        result = inst.apply(tx, ctx_for(tx), real_now=due + 100)
+        assert result.accepted
+        iterations.append(result.records[0].iteration)
+    return iterations
+
+
+class TestDueSchedule:
+    """The dues the actors see are the schedule the guard steps through."""
+
+    def test_absolute_cycle_enabled_late_starts_at_its_next_due(self):
+        # dues 2000, 3000, 4000; enabled at 2500, so 2000 is dropped
+        inst = tick_instance("R3/1970-01-01T00:00:02Z/PT1S", enabled_at=2_500)
+        assert inst.element_due_times("tick") == [3_000, 4_000]
+        assert claim_each_due(inst, "tick") == [0, 1]
+        assert inst.done
+
+    def test_cycle_limit_caps_a_relative_cycle(self):
+        inst = tick_instance("R5/PT1S", enabled_at=1_500, cycle_limit=3)
+        assert inst.element_due_times("tick") == [2_500, 3_500, 4_500]
+        assert claim_each_due(inst, "tick") == [0, 1, 2]
+        assert inst.done
+
+    def test_start_cycle_without_due_after_the_floor_is_a_model_error(self):
+        start = StartTimer(id="start", spec=parse_timer("R3/1970-01-01T00:00:01Z/PT1S"))
+        model = ProcessModel(elements={"start": start}, flows={"start": None}, start="start")
+        with pytest.raises(ModelError):
+            inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS,
+                                   activation_floor_ms=10_000)
+            inst.element_due_times("start")
+
+    def test_start_cycle_due_is_its_first_at_or_after_the_floor(self):
+        start = StartTimer(id="start", spec=parse_timer("R3/1970-01-01T00:00:01Z/PT1S"))
+        model = ProcessModel(elements={"start": start}, flows={"start": None}, start="start")
+        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS, activation_floor_ms=1_500)
+        assert inst.element_due_times("start") == [2_000]
+
+
 class TestEngineCycleAbsolute:
     """A TimerCatch on an absolutely anchored cycle: instant-shaped records."""
 
     def make(self) -> ProcessInstance:
-        elements = {
-            "start": StartTimer(id="start", spec=parse_timer("1970-01-01T00:00:01Z")),
-            # dues 2000, 3000, 4000; enabled at 2500, so 2000 is dropped
-            "tick": TimerCatch(id="tick", spec=parse_timer("R3/1970-01-01T00:00:02Z/PT1S")),
-        }
-        model = ProcessModel(elements=elements, flows={"start": "tick", "tick": None},
-                             start="start")
-        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS)
-        started(inst, at=2_500)
-        return inst
+        # dues 2000, 3000, 4000; enabled at 2500, so 2000 is dropped
+        return tick_instance("R3/1970-01-01T00:00:02Z/PT1S", enabled_at=2_500)
 
     def test_rejection_before_first_due_is_recorded(self):
         inst = self.make()

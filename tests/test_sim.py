@@ -1,5 +1,7 @@
 """Simulator: schedules, determinism, tx placement, and oracle mechanics."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from chaintime.scenario import (
     FaultConfig,
     NetworkConfig,
     ScenarioConfig,
+    ScriptEntry,
+    deferred_fifo_scenario,
     deferred_overtake_scenario,
     invoice_demo_scenario,
 )
@@ -94,6 +98,25 @@ class TestRunMechanics:
             checked += 1
         assert checked > 10
 
+    def test_tx_created_as_its_block_seals_runs_in_the_next_block(self):
+        # the claim is created at 20000 ms, when block 1 becomes visible and
+        # block 2 (starting at 20000 ms) has already been sealed
+        base = deferred_fifo_scenario()
+        customer = replace(
+            base.participants[1],
+            script=(ScriptEntry(element="notice", on_enabled_delay_ms=0),),
+        )
+        trace = run(replace(base, participants=(base.participants[0], customer)), seed=0)
+        meta = trace.tx_meta["customer-0"]
+        assert (meta.created_at, meta.visible_at, meta.block) == (20_000, 20_000, 3)
+        for tx_id, meta in trace.tx_meta.items():
+            if meta.block is None:
+                assert tx_id in trace.dropped
+            else:
+                assert trace.chain.locate_transaction(tx_id)[0] == meta.block
+        gateway = next(r for r in trace.records if r.element == "race_gateway")
+        assert gateway.winner == "notice" and gateway.outcome is Outcome.MATCH
+
     def test_genesis_block_stays_empty(self):
         trace = run(deferred_overtake_scenario(), seed=0)
         assert trace.chain.block(0).transactions == ()
@@ -107,7 +130,6 @@ class TestRunMechanics:
             assert record.raw_measured_ms <= int(trace.chain.timestamps[record.block_number])
 
     def test_storage_oracle_reads_the_first_push_provider(self):
-        from dataclasses import replace
         from chaintime.measures import PushOracleConfig
 
         fresh = PushOracleConfig(provider="fresh", cadence_ms=1_000)
@@ -137,7 +159,6 @@ class TestRunMechanics:
 
     def test_pull_outage_leads_to_stuck_pending(self):
         base = invoice_demo_scenario()
-        from dataclasses import replace
         from chaintime.measures import PullOracleConfig
 
         config = replace(
@@ -155,8 +176,6 @@ class TestRunMechanics:
         assert all(r.outcome is Outcome.STUCK_PENDING for r in trace.stuck)
 
     def test_parameter_lies_shift_measured_values(self):
-        from dataclasses import replace
-
         base = invoice_demo_scenario()
         config = replace(base, faults=FaultConfig(parameter_lies={"mno": 3_600_000}))
         trace = run(config, seed=2, measure=MeasureKind.PARAMETER)
@@ -175,8 +194,6 @@ class TestRunMechanics:
         assert trace.oracle_events == []
 
     def test_miner_ordering_does_not_touch_block_schedule(self):
-        from dataclasses import replace
-
         base = deferred_overtake_scenario()
         reordered = replace(
             base, network=replace(base.network, miner_ordering="adversarial_reorder")
