@@ -170,13 +170,6 @@ def in_outage(outages: tuple[tuple[int, int], ...], now: SimTime) -> bool:
     return any(start <= now < end for start, end in outages)
 
 
-def so_provider_tick(config: PushOracleConfig, now: SimTime) -> SimTime | None:
-    """Value for an update transaction created at `now`, or None during outages."""
-    if in_outage(config.outages, now):
-        return None
-    return now - config.staleness_ms
-
-
 def so_update_times(config: PushOracleConfig, horizon_ms: SimTime) -> list[SimTime]:
     """All cadence ticks up to the horizon, skipping outage intervals."""
     out = []

@@ -81,7 +81,6 @@ class FaultConfig:
     miner_drift_enabled: bool = False
     miner_drift_min_ms: int = 0
     miner_drift_max_ms: int = 15_000
-    parameter_lies: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.miner_drift_min_ms > self.miner_drift_max_ms:
@@ -158,10 +157,18 @@ class ScenarioConfig:
             self.process.validate()
             for p, participant in enumerate(self.participants):
                 for s, entry in enumerate(participant.script):
-                    if entry.element not in self.process.elements:
+                    path = f"participants[{p}].script[{s}]"
+                    element = self.process.elements.get(entry.element)
+                    if element is None:
+                        raise SchemaError(f"{path}.element", f"unknown element {entry.element!r}")
+                    if isinstance(element, EventGateway):
                         raise SchemaError(
-                            f"participants[{p}].script[{s}].element",
-                            f"unknown element {entry.element!r}",
+                            f"{path}.element",
+                            "an event gateway is never enabled itself; script its branches",
+                        )
+                    if entry.on_due and not isinstance(element, (StartTimer, TimerCatch)):
+                        raise SchemaError(
+                            f"{path}.on_due", "only a start_timer or timer_catch has due times"
                         )
         needs_so = MeasureKind.STORAGE_ORACLE in self.measures
         if needs_so and not self.push_oracles:

@@ -2,10 +2,13 @@
 and the process contract together.
 
 The block schedule (mining starts, durations, optional miner clock drift) is
-precomputed vectorially; the event loop only carries dynamic events, ordered
-by (time, kind, insertion). At equal instants transaction creations apply
-before oracle update ticks, then block sealing, block visibility, and oracle
-callbacks.
+precomputed vectorially; the event loop only carries dynamic events. Each is
+a heap entry ``(at, kind, seq, handler, args)`` run as ``handler(at, *args)``,
+ordered by (time, kind, insertion). At equal instants transaction creations
+apply before oracle update ticks, then block sealing, block visibility, and
+oracle callbacks. A sealed block's pull-oracle requests and newly enabled
+elements are the args of its visibility event, which is scheduled only when
+the block has something to announce.
 """
 
 from __future__ import annotations
@@ -25,10 +28,9 @@ from .measures import (
     PushOracleConfig,
     TxContext,
     in_outage,
-    so_provider_tick,
     so_update_times,
 )
-from .process import MessageCatch, ProcessInstance
+from .process import ApplyResult, MessageCatch, ProcessInstance
 from .rng import substream
 from .scenario import Participant, ScenarioConfig, ScriptEntry
 
@@ -68,7 +70,7 @@ class RunTrace:
 
     def export_trace(self, stream) -> None:
         self.chain.export_trace(stream)
-        for provider, kind, at, value in sorted(self.oracle_events, key=lambda e: e[2]):
+        for provider, kind, at, value in self.oracle_events:
             stream.write(f"oracle,{provider},{kind},{at},{value}\n")
 
 
@@ -173,9 +175,7 @@ class _Runner:
         # whose seal event is scheduled
         self.pending_by_block: dict[int, list[_PendingTx]] = {}
         self.last_sealed = 0  # genesis carries no transactions
-        self.executed: dict[int, list[Transaction]] = {}
-        self.requests_by_block: dict[int, list[int]] = {}
-        self.enabled_by_block: dict[int, list[str]] = {}
+        self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
 
         self.trace = RunTrace(
             scenario=config.name,
@@ -187,8 +187,8 @@ class _Runner:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, at: SimTime, kind: int, payload) -> None:
-        heapq.heappush(self.heap, (at, kind, next(self.seq), payload))
+    def _push(self, at: SimTime, kind: int, handler, *args) -> None:
+        heapq.heappush(self.heap, (at, kind, next(self.seq), handler, args))
 
     def _next_tx_id(self, sender: str) -> str:
         counter = self.tx_counters.setdefault(sender, itertools.count())
@@ -224,7 +224,7 @@ class _Runner:
         pending = self.pending_by_block.get(idx)
         if pending is None:
             pending = self.pending_by_block[idx] = []
-            self._push(int(self.starts[idx]), K_BLOCK_SEAL, idx)
+            self._push(int(self.starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
         pending.append(_PendingTx(tx=tx, visible_at=visible, arrival=next(self.seq)))
 
     # -- block sealing -----------------------------------------------------
@@ -238,27 +238,35 @@ class _Runner:
         order = self.miner_rng.permutation(len(entries))
         return [entries[int(i)] for i in order]
 
-    def _seal_block(self, number: int) -> None:
+    def _seal_block(self, now: SimTime, number: int) -> None:
         self.last_sealed = number
         entries = self._order_block(self.pending_by_block.pop(number))
-        real_now = int(self.starts[number])
-        executed = self.executed[number] = []
-        for entry in entries:
-            position = len(executed)
-            executed.append(entry.tx)
-            self._execute(entry.tx, number, position, real_now)
-        self._push(real_now + int(self.mining[number]), K_BLOCK_VISIBLE, number)
+        txs = self.txs_by_block[number] = tuple(entry.tx for entry in entries)
+        request_ids: list[int] = []
+        enabled: list[str] = []
+        for position, tx in enumerate(txs):
+            result = self._execute(tx, number, position, now)
+            if result is not None:
+                request_ids.extend(request.request_id for request in result.requests)
+                enabled.extend(result.newly_enabled)
+        if request_ids or enabled:
+            self._push(
+                now + int(self.mining[number]), K_BLOCK_VISIBLE,
+                self._block_visible, request_ids, enabled,
+            )
 
-    def _execute(self, tx: Transaction, number: int, position: int, real_now: SimTime) -> None:
+    def _execute(
+        self, tx: Transaction, number: int, position: int, real_now: SimTime
+    ) -> ApplyResult | None:
         op = tx.payload.get("op")
         if op == "__oracle_update__":
             provider = str(tx.payload["provider"])
             value = int(tx.payload["value"])
             self.cells[provider].write((number, position), value)
             self.trace.oracle_events.append((provider, "update", real_now, value))
-            return
+            return None
         if self.instance is None:
-            return
+            return None
         ctx = TxContext(
             tx=tx,
             block_number=number,
@@ -268,23 +276,15 @@ class _Runner:
             oracle_view=self.read_cell,
         )
         if op == "__callback__":
-            result = self.instance.on_callback(
+            return self.instance.on_callback(
                 int(tx.payload["request_id"]), int(tx.payload["value"]), tx, ctx, real_now
             )
-        else:
-            result = self.instance.apply(tx, ctx, real_now)
-        for request in result.requests:
-            self.requests_by_block.setdefault(number, []).append(request.request_id)
-        if result.newly_enabled:
-            self.enabled_by_block.setdefault(number, []).extend(result.newly_enabled)
+        return self.instance.apply(tx, ctx, real_now)
 
-    def _block_visible(self, number: int) -> None:
-        visible_at = int(self.starts[number]) + int(self.mining[number])
-        for request_id in self.requests_by_block.pop(number, ()):
-            self._observe_request(request_id, visible_at)
-        enabled = self.enabled_by_block.pop(number, None)
-        if enabled:
-            self._notify(enabled, visible_at)
+    def _block_visible(self, now: SimTime, request_ids: list[int], enabled: list[str]) -> None:
+        for request_id in request_ids:
+            self._observe_request(request_id, now)
+        self._notify(now, enabled)
 
     # -- pull oracle -------------------------------------------------------
 
@@ -295,9 +295,11 @@ class _Runner:
         self.trace.oracle_events.append((pull.provider, "request", observed_at, request_id))
         if in_outage(pull.outages, observed_at):
             return
-        self._push(observed_at + pull.latency_ms, K_ORACLE_CALLBACK, request_id)
+        self._push(
+            observed_at + pull.latency_ms, K_ORACLE_CALLBACK, self._create_callback, request_id
+        )
 
-    def _create_callback(self, request_id: int, now: SimTime) -> None:
+    def _create_callback(self, now: SimTime, request_id: int) -> None:
         pull = self.pull_config
         sender = f"oracle:{pull.provider}"
         tx = Transaction(
@@ -311,10 +313,9 @@ class _Runner:
 
     # -- push oracle -------------------------------------------------------
 
-    def _oracle_tick(self, push: PushOracleConfig, now: SimTime) -> None:
-        value = so_provider_tick(push, now)
-        if value is None:
-            return
+    def _oracle_tick(self, now: SimTime, push: PushOracleConfig) -> None:
+        """An update transaction; so_update_times already skips outages."""
+        value = now - push.staleness_ms
         sender = f"oracle:{push.provider}"
         tx = Transaction(
             id=self._next_tx_id(sender),
@@ -326,17 +327,12 @@ class _Runner:
 
     # -- participants ------------------------------------------------------
 
-    def _lie_for(self, participant: Participant) -> int:
-        return participant.lie_ms + self.config.faults.parameter_lies.get(
-            participant.name, 0
-        )
-
-    def _create_claim(self, participant: Participant, entry: ScriptEntry, now: SimTime) -> None:
+    def _create_claim(self, now: SimTime, participant: Participant, entry: ScriptEntry) -> None:
         tx = Transaction(
             id=self._next_tx_id(participant.name),
             sender=participant.name,
             created_at=now,
-            payload={"op": entry.element, "timestamp": now + self._lie_for(participant)},
+            payload={"op": entry.element, "timestamp": now + participant.lie_ms},
             priority=entry.priority,
         )
         if self.instance is not None:
@@ -345,7 +341,7 @@ class _Runner:
                 self.instance.note_message_created(entry.element, now)
         self._submit(tx)
 
-    def _notify(self, enabled: list[str], now: SimTime) -> None:
+    def _notify(self, now: SimTime, enabled: list[str]) -> None:
         enabled_set = set(enabled)
         for participant in self.config.participants:
             for entry in participant.script:
@@ -353,15 +349,14 @@ class _Runner:
                     continue
                 if entry.on_enabled_delay_ms is not None:
                     self._push(
-                        now + entry.on_enabled_delay_ms,
-                        K_TX_CREATED,
-                        ("claim", participant.name, entry),
+                        now + entry.on_enabled_delay_ms, K_TX_CREATED,
+                        self._create_claim, participant, entry,
                     )
                 elif entry.on_due:
-                    self._schedule_due_claims(participant, entry, now)
+                    self._schedule_due_claims(now, participant, entry)
 
     def _schedule_due_claims(
-        self, participant: Participant, entry: ScriptEntry, now: SimTime
+        self, now: SimTime, participant: Participant, entry: ScriptEntry
     ) -> None:
         dues = self.instance.element_due_times(entry.element)
         rng = self._actor_rng(participant.name)
@@ -369,26 +364,24 @@ class _Runner:
             jitter = entry.jitter.sample_one(rng) if entry.jitter is not None else 0
             first = max(now, due + entry.jitter_offset_ms + jitter)
             self._push(
-                first,
-                K_TX_CREATED,
-                ("attempt", participant.name, entry, iteration, entry.max_attempts),
+                first, K_TX_CREATED,
+                self._run_attempt, participant, entry, iteration, entry.max_attempts,
             )
 
     def _run_attempt(
-        self, participant: Participant, entry: ScriptEntry, iteration: int,
-        attempts_left: int, now: SimTime,
+        self, now: SimTime, participant: Participant, entry: ScriptEntry, iteration: int,
+        attempts_left: int,
     ) -> None:
         instance = self.instance
         if instance.done or not instance.is_enabled(entry.element):
             return
         if instance.cycle_next_index(entry.element) > iteration:
             return
-        self._create_claim(participant, entry, now)
+        self._create_claim(now, participant, entry)
         if attempts_left > 1:
             self._push(
-                now + entry.retry_ms,
-                K_TX_CREATED,
-                ("attempt", participant.name, entry, iteration, attempts_left - 1),
+                now + entry.retry_ms, K_TX_CREATED,
+                self._run_attempt, participant, entry, iteration, attempts_left - 1,
             )
 
     # -- main loop ---------------------------------------------------------
@@ -396,48 +389,27 @@ class _Runner:
     def run(self) -> RunTrace:
         for push in self.push_configs:
             for tick in so_update_times(push, self.config.horizon_ms):
-                self._push(tick, K_ORACLE_UPDATE, push)
+                self._push(tick, K_ORACLE_UPDATE, self._oracle_tick, push)
         for participant in self.config.participants:
             for entry in participant.script:
                 if entry.at_ms is not None:
-                    self._push(entry.at_ms, K_TX_CREATED, ("claim", participant.name, entry))
+                    self._push(
+                        entry.at_ms, K_TX_CREATED, self._create_claim, participant, entry
+                    )
         if self.instance is not None:
-            initial = self.instance.enabled_elements()
-            if initial:
-                self._notify(initial, int(self.starts[0]))
+            self._notify(int(self.starts[0]), self.instance.enabled_elements())
 
         horizon = self.config.horizon_ms
         while self.heap:
-            at, kind, _, payload = heapq.heappop(self.heap)
+            at, _, _, handler, args = heapq.heappop(self.heap)
             if at > horizon:
                 break
-            if kind == K_TX_CREATED:
-                tag = payload[0]
-                if tag == "claim":
-                    _, name, entry = payload
-                    self._create_claim(self.participants[name], entry, at)
-                else:
-                    _, name, entry, iteration, attempts_left = payload
-                    self._run_attempt(
-                        self.participants[name], entry, iteration, attempts_left, at
-                    )
-            elif kind == K_ORACLE_UPDATE:
-                self._oracle_tick(payload, at)
-            elif kind == K_BLOCK_SEAL:
-                self._seal_block(payload)
-            elif kind == K_BLOCK_VISIBLE:
-                self._block_visible(payload)
-            else:
-                self._create_callback(payload, at)
+            handler(at, *args)
 
         if self.instance is not None:
             self.trace.stuck = self.instance.finalize(horizon)
             self.trace.records = list(self.instance.records)
-        self.trace.chain = Chain.from_schedule(
-            self.timestamps,
-            self.mining,
-            {number: tuple(txs) for number, txs in self.executed.items() if txs},
-        )
+        self.trace.chain = Chain.from_schedule(self.timestamps, self.mining, self.txs_by_block)
         return self.trace
 
 

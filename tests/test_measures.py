@@ -17,7 +17,6 @@ from chaintime.measures import (
     measure_bt,
     measure_pa,
     measure_so,
-    so_provider_tick,
     so_update_times,
 )
 
@@ -91,15 +90,6 @@ class TestOracleCell:
 
 
 class TestProviders:
-    def test_push_tick_value_and_staleness(self):
-        cfg = PushOracleConfig(provider="p", cadence_ms=60_000, staleness_ms=2_000)
-        assert so_provider_tick(cfg, 100_000) == 98_000
-
-    def test_push_tick_in_outage(self):
-        cfg = PushOracleConfig(provider="p", outages=((50_000, 150_000),))
-        assert so_provider_tick(cfg, 100_000) is None
-        assert so_provider_tick(cfg, 150_000) == 150_000  # outage end exclusive
-
     def test_update_times_skip_outages(self):
         cfg = PushOracleConfig(
             provider="p", cadence_ms=10_000, active_from_ms=0, outages=((15_000, 35_000),)

@@ -228,6 +228,12 @@ SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms
         malformed("deferred-overtake", ["network", "genesis_timestamp_ms"], -1,
                   "network.genesis_timestamp_ms"),
         malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]"),
+        # script entries that could never fire
+        malformed("invoice-demo", ["participants", 0, "script", 1],
+                  {"element": "send_invoice", "on_due": True},
+                  "participants[0].script[1].on_due"),
+        malformed("invoice-demo", ["participants", 0, "script", 1, "element"], "invoice_gateway",
+                  "participants[0].script[1].element"),
     ],
 )
 def test_malformed_tree_reports_field_path(tree, path):
@@ -271,10 +277,19 @@ def process_models(draw):
 
 
 @st.composite
-def script_entries(draw, elements):
-    mode = draw(st.sampled_from(["at_ms", "on_enabled_delay_ms", "on_due"]))
+def script_entries(draw, process):
+    """Entries that can fire: no gateway, and on_due only on a timer."""
+    modes = ["at_ms", "on_enabled_delay_ms", "on_due"]
+    if process is None:
+        element = draw(idents)
+    else:
+        kinds = {i: type(e) for i, e in process.elements.items() if type(e) is not EventGateway}
+        element = draw(st.sampled_from(sorted(kinds)))
+        if kinds[element] not in (StartTimer, TimerCatch):
+            modes.remove("on_due")
+    mode = draw(st.sampled_from(modes))
     return ScriptEntry(
-        element=draw(elements),
+        element=element,
         **{mode: True if mode == "on_due" else draw(instants)},
         jitter=draw(st.none() | dists),
         jitter_offset_ms=draw(st.integers(-10**6, 10**6)),
@@ -297,7 +312,6 @@ def scenario_configs(draw):
         max_size=1,
     ))
     process = draw(st.none() | process_models())
-    elements = st.sampled_from(sorted(process.elements)) if process else idents
     measures = [
         m for m in draw(st.lists(st.sampled_from(MeasureKind), min_size=1, unique=True))
         if (m is not MeasureKind.STORAGE_ORACLE or push)
@@ -319,7 +333,6 @@ def scenario_configs(draw):
             miner_drift_enabled=draw(st.booleans()),
             miner_drift_min_ms=drift_min,
             miner_drift_max_ms=drift_max,
-            parameter_lies=draw(st.dictionaries(idents, st.integers(-10**6, 10**6), max_size=2)),
         ),
         push_oracles=tuple(push),
         pull_oracles=tuple(pull),
@@ -329,7 +342,7 @@ def scenario_configs(draw):
         participants=tuple(draw(st.lists(st.builds(
             Participant, name=idents, lie_ms=st.integers(-10**6, 10**6),
             inclusion_delay=st.none() | dists,
-            script=st.lists(script_entries(elements), max_size=3).map(tuple),
+            script=st.lists(script_entries(process), max_size=3).map(tuple),
         ), max_size=2))),
         horizon_ms=genesis + draw(st.integers(1, 10**12)),
         cycle_limit=draw(st.integers(1, 100)),

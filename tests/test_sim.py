@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from chaintime.dists import constant, normal, uniform
-from chaintime.measures import MeasureKind
+from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import Outcome
 from chaintime.scenario import (
     FaultConfig,
     NetworkConfig,
+    Participant,
     ScenarioConfig,
     ScriptEntry,
     deferred_fifo_scenario,
@@ -130,8 +131,6 @@ class TestRunMechanics:
             assert record.raw_measured_ms <= int(trace.chain.timestamps[record.block_number])
 
     def test_storage_oracle_reads_the_first_push_provider(self):
-        from chaintime.measures import PushOracleConfig
-
         fresh = PushOracleConfig(provider="fresh", cadence_ms=1_000)
         stale = PushOracleConfig(provider="stale", cadence_ms=1_000, staleness_ms=50_000)
         base = replace(deferred_overtake_scenario(), measures=(MeasureKind.STORAGE_ORACLE,))
@@ -159,8 +158,6 @@ class TestRunMechanics:
 
     def test_pull_outage_leads_to_stuck_pending(self):
         base = invoice_demo_scenario()
-        from chaintime.measures import PullOracleConfig
-
         config = replace(
             base,
             pull_oracles=(
@@ -177,7 +174,8 @@ class TestRunMechanics:
 
     def test_parameter_lies_shift_measured_values(self):
         base = invoice_demo_scenario()
-        config = replace(base, faults=FaultConfig(parameter_lies={"mno": 3_600_000}))
+        liar = replace(base.participants[0], lie_ms=3_600_000)
+        config = replace(base, participants=(liar, *base.participants[1:]))
         trace = run(config, seed=2, measure=MeasureKind.PARAMETER)
         lied = [
             r for r in trace.records
@@ -188,6 +186,67 @@ class TestRunMechanics:
         for record in lied:
             created = trace.tx_meta[record.tx_id].created_at
             assert record.raw_measured_ms == created + 3_600_000
+
+    def test_push_tick_value_and_staleness(self):
+        push = PushOracleConfig(
+            provider="feed", cadence_ms=60_000, staleness_ms=2_000,
+            outages=((600_000, 1_800_000),),
+        )
+        config = plain_config(
+            push_oracles=(push,), measures=(MeasureKind.STORAGE_ORACLE,), horizon_ms=4_000_000
+        )
+        trace = run(config, seed=0)
+        values = []
+        for tx_id, meta in trace.tx_meta.items():
+            assert not 600_000 <= meta.created_at < 1_800_000  # no update in the outage
+            if meta.block is not None:
+                number, position = trace.chain.locate_transaction(tx_id)
+                value = trace.chain.block(number).transactions[position].payload["value"]
+                assert value == meta.created_at - 2_000
+                values.append(value)
+        assert len(values) > 40
+        assert [e[3] for e in trace.oracle_events] == values
+
+    @pytest.mark.parametrize(
+        "measure, drive_all",
+        [(MeasureKind.STORAGE_ORACLE, False), (MeasureKind.REQUEST_RESPONSE_ORACLE, True)],
+    )
+    def test_oracle_events_are_in_time_order(self, measure, drive_all):
+        config = replace(invoice_demo_scenario(), simulate_unused_oracles=drive_all)
+        trace = run(config, seed=0, measure=measure)
+        kinds = {kind for _, kind, _, _ in trace.oracle_events}
+        assert kinds == ({"update", "request", "callback"} if drive_all else {"update"})
+        times = [at for _, _, at, _ in trace.oracle_events]
+        assert times == sorted(times)
+
+    def test_equal_instants_resolve_by_event_kind(self):
+        # constant 10 s blocks visible at their start, zero inclusion delay, a
+        # push tick at every block start: tx created < oracle tick < seal <
+        # visible < callback
+        base = deferred_fifo_scenario()
+        mno = Participant(name="mno", script=(ScriptEntry(element="start_timer", at_ms=20_000),))
+        config = replace(
+            base,
+            push_oracles=(PushOracleConfig(provider="feed", cadence_ms=10_000),),
+            pull_oracles=(PullOracleConfig(provider="server", latency_ms=10_000),),
+            measures=(MeasureKind.REQUEST_RESPONSE_ORACLE,),
+            participants=(mno,),
+            simulate_unused_oracles=True,
+            horizon_ms=60_000,
+        )
+        trace = run(config, seed=0)
+        where = trace.chain.locate_transaction
+        # the tick at 0 opens block 1; the 10 000 ms tick beats block 1's seal
+        assert where("oracle:feed-0") == (1, 0)
+        assert where("oracle:feed-1") == (1, 1)
+        # the claim and the tick at 20 000 ms both make block 2, claim first
+        assert where("mno-0") == (2, 0)
+        assert where("oracle:feed-2") == (2, 1)
+        # the claim's request is seen at 20 000 ms; the callback, created at
+        # block 3's start, comes after that block's seal
+        callback = trace.tx_meta["oracle:server-0"]
+        assert (callback.created_at, callback.block) == (30_000, 4)
+        assert where("oracle:feed-3") == (3, 0)
 
     def test_unused_oracles_not_simulated_by_default(self):
         trace = run(invoice_demo_scenario(), seed=3, measure=MeasureKind.BLOCK_TIMESTAMP)
