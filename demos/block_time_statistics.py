@@ -31,7 +31,6 @@ def main() -> None:
     print(f"block time: mean {gaps.mean():8.1f} ms  sd {gaps.std():7.1f} ms")
     print(f"            min  {gaps.min():8d} ms  max {gaps.max():7d} ms")
     print(f"mining time: mean {mining.mean():7.1f} ms (block visible at s_i + m_i)")
-    print(f"mean block time via chain API: {trace.chain.mean_block_time():.1f} ms")
     print()
     print("Every block timestamp is fixed when mining starts, so a transaction")
     print("always lands in a block whose timestamp is at or after its network")

@@ -6,7 +6,7 @@ seeded simulator (sim), scenario configuration (scenario), and batch
 experiments with reporting (experiment).
 """
 
-from .chain import Block, Chain, SimTime, Transaction
+from .chain import Chain, SimTime, Transaction
 from .dists import Distribution, constant, normal, uniform
 from .experiment import MetricsReport, emit_report, sweep, write_records
 from .measures import (
@@ -31,7 +31,6 @@ from .process import (
     StartTimer,
     Task,
     TimerCatch,
-    apply_transaction,
     classify_absolute,
 )
 from .rng import substream
@@ -60,15 +59,14 @@ from .timers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block", "Chain", "SimTime", "Transaction",
+    "Chain", "SimTime", "Transaction",
     "Distribution", "constant", "normal", "uniform",
     "MetricsReport", "emit_report", "sweep", "write_records",
     "ChainParams", "MeasureKind", "OracleCell", "PullOracleConfig",
     "PushOracleConfig", "TxContext",
     "measure_bn", "measure_bt", "measure_pa", "measure_so",
     "EventGateway", "GuardRecord", "MessageCatch", "Outcome", "ProcessInstance",
-    "ProcessModel", "StartTimer", "Task", "TimerCatch", "apply_transaction",
-    "classify_absolute",
+    "ProcessModel", "StartTimer", "Task", "TimerCatch", "classify_absolute",
     "substream",
     "FaultConfig", "NetworkConfig", "Participant", "ScenarioConfig",
     "SchemaError", "ScriptEntry", "SCENARIO_PRESETS", "load_scenario",

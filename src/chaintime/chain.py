@@ -1,4 +1,4 @@
-"""Ledger data model: blocks, transactions, and their derived timings.
+"""Ledger data model: block columns, transactions, and the trace export.
 
 Timestamps are integer milliseconds since the simulation epoch. The chain
 stores block columns (timestamps, mining durations) as numpy arrays so that
@@ -9,36 +9,23 @@ block since most simulated blocks are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterator, Mapping, NewType
+from typing import IO, Mapping, NewType
 
 import numpy as np
 
 SimTime = int
-DurationMs = int
 # A name that ends up in the comma-separated, line-delimited trace and record
 # streams (scenario, participant, provider, element): non-empty, with no ','
 # and no line break. Scenario loading checks every field annotated with it.
 _Ident = NewType("Ident", str)
 
 
-class ChainError(Exception):
-    """Base class for ledger integrity errors."""
-
-
-class NonMonotonicTimestamp(ChainError):
+class NonMonotonicTimestamp(ValueError):
     """Block timestamp does not strictly exceed its predecessor's."""
 
 
-class OutOfRange(ChainError):
-    """Block index outside the valid range for the operation."""
-
-
-class TxNotFound(ChainError):
-    """Transaction id not present in any block."""
-
-
-class InsufficientBlocks(ChainError):
-    """Chain too short for the requested statistic."""
+class OutOfRange(ValueError):
+    """Transaction placed in a block the schedule does not have."""
 
 
 @dataclass(frozen=True)
@@ -58,20 +45,6 @@ class Transaction:
             raise ValueError("priority must be non-negative")
 
 
-@dataclass(frozen=True)
-class Block:
-    number: int
-    timestamp: SimTime
-    transactions: tuple[Transaction, ...] = ()
-    mining_duration: DurationMs = 0
-
-    def __post_init__(self):
-        if self.number < 0:
-            raise ValueError("block number must be non-negative")
-        if self.mining_duration < 0:
-            raise ValueError("mining duration must be non-negative")
-
-
 class Chain:
     """Ordered list of blocks numbered consecutively from 0 (genesis).
 
@@ -83,7 +56,6 @@ class Chain:
         self._timestamps = np.empty(0, dtype=np.int64)
         self._mining = np.empty(0, dtype=np.int64)
         self._txs: dict[int, tuple[Transaction, ...]] = {}
-        self._tx_index: dict[str, tuple[int, int]] = {}
 
     @classmethod
     def from_schedule(
@@ -108,8 +80,6 @@ class Chain:
             if not 0 <= number < len(timestamps):
                 raise OutOfRange(f"no block {number} in schedule")
             chain._txs[number] = tuple(txs)
-            for pos, tx in enumerate(txs):
-                chain._tx_index[tx.id] = (number, pos)
         return chain
 
     def __len__(self) -> int:
@@ -122,54 +92,6 @@ class Chain:
     @property
     def mining_durations(self) -> np.ndarray:
         return self._mining
-
-    def block(self, i: int) -> Block:
-        if not 0 <= i < len(self):
-            raise OutOfRange(f"no block {i} on a chain of length {len(self)}")
-        return Block(
-            number=i,
-            timestamp=int(self._timestamps[i]),
-            transactions=self._txs.get(i, ()),
-            mining_duration=int(self._mining[i]),
-        )
-
-    def blocks(self) -> Iterator[Block]:
-        for i in range(len(self)):
-            yield self.block(i)
-
-    def block_time(self, i: int) -> DurationMs:
-        """Interval between block i and its predecessor."""
-        if not 0 < i < len(self):
-            raise OutOfRange(f"block_time undefined for block {i}")
-        return int(self._timestamps[i] - self._timestamps[i - 1])
-
-    def locate_transaction(self, tx_id: str) -> tuple[int, int]:
-        """(block number, position) of a transaction."""
-        try:
-            return self._tx_index[tx_id]
-        except KeyError:
-            raise TxNotFound(tx_id) from None
-
-    def transaction(self, tx_id: str) -> Transaction:
-        number, pos = self.locate_transaction(tx_id)
-        return self._txs[number][pos]
-
-    def inclusion_time(self, tx_id: str) -> DurationMs:
-        """Delay between a transaction's creation and its block's timestamp.
-
-        Negative only if a fault injector forged the containing block's
-        timestamp; non-negative otherwise.
-        """
-        number, pos = self.locate_transaction(tx_id)
-        tx = self._txs[number][pos]
-        return int(self._timestamps[number]) - tx.created_at
-
-    def mean_block_time(self) -> float:
-        """Arithmetic mean of all block times, in milliseconds."""
-        if len(self) < 2:
-            raise InsufficientBlocks("need at least 2 blocks")
-        span = int(self._timestamps[-1] - self._timestamps[0])
-        return span / (len(self) - 1)
 
     def export_trace(self, stream: IO[str]) -> None:
         """Write the line-delimited trace: one block line, then its tx lines."""

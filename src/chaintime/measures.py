@@ -25,15 +25,11 @@ class MeasureKind(str, Enum):
     REQUEST_RESPONSE_ORACLE = "request_response_oracle"
 
 
-class MeasureError(Exception):
-    pass
-
-
-class MissingParameter(MeasureError):
+class MissingParameter(Exception):
     """Transaction payload lacks the sender-supplied timestamp."""
 
 
-class UninitializedOracle(MeasureError):
+class UninitializedOracle(Exception):
     """Storage oracle read with no update preceding the read position."""
 
 
@@ -94,13 +90,6 @@ def measure_bn(ctx: TxContext) -> SimTime:
     """Block number measure: genesis plus block number times the mean block time."""
     p = ctx.chain_params
     return p.genesis_timestamp + ctx.block_number * p.assumed_mean_block_time_ms
-
-
-def bn_delta(i: int, j: int, mean_block_time_ms: int) -> int:
-    """Estimated interval between two blocks from their numbers alone."""
-    if mean_block_time_ms <= 0:
-        raise ValueError("mean block time must be positive")
-    return abs(i - j) * mean_block_time_ms
 
 
 def measure_pa(ctx: TxContext) -> SimTime:

@@ -50,25 +50,11 @@ CYCLE = "cycle"
 DEFERRED_CHOICE = "deferred_choice"
 
 
-class ProcessError(Exception):
+class CycleExhausted(Exception):
     pass
 
 
-class ElementNotEnabled(ProcessError):
-    pass
-
-
-class GuardRejected(ProcessError):
-    def __init__(self, reason: str):
-        self.reason = reason
-        super().__init__(reason)
-
-
-class CycleExhausted(ProcessError):
-    pass
-
-
-class NoEligibleBranch(ProcessError):
+class NoEligibleBranch(Exception):
     pass
 
 
@@ -668,16 +654,3 @@ class ProcessInstance:
         targets = tuple(d - anchor.truth_ms for d in dues) if _is_delta(element) else dues
         return _EnabledEntry(anchor, round_, dues, CycleState(due_schedule=targets))
 
-
-def apply_transaction(
-    instance: ProcessInstance, tx: Transaction, ctx: TxContext, real_now: SimTime | None = None
-) -> ApplyResult:
-    """Spec-style wrapper: raises on rejection instead of returning a status."""
-    result = instance.apply(tx, ctx, real_now if real_now is not None else ctx.block_timestamp)
-    if result.status == "rejected":
-        if result.reason == "element_not_enabled":
-            raise ElementNotEnabled(str(tx.payload.get("op")))
-        if result.reason == "MissingParameter":
-            raise MissingParameter(tx.id)
-        raise GuardRejected(result.reason or "rejected")
-    return result

@@ -155,21 +155,27 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.process is not None:
             self.process.validate()
-            for p, participant in enumerate(self.participants):
-                for s, entry in enumerate(participant.script):
-                    path = f"participants[{p}].script[{s}]"
-                    element = self.process.elements.get(entry.element)
-                    if element is None:
-                        raise SchemaError(f"{path}.element", f"unknown element {entry.element!r}")
-                    if isinstance(element, EventGateway):
-                        raise SchemaError(
-                            f"{path}.element",
-                            "an event gateway is never enabled itself; script its branches",
-                        )
-                    if entry.on_due and not isinstance(element, (StartTimer, TimerCatch)):
-                        raise SchemaError(
-                            f"{path}.on_due", "only a start_timer or timer_catch has due times"
-                        )
+        for p, participant in enumerate(self.participants):
+            for s, entry in enumerate(participant.script):
+                path = f"participants[{p}].script[{s}]"
+                if self.process is None:
+                    # without a process nothing is ever enabled or due
+                    if entry.at_ms is None:
+                        mode = "on_due" if entry.on_due else "on_enabled_delay_ms"
+                        raise SchemaError(f"{path}.{mode}", "only at_ms fires without a process")
+                    continue
+                element = self.process.elements.get(entry.element)
+                if element is None:
+                    raise SchemaError(f"{path}.element", f"unknown element {entry.element!r}")
+                if isinstance(element, EventGateway):
+                    raise SchemaError(
+                        f"{path}.element",
+                        "an event gateway is never enabled itself; script its branches",
+                    )
+                if entry.on_due and not isinstance(element, (StartTimer, TimerCatch)):
+                    raise SchemaError(
+                        f"{path}.on_due", "only a start_timer or timer_catch has due times"
+                    )
         needs_so = MeasureKind.STORAGE_ORACLE in self.measures
         if needs_so and not self.push_oracles:
             raise SchemaError("oracles.push", "storage_oracle measure needs a push provider")

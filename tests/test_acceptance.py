@@ -113,12 +113,12 @@ def demo_audit() -> SweepAudit:
 
 def test_criterion_01_block_number_extrapolation():
     block = 9_690_267
-    mean_block_time = 15_190
+    mean_block_ms = 15_190
     stated_output = 1_585_465_129_000  # 2020-03-29T06:58:49Z
     actual_mined = 1_584_464_127_000  # 2020-03-17T16:55:27Z
     known_genesis = 1_438_269_973_000  # 2015-07-30T15:26:13Z
 
-    inverted_genesis = stated_output - block * mean_block_time
+    inverted_genesis = stated_output - block * mean_block_ms
     # inverting lands within a second of the chain's real genesis timestamp
     assert abs(inverted_genesis - known_genesis) <= 1_000
 
@@ -129,7 +129,7 @@ def test_criterion_01_block_number_extrapolation():
             block_number=block,
             block_timestamp=actual_mined,
             position_in_block=0,
-            chain_params=ChainParams(genesis_ms, mean_block_time),
+            chain_params=ChainParams(genesis_ms, mean_block_ms),
         )
         return measure_bn(ctx)
 

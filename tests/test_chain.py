@@ -1,4 +1,4 @@
-"""Ledger invariants and derived timings."""
+"""Ledger invariants and the trace export."""
 
 import io
 
@@ -6,15 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chaintime.chain import (
-    Block,
-    Chain,
-    InsufficientBlocks,
-    NonMonotonicTimestamp,
-    OutOfRange,
-    Transaction,
-    TxNotFound,
-)
+from chaintime.chain import Chain, NonMonotonicTimestamp, OutOfRange, Transaction
 
 
 def small_chain() -> Chain:
@@ -34,37 +26,7 @@ class TestAppend:
 
     def test_negative_mining_rejected(self):
         with pytest.raises(ValueError):
-            Block(number=0, timestamp=0, mining_duration=-1)
-
-
-class TestDerived:
-    def test_block_time(self):
-        chain = small_chain()
-        assert chain.block_time(1) == 100
-        assert chain.block_time(2) == 130
-        with pytest.raises(OutOfRange):
-            chain.block_time(0)
-
-    def test_inclusion_time(self):
-        chain = small_chain()
-        assert chain.inclusion_time("a") == 10
-        assert chain.inclusion_time("b") == 80
-        with pytest.raises(TxNotFound):
-            chain.inclusion_time("nope")
-
-    def test_mean_block_time_is_span_over_count(self):
-        chain = small_chain()
-        assert chain.mean_block_time() == pytest.approx(115.0)
-
-    def test_mean_needs_two_blocks(self):
-        chain = Chain.from_schedule(np.array([0]), np.zeros(1, dtype=np.int64))
-        with pytest.raises(InsufficientBlocks):
-            chain.mean_block_time()
-
-    def test_locate_transaction(self):
-        chain = small_chain()
-        assert chain.locate_transaction("a") == (1, 0)
-        assert chain.transaction("b").sender == "bob"
+            Chain.from_schedule(np.array([0, 10]), np.array([0, -1]))
 
 
 class TestFromSchedule:
@@ -74,8 +36,11 @@ class TestFromSchedule:
         tx = Transaction(id="a", sender="alice", created_at=90)
         chain = Chain.from_schedule(timestamps, mining, {1: (tx,)})
         assert len(chain) == 3
-        assert chain.block(1).transactions == (tx,)
-        assert chain.locate_transaction("a") == (1, 0)
+        out = io.StringIO()
+        chain.export_trace(out)
+        assert out.getvalue().splitlines() == [
+            "block,0,0,0", "block,1,100,5", "tx,a,90,alice,", "block,2,230,7",
+        ]
 
     def test_rejects_non_monotonic_bulk(self):
         with pytest.raises(NonMonotonicTimestamp):
@@ -103,9 +68,17 @@ class TestTrace:
 @given(
     st.lists(st.integers(min_value=1, max_value=100_000), min_size=1, max_size=200),
     st.integers(min_value=0, max_value=10_000_000),
+    st.data(),
 )
-def test_bulk_schedule_blocktimes_sum_to_span(gaps, genesis):
+def test_bulk_schedule_blocktimes_sum_to_span(gaps, genesis, data):
+    # from_schedule keeps both columns exactly as given
     timestamps = np.cumsum([genesis] + gaps)
-    chain = Chain.from_schedule(timestamps, np.zeros(len(timestamps), dtype=np.int64))
-    assert sum(chain.block_time(i) for i in range(1, len(chain))) == sum(gaps)
-    assert chain.mean_block_time() == pytest.approx(sum(gaps) / len(gaps))
+    mining = np.array(data.draw(st.lists(
+        st.integers(min_value=0, max_value=100_000),
+        min_size=len(timestamps), max_size=len(timestamps),
+    )))
+    chain = Chain.from_schedule(timestamps, mining)
+    assert len(chain) == len(timestamps)
+    assert chain.timestamps.tolist() == timestamps.tolist()
+    assert chain.mining_durations.tolist() == mining.tolist()
+    assert int(np.diff(chain.timestamps).sum()) == sum(gaps)

@@ -11,7 +11,6 @@ from chaintime.measures import (
     TxContext,
     UninitializedOracle,
     MissingParameter,
-    bn_delta,
     in_outage,
     measure_bn,
     measure_bt,
@@ -44,9 +43,9 @@ class TestSyncMeasures:
         assert measure_bn(make_ctx(block_number=10)) == 1_000_000 + 10 * 15_190
 
     def test_bn_delta(self):
-        assert bn_delta(120, 100, 15_190) == 20 * 15_190
-        with pytest.raises(ValueError):
-            bn_delta(1, 2, 0)
+        # the interval BN estimates between two blocks: their distance times the mean
+        delta = measure_bn(make_ctx(block_number=120)) - measure_bn(make_ctx(block_number=100))
+        assert delta == 20 * 15_190
 
     def test_pa_reads_payload(self):
         assert measure_pa(make_ctx(payload={"timestamp": 1_190_500})) == 1_190_500

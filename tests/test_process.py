@@ -12,9 +12,7 @@ from chaintime.process import (
     RELATIVE,
     CycleExhausted,
     CycleState,
-    ElementNotEnabled,
     EventGateway,
-    GuardRejected,
     MessageCatch,
     ModelError,
     Outcome,
@@ -23,7 +21,6 @@ from chaintime.process import (
     StartTimer,
     Task,
     TimerCatch,
-    apply_transaction,
     classify_absolute,
     cycle_advance,
     resolve_deferred_choice,
@@ -179,14 +176,9 @@ class TestEngineAbsolute:
     def test_unknown_element_rejected(self):
         inst = make_instance()
         tx = claim("nope", 1_500)
-        with pytest.raises(ElementNotEnabled):
-            apply_transaction(inst, tx, ctx_for(tx))
-
-    def test_wrapper_raises_on_guard_rejection(self):
-        inst = make_instance()
-        tx = claim("start", 10)
-        with pytest.raises(GuardRejected):
-            apply_transaction(inst, tx, ctx_for(tx))
+        result = inst.apply(tx, ctx_for(tx), real_now=1_600)
+        assert result.status == "rejected" and result.reason == "element_not_enabled"
+        assert result.records == [] and inst.is_enabled("start")
 
 
 def started(inst: ProcessInstance, at: int = 1_500) -> None:

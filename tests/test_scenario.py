@@ -183,6 +183,15 @@ def malformed(preset: str, keys: list, value, path: str):
     return pytest.param(tree, path, id=f"{path}={value!r}")
 
 
+def processless(entry: dict, path: str):
+    """The deferred-overtake tree without its process, its first script
+    entry replaced by `entry`, and the path build_config must report."""
+    tree = preset_tree("deferred-overtake")
+    del tree["process"]
+    tree["participants"][0]["script"][0] = entry
+    return pytest.param(tree, path, id=f"no process: {path}")
+
+
 SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms": 2}]
 
 
@@ -234,6 +243,9 @@ SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms
                   "participants[0].script[1].on_due"),
         malformed("invoice-demo", ["participants", 0, "script", 1, "element"], "invoice_gateway",
                   "participants[0].script[1].element"),
+        processless({"element": "a", "on_enabled_delay_ms": 0},
+                    "participants[0].script[0].on_enabled_delay_ms"),
+        processless({"element": "b", "on_due": True}, "participants[0].script[0].on_due"),
     ],
 )
 def test_malformed_tree_reports_field_path(tree, path):
@@ -278,10 +290,12 @@ def process_models(draw):
 
 @st.composite
 def script_entries(draw, process):
-    """Entries that can fire: no gateway, and on_due only on a timer."""
+    """Entries that can fire: no gateway, on_due only on a timer, and only
+    at_ms without a process."""
     modes = ["at_ms", "on_enabled_delay_ms", "on_due"]
     if process is None:
         element = draw(idents)
+        modes = ["at_ms"]
     else:
         kinds = {i: type(e) for i, e in process.elements.items() if type(e) is not EventGateway}
         element = draw(st.sampled_from(sorted(kinds)))

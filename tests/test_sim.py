@@ -1,5 +1,6 @@
 """Simulator: schedules, determinism, tx placement, and oracle mechanics."""
 
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +35,22 @@ def plain_config(**kwargs) -> ScenarioConfig:
     )
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
+
+
+def placements(trace) -> dict[str, tuple[int, int]]:
+    """{tx_id: (block, position)} of every included transaction, read from
+    the run's trace export."""
+    out = io.StringIO()
+    trace.export_trace(out)
+    where, block, position = {}, None, 0
+    for line in out.getvalue().splitlines():
+        kind, name = line.split(",", 2)[:2]
+        if kind == "block":
+            block, position = int(name), 0
+        elif kind == "tx":
+            where[name] = (block, position)
+            position += 1
+    return where
 
 
 class TestBlockSchedule:
@@ -110,17 +127,19 @@ class TestRunMechanics:
         trace = run(replace(base, participants=(base.participants[0], customer)), seed=0)
         meta = trace.tx_meta["customer-0"]
         assert (meta.created_at, meta.visible_at, meta.block) == (20_000, 20_000, 3)
+        where = placements(trace)
         for tx_id, meta in trace.tx_meta.items():
             if meta.block is None:
-                assert tx_id in trace.dropped
+                assert tx_id in trace.dropped and tx_id not in where
             else:
-                assert trace.chain.locate_transaction(tx_id)[0] == meta.block
+                assert where[tx_id][0] == meta.block
         gateway = next(r for r in trace.records if r.element == "race_gateway")
         assert gateway.winner == "notice" and gateway.outcome is Outcome.MATCH
 
     def test_genesis_block_stays_empty(self):
         trace = run(deferred_overtake_scenario(), seed=0)
-        assert trace.chain.block(0).transactions == ()
+        assert trace.tx_meta
+        assert all(block != 0 for block, _ in placements(trace).values())
 
     def test_storage_oracle_reads_lag_block_timestamp(self):
         config = invoice_demo_scenario()
@@ -196,16 +215,15 @@ class TestRunMechanics:
             push_oracles=(push,), measures=(MeasureKind.STORAGE_ORACLE,), horizon_ms=4_000_000
         )
         trace = run(config, seed=0)
-        values = []
-        for tx_id, meta in trace.tx_meta.items():
+        for meta in trace.tx_meta.values():
             assert not 600_000 <= meta.created_at < 1_800_000  # no update in the outage
-            if meta.block is not None:
-                number, position = trace.chain.locate_transaction(tx_id)
-                value = trace.chain.block(number).transactions[position].payload["value"]
-                assert value == meta.created_at - 2_000
-                values.append(value)
+        # the updates run in chain order, each writing its tick minus the staleness
+        where = placements(trace)
+        ticks = sorted((where[tx_id], meta.created_at) for tx_id, meta in trace.tx_meta.items()
+                       if meta.block is not None)
+        values = [value for _, kind, _, value in trace.oracle_events if kind == "update"]
         assert len(values) > 40
-        assert [e[3] for e in trace.oracle_events] == values
+        assert values == [created - 2_000 for _, created in ticks]
 
     @pytest.mark.parametrize(
         "measure, drive_all",
@@ -235,18 +253,18 @@ class TestRunMechanics:
             horizon_ms=60_000,
         )
         trace = run(config, seed=0)
-        where = trace.chain.locate_transaction
+        where = placements(trace)
         # the tick at 0 opens block 1; the 10 000 ms tick beats block 1's seal
-        assert where("oracle:feed-0") == (1, 0)
-        assert where("oracle:feed-1") == (1, 1)
+        assert where["oracle:feed-0"] == (1, 0)
+        assert where["oracle:feed-1"] == (1, 1)
         # the claim and the tick at 20 000 ms both make block 2, claim first
-        assert where("mno-0") == (2, 0)
-        assert where("oracle:feed-2") == (2, 1)
+        assert where["mno-0"] == (2, 0)
+        assert where["oracle:feed-2"] == (2, 1)
         # the claim's request is seen at 20 000 ms; the callback, created at
         # block 3's start, comes after that block's seal
         callback = trace.tx_meta["oracle:server-0"]
         assert (callback.created_at, callback.block) == (30_000, 4)
-        assert where("oracle:feed-3") == (3, 0)
+        assert where["oracle:feed-3"] == (3, 0)
 
     def test_unused_oracles_not_simulated_by_default(self):
         trace = run(invoice_demo_scenario(), seed=3, measure=MeasureKind.BLOCK_TIMESTAMP)
