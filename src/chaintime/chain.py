@@ -8,7 +8,7 @@ block since most simulated blocks are empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import IO, Mapping, NewType
 
 import numpy as np
@@ -30,12 +30,15 @@ class OutOfRange(ValueError):
 
 @dataclass(frozen=True)
 class Transaction:
-    """A signed transaction; created_at is the sender-local creation instant."""
+    """A signed transaction: created_at is the sender-local creation instant,
+    op the element claimed (or ``__oracle_update__``, ``__callback__`` for
+    oracle transactions) and timestamp the sender-supplied PA parameter."""
 
     id: str
     sender: str
     created_at: SimTime
-    payload: Mapping[str, object] = field(default_factory=dict)
+    op: str = ""
+    timestamp: SimTime | None = None
     priority: int = 0
 
     def __post_init__(self):
@@ -99,5 +102,4 @@ class Chain:
         for i in range(len(self)):
             stream.write(f"block,{i},{int(self._timestamps[i])},{int(self._mining[i])}\n")
             for tx in tx_blocks.get(i, ()):
-                op = tx.payload.get("op", "")
-                stream.write(f"tx,{tx.id},{tx.created_at},{tx.sender},{op}\n")
+                stream.write(f"tx,{tx.id},{tx.created_at},{tx.sender},{tx.op}\n")

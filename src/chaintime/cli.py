@@ -12,6 +12,8 @@ import argparse
 import sys
 from dataclasses import asdict
 
+import yaml
+
 from .experiment import (
     MetricsReport,
     RECORD_HEADER,
@@ -40,6 +42,15 @@ class ScenarioInputError(Exception):
     pass
 
 
+def _unreadable(path: str, exc: Exception) -> ScenarioInputError:
+    """An input file that cannot be read as text, or as YAML: named by its
+    path, and for a YAML error by the parser's line and column."""
+    mark = getattr(exc, "problem_mark", None)
+    if mark is not None:
+        return ScenarioInputError(f"{path}:{mark.line + 1}:{mark.column + 1}: {exc.problem}")
+    return ScenarioInputError(f"{path}: {exc.strerror if isinstance(exc, OSError) else exc}")
+
+
 def _resolve_scenario(name: str) -> ScenarioConfig:
     if name in SCENARIO_PRESETS:
         return SCENARIO_PRESETS[name]()
@@ -49,6 +60,8 @@ def _resolve_scenario(name: str) -> ScenarioConfig:
         raise ScenarioInputError(
             f"no such scenario file or preset: {name!r}; presets: {sorted(SCENARIO_PRESETS)}"
         ) from None
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise _unreadable(name, exc) from None
 
 
 def _measure_arg(value: str | None) -> MeasureKind | None:
@@ -115,6 +128,8 @@ def _ingest_record_file(report: MetricsReport, path: str) -> None:
             lines = fh.read().splitlines()
     except FileNotFoundError:
         raise ScenarioInputError(f"no such record file: {path!r}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from None
     for lineno, line in enumerate(lines, 1):
         if not line or line == RECORD_HEADER:
             continue

@@ -3,9 +3,9 @@
 Each measure estimates, from within a transaction's execution context, the
 instant the transaction was originally created by its sender. Block
 timestamp and block number come for free from the containing block, the
-parameter measure reads a sender-supplied payload field, and the two oracle
-measures rely on third-party providers (synchronous storage reads vs.
-asynchronous request/callback).
+parameter measure reads the timestamp the sender attached to the
+transaction, and the two oracle measures rely on third-party providers
+(synchronous storage reads vs. asynchronous request/callback).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class MeasureKind(str, Enum):
 
 
 class MissingParameter(Exception):
-    """Transaction payload lacks the sender-supplied timestamp."""
+    """Transaction carries no sender-supplied timestamp."""
 
 
 class UninitializedOracle(Exception):
@@ -93,11 +93,10 @@ def measure_bn(ctx: TxContext) -> SimTime:
 
 
 def measure_pa(ctx: TxContext) -> SimTime:
-    """Parameter measure: the timestamp the sender attached to the payload."""
-    value = ctx.tx.payload.get("timestamp")
-    if value is None:
+    """Parameter measure: the timestamp the sender attached to the transaction."""
+    if ctx.tx.timestamp is None:
         raise MissingParameter(f"transaction {ctx.tx.id} carries no timestamp parameter")
-    return int(value)
+    return ctx.tx.timestamp
 
 
 def measure_so(ctx: TxContext) -> SimTime:

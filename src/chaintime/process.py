@@ -341,21 +341,13 @@ class _EnabledEntry:
 
 
 @dataclass(frozen=True)
-class MeasureRequest:
-    """Instruction to the runner: query the pull oracle for this instance."""
-
-    request_id: int
-    purpose: str  # "guard" or "anchor"
-
-
-@dataclass
 class _PendingGuard:
-    request_id: int
-    element: str
-    tx_id: str
-    s_tx: SimTime
-    purpose: str
-    requested_block: int | None = None
+    """A pull-oracle query in flight, with the transaction and the context of
+    the block that made it. A parked guard is decided on that claim in that
+    context; an anchor request keeps the anchor the answer completes."""
+
+    tx: Transaction
+    ctx: TxContext
     anchor: Anchor | None = None
 
 
@@ -365,7 +357,7 @@ class ApplyResult:
     reason: str | None = None
     records: list[GuardRecord] = field(default_factory=list)
     newly_enabled: list[str] = field(default_factory=list)
-    requests: list[MeasureRequest] = field(default_factory=list)
+    requests: list[int] = field(default_factory=list)  # pull-oracle queries to make
 
     @property
     def accepted(self) -> bool:
@@ -422,7 +414,7 @@ class ProcessInstance:
 
     def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> ApplyResult:
         """Advance the state machine by one transaction, if its guard passes."""
-        element_id = str(tx.payload.get("op", ""))
+        element_id = tx.op
         if self.done or element_id not in self._enabled:
             return ApplyResult(status="rejected", reason="element_not_enabled")
         element = self.model.elements[element_id]
@@ -430,49 +422,40 @@ class ProcessInstance:
             return self._accept_unguarded(element, tx, ctx, real_now)
         return self._guard(element, tx, ctx, real_now)
 
-    def on_callback(
-        self, request_id: int, value: SimTime, tx: Transaction, ctx: TxContext, real_now: SimTime
-    ) -> ApplyResult:
-        """Finalize a parked pull-oracle decision with the callback's value."""
+    def on_callback(self, request_id: int, value: SimTime, real_now: SimTime) -> ApplyResult:
+        """Finalize a parked pull-oracle decision with the callback's value,
+        attributed to the block that requested it."""
         pending = self._pending.pop(request_id, None)
         if pending is None:
             return ApplyResult(status="rejected", reason="unknown_request")
-        if pending.purpose == "anchor":
-            if pending.anchor is not None and pending.anchor.measured_ms is None:
+        if pending.anchor is not None:
+            if pending.anchor.measured_ms is None:
                 pending.anchor.measured_ms = value
             return ApplyResult(status="accepted")
-        if self.done or pending.element not in self._enabled:
+        tx = pending.tx
+        if self.done or tx.op not in self._enabled:
             return ApplyResult(status="rejected", reason="superseded")
-        claim = Transaction(
-            id=pending.tx_id,
-            sender=tx.sender,
-            created_at=pending.s_tx,
-            payload={"op": pending.element},
-        )
-        # the decision is attributed to the requesting block, not the callback's
-        claim_ctx = replace(ctx, tx=claim, block_number=pending.requested_block)
-        return self._guard(
-            self.model.elements[pending.element], claim, claim_ctx, real_now, measured=value
-        )
+        return self._guard(self.model.elements[tx.op], tx, pending.ctx, real_now, measured=value)
 
     def finalize(self, horizon_ms: SimTime) -> list[GuardRecord]:
         """Emit StuckPending records for guards still parked at the horizon."""
         stuck = []
         for pending in self._pending.values():
-            if pending.purpose != "guard":
+            if pending.anchor is not None:
                 continue
+            tx = pending.tx
             record = GuardRecord(
-                element=pending.element,
-                constraint_type=_constraint_type(self.model.elements[pending.element]),
+                element=tx.op,
+                constraint_type=_constraint_type(self.model.elements[tx.op]),
                 measure_kind=self.measure_kind,
                 outcome=Outcome.STUCK_PENDING,
-                ground_truth_ms=pending.s_tx,
-                tx_id=pending.tx_id,
+                ground_truth_ms=tx.created_at,
+                tx_id=tx.id,
                 accepted=False,
             )
             self.records.append(record)
             stuck.append(record)
-        self._pending = {rid: p for rid, p in self._pending.items() if p.purpose != "guard"}
+        self._pending = {rid: p for rid, p in self._pending.items() if p.anchor is not None}
         return stuck
 
     # -- guard paths -------------------------------------------------------
@@ -493,7 +476,7 @@ class ProcessInstance:
             self._consume_message_note(element.id, tx.created_at)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
         if self._read is None:
-            result.requests.append(self._request("anchor", element.id, tx, anchor=next_anchor))
+            result.requests.append(self._request(tx, ctx, next_anchor))
         self._advance(element.id, next_anchor, result)
         return result
 
@@ -506,8 +489,7 @@ class ProcessInstance:
         entry = self._enabled[element.id]
         if measured is None:
             if self._read is None:
-                request = self._request("guard", element.id, tx, block=ctx.block_number)
-                return ApplyResult(status="parked", requests=[request])
+                return ApplyResult(status="parked", requests=[self._request(tx, ctx)])
             try:
                 measured = self._read(ctx)
             except (MissingParameter, UninitializedOracle) as exc:
@@ -606,19 +588,11 @@ class ProcessInstance:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _request(self, purpose, element_id, tx, block=None, anchor=None) -> MeasureRequest:
+    def _request(self, tx, ctx, anchor=None) -> int:
         """Register a pull-oracle query for a parked guard or a pending anchor."""
         request_id = next(self._request_counter)
-        self._pending[request_id] = _PendingGuard(
-            request_id=request_id,
-            element=element_id,
-            tx_id=tx.id,
-            s_tx=tx.created_at,
-            purpose=purpose,
-            requested_block=block,
-            anchor=anchor,
-        )
-        return MeasureRequest(request_id=request_id, purpose=purpose)
+        self._pending[request_id] = _PendingGuard(tx, ctx, anchor)
+        return request_id
 
     def _advance(self, accepted_element, next_anchor, result) -> None:
         self._enabled.pop(accepted_element, None)

@@ -176,19 +176,34 @@ class ScenarioConfig:
                     raise SchemaError(
                         f"{path}.on_due", "only a start_timer or timer_catch has due times"
                     )
-        needs_so = MeasureKind.STORAGE_ORACLE in self.measures
-        if needs_so and not self.push_oracles:
-            raise SchemaError("oracles.push", "storage_oracle measure needs a push provider")
-        needs_ro = MeasureKind.REQUEST_RESPONSE_ORACLE in self.measures
-        if needs_ro and not self.pull_oracles:
-            raise SchemaError(
-                "oracles.pull", "request_response_oracle measure needs a pull provider"
-            )
+        for measure in self.measures:
+            _check_provider(self, measure)
         if len(self.pull_oracles) > 1:
             raise SchemaError(
                 "oracles.pull[1]",
                 "one pull provider at most: the contract queries oracles.pull[0]",
             )
+        # a sender name keys its transaction ids and its delay substream
+        senders = [(f"participants[{i}].name", p.name) for i, p in enumerate(self.participants)]
+        for group, oracles in (("push", self.push_oracles), ("pull", self.pull_oracles)):
+            senders += [
+                (f"oracles.{group}[{i}].provider", f"oracle:{o.provider}")
+                for i, o in enumerate(oracles)
+            ]
+        seen: set[str] = set()
+        for path, sender in senders:
+            if sender in seen:
+                raise SchemaError(path, f"sender name {sender!r} is already taken")
+            seen.add(sender)
+
+
+def _check_provider(config: ScenarioConfig, measure: MeasureKind) -> None:
+    """An oracle measure needs its provider, whether it is listed in
+    config.measures or chosen for one run."""
+    if measure is MeasureKind.STORAGE_ORACLE and not config.push_oracles:
+        raise SchemaError("oracles.push", "storage_oracle measure needs a push provider")
+    if measure is MeasureKind.REQUEST_RESPONSE_ORACLE and not config.pull_oracles:
+        raise SchemaError("oracles.pull", "request_response_oracle measure needs a pull provider")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ ordered by (time, kind, insertion). At equal instants transaction creations
 apply before oracle update ticks, then block sealing, block visibility, and
 oracle callbacks. A sealed block's pull-oracle requests and newly enabled
 elements are the args of its visibility event, which is scheduled only when
-the block has something to announce.
+the block has something to announce. Likewise each pending transaction
+carries the call that executes it when its block seals: a claim goes to the
+process, a callback to its parked guard, an update to its oracle cell.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .measures import (
 )
 from .process import ApplyResult, MessageCatch, ProcessInstance
 from .rng import substream
-from .scenario import Participant, ScenarioConfig, ScriptEntry
+from .scenario import Participant, ScenarioConfig, ScriptEntry, _check_provider
 
 # event kind ranks; ties at one instant resolve in this order
 K_TX_CREATED = 0
@@ -117,16 +119,10 @@ def block_schedule(
     return starts, timestamps, mining
 
 
-@dataclass
-class _PendingTx:
-    tx: Transaction
-    visible_at: SimTime
-    arrival: int
-
-
 class _Runner:
     def __init__(self, config: ScenarioConfig, seed: int, measure: MeasureKind):
         config.validate()
+        _check_provider(config, measure)
         self.config = config
         self.seed = seed
         self.measure = measure
@@ -171,9 +167,9 @@ class _Runner:
             p.name: p for p in config.participants
         }
 
-        # blocks seal in number order; a key of pending_by_block is a block
-        # whose seal event is scheduled
-        self.pending_by_block: dict[int, list[_PendingTx]] = {}
+        # blocks seal in number order; a key of pending_by_block is a block whose
+        # seal event is scheduled, its entries (visible_at, tx, execute, args)
+        self.pending_by_block: dict[int, list[tuple]] = {}
         self.last_sealed = 0  # genesis carries no transactions
         self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
 
@@ -210,9 +206,10 @@ class _Runner:
             rng = self.actor_rngs[name] = substream(self.seed, f"participant/{name}")
         return rng
 
-    def _submit(self, tx: Transaction) -> None:
+    def _submit(self, tx: Transaction, execute, *args) -> None:
         """Assign a created transaction to the first block mined after it
-        becomes visible to the network and not sealed yet."""
+        becomes visible to the network and not sealed yet; sealing runs
+        execute(now, tx, number, position, *args)."""
         visible = tx.created_at + self._delay_for(tx.sender)
         idx = int(np.searchsorted(self.starts, visible, side="left"))
         idx = max(idx, self.last_sealed + 1)
@@ -225,29 +222,30 @@ class _Runner:
         if pending is None:
             pending = self.pending_by_block[idx] = []
             self._push(int(self.starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
-        pending.append(_PendingTx(tx=tx, visible_at=visible, arrival=next(self.seq)))
+        pending.append((visible, tx, execute, args))
 
     # -- block sealing -----------------------------------------------------
 
-    def _order_block(self, entries: list[_PendingTx]) -> list[_PendingTx]:
+    def _order_block(self, entries: list[tuple]) -> list[tuple]:
+        """Ties keep the submission order: sorted is stable."""
         policy = self.config.network.miner_ordering
         if policy == "fifo_by_arrival":
-            return sorted(entries, key=lambda e: (e.visible_at, e.arrival))
+            return sorted(entries, key=lambda e: e[0])
         if policy == "priority_then_arrival":
-            return sorted(entries, key=lambda e: (-e.tx.priority, e.visible_at, e.arrival))
+            return sorted(entries, key=lambda e: (-e[1].priority, e[0]))
         order = self.miner_rng.permutation(len(entries))
         return [entries[int(i)] for i in order]
 
     def _seal_block(self, now: SimTime, number: int) -> None:
         self.last_sealed = number
         entries = self._order_block(self.pending_by_block.pop(number))
-        txs = self.txs_by_block[number] = tuple(entry.tx for entry in entries)
+        self.txs_by_block[number] = tuple(entry[1] for entry in entries)
         request_ids: list[int] = []
         enabled: list[str] = []
-        for position, tx in enumerate(txs):
-            result = self._execute(tx, number, position, now)
+        for position, (_, tx, execute, args) in enumerate(entries):
+            result = execute(now, tx, number, position, *args)
             if result is not None:
-                request_ids.extend(request.request_id for request in result.requests)
+                request_ids.extend(result.requests)
                 enabled.extend(result.newly_enabled)
         if request_ids or enabled:
             self._push(
@@ -255,16 +253,7 @@ class _Runner:
                 self._block_visible, request_ids, enabled,
             )
 
-    def _execute(
-        self, tx: Transaction, number: int, position: int, real_now: SimTime
-    ) -> ApplyResult | None:
-        op = tx.payload.get("op")
-        if op == "__oracle_update__":
-            provider = str(tx.payload["provider"])
-            value = int(tx.payload["value"])
-            self.cells[provider].write((number, position), value)
-            self.trace.oracle_events.append((provider, "update", real_now, value))
-            return None
+    def _apply_claim(self, now, tx, number, position) -> ApplyResult | None:
         if self.instance is None:
             return None
         ctx = TxContext(
@@ -275,11 +264,7 @@ class _Runner:
             chain_params=self.chain_params,
             oracle_view=self.read_cell,
         )
-        if op == "__callback__":
-            return self.instance.on_callback(
-                int(tx.payload["request_id"]), int(tx.payload["value"]), tx, ctx, real_now
-            )
-        return self.instance.apply(tx, ctx, real_now)
+        return self.instance.apply(tx, ctx, now)
 
     def _block_visible(self, now: SimTime, request_ids: list[int], enabled: list[str]) -> None:
         for request_id in request_ids:
@@ -290,8 +275,6 @@ class _Runner:
 
     def _observe_request(self, request_id: int, observed_at: SimTime) -> None:
         pull = self.pull_config
-        if pull is None:
-            return  # no provider is listening; the guard stays pending
         self.trace.oracle_events.append((pull.provider, "request", observed_at, request_id))
         if in_outage(pull.outages, observed_at):
             return
@@ -303,13 +286,14 @@ class _Runner:
         pull = self.pull_config
         sender = f"oracle:{pull.provider}"
         tx = Transaction(
-            id=self._next_tx_id(sender),
-            sender=sender,
-            created_at=now,
-            payload={"op": "__callback__", "request_id": request_id, "value": now},
+            id=self._next_tx_id(sender), sender=sender, created_at=now, op="__callback__"
         )
         self.trace.oracle_events.append((pull.provider, "callback", now, now))
-        self._submit(tx)
+        self._submit(tx, self._deliver_callback, request_id)
+
+    def _deliver_callback(self, now, tx, number, position, request_id: int) -> ApplyResult:
+        """The callback answers with the instant it was created."""
+        return self.instance.on_callback(request_id, tx.created_at, now)
 
     # -- push oracle -------------------------------------------------------
 
@@ -318,12 +302,13 @@ class _Runner:
         value = now - push.staleness_ms
         sender = f"oracle:{push.provider}"
         tx = Transaction(
-            id=self._next_tx_id(sender),
-            sender=sender,
-            created_at=now,
-            payload={"op": "__oracle_update__", "provider": push.provider, "value": value},
+            id=self._next_tx_id(sender), sender=sender, created_at=now, op="__oracle_update__"
         )
-        self._submit(tx)
+        self._submit(tx, self._write_update, push.provider, value)
+
+    def _write_update(self, now, tx, number, position, provider: str, value: SimTime) -> None:
+        self.cells[provider].write((number, position), value)
+        self.trace.oracle_events.append((provider, "update", now, value))
 
     # -- participants ------------------------------------------------------
 
@@ -332,14 +317,15 @@ class _Runner:
             id=self._next_tx_id(participant.name),
             sender=participant.name,
             created_at=now,
-            payload={"op": entry.element, "timestamp": now + participant.lie_ms},
+            op=entry.element,
+            timestamp=now + participant.lie_ms,
             priority=entry.priority,
         )
         if self.instance is not None:
             element = self.config.process.elements.get(entry.element)
             if isinstance(element, MessageCatch):
                 self.instance.note_message_created(entry.element, now)
-        self._submit(tx)
+        self._submit(tx, self._apply_claim)
 
     def _notify(self, now: SimTime, enabled: list[str]) -> None:
         enabled_set = set(enabled)

@@ -10,7 +10,7 @@ from chaintime.chain import Chain, NonMonotonicTimestamp, OutOfRange, Transactio
 
 
 def small_chain() -> Chain:
-    tx_a = Transaction(id="a", sender="alice", created_at=90, payload={"op": "ping"})
+    tx_a = Transaction(id="a", sender="alice", created_at=90, op="ping")
     tx_b = Transaction(id="b", sender="bob", created_at=150)
     return Chain.from_schedule(
         np.array([0, 100, 230], dtype=np.int64),

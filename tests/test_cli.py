@@ -58,6 +58,80 @@ class TestRun:
         assert "error: process.elements[1].id: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("element", ["__callback__", "__oracle_update__"])
+    def test_element_named_like_an_oracle_op_runs(self, tmp_path, element):
+        # a task writes no guard record of its own; the timer it enables does
+        path = tmp_path / "sentinel.yaml"
+        path.write_text(yaml.safe_dump({
+            "network": {"block_time": {"kind": "constant", "value_ms": 10_000}},
+            "process": {
+                "start": "start_timer",
+                "elements": [
+                    {"type": "start_timer", "id": "start_timer", "spec": "1970-01-01T00:00:10Z"},
+                    {"type": "task", "id": element, "name": "op", "performer": "mno"},
+                    {"type": "timer_catch", "id": "cooldown", "spec": "PT10S"},
+                ],
+                "flows": {"start_timer": element, element: "cooldown", "cooldown": None},
+            },
+            "measures": ["block_timestamp"],
+            "participants": [{"name": "mno", "script": [
+                {"element": "start_timer", "at_ms": 15_000},
+                {"element": element, "on_enabled_delay_ms": 1_000},
+                {"element": "cooldown", "on_enabled_delay_ms": 30_000},
+            ]}],
+            "horizon_ms": 200_000,
+        }))
+        out = tmp_path / "records.csv"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[3], row[4]) for row in rows] == [
+            ("absolute", "start_timer"), ("relative", "cooldown"),
+        ]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize(
+        "measure, message",
+        [
+            ("storage_oracle", "oracles.push: storage_oracle measure needs a push provider"),
+            ("request_response_oracle",
+             "oracles.pull: request_response_oracle measure needs a pull provider"),
+        ],
+    )
+    def test_measure_without_its_provider_is_input_error(self, capsys, command, measure, message):
+        code = main([command, "--scenario", "deferred-overtake", "--measure", measure])
+        assert code == EXIT_SCENARIO
+        assert f"error: {message}" in capsys.readouterr().err
+
+
+def unreadable(tmp_path, defect: str) -> str:
+    """A path to an input file that cannot be read as text: a directory, or
+    bytes that are not UTF-8."""
+    if defect == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("name: caf\xe9\n".encode("latin-1"))
+    return str(path)
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("defect", ["directory", "not utf-8"])
+    def test_scenario_file(self, tmp_path, capsys, defect):
+        path = unreadable(tmp_path, defect)
+        assert main(["run", "--scenario", path]) == EXIT_SCENARIO
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", ["directory", "not utf-8"])
+    def test_record_file(self, tmp_path, capsys, defect):
+        path = unreadable(tmp_path, defect)
+        assert main(["report", path]) == EXIT_SCENARIO
+        assert f"error: {path}: " in capsys.readouterr().err
+
+    def test_yaml_syntax_error_names_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "broken.yaml"
+        path.write_text("name: x\n  horizon_ms: 5\n")
+        assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert f"error: {path}:2:13: mapping values are not allowed here" in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def test_sweep_csv(self, capsys):

@@ -22,8 +22,8 @@ from chaintime.measures import (
 PARAMS = ChainParams(genesis_timestamp=1_000_000, assumed_mean_block_time_ms=15_190)
 
 
-def make_ctx(payload=None, block_number=10, block_timestamp=1_200_000, position=0, cell=None):
-    tx = Transaction(id="t0", sender="alice", created_at=1_190_000, payload=payload or {})
+def make_ctx(timestamp=None, block_number=10, block_timestamp=1_200_000, position=0, cell=None):
+    tx = Transaction(id="t0", sender="alice", created_at=1_190_000, timestamp=timestamp)
     return TxContext(
         tx=tx,
         block_number=block_number,
@@ -47,12 +47,12 @@ class TestSyncMeasures:
         delta = measure_bn(make_ctx(block_number=120)) - measure_bn(make_ctx(block_number=100))
         assert delta == 20 * 15_190
 
-    def test_pa_reads_payload(self):
-        assert measure_pa(make_ctx(payload={"timestamp": 1_190_500})) == 1_190_500
+    def test_pa_reads_timestamp_parameter(self):
+        assert measure_pa(make_ctx(timestamp=1_190_500)) == 1_190_500
 
     def test_pa_missing(self):
         with pytest.raises(MissingParameter):
-            measure_pa(make_ctx(payload={"op": "x"}))
+            measure_pa(make_ctx())
 
 
 class TestOracleCell:

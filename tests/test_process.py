@@ -115,7 +115,7 @@ class TestDeferredChoice:
 
 
 # ---------------------------------------------------------------------------
-# Engine walkthroughs (parameter measure: measured == payload timestamp)
+# Engine walkthroughs (parameter measure: measured == timestamp parameter)
 # ---------------------------------------------------------------------------
 
 PARAMS = ChainParams(genesis_timestamp=0, assumed_mean_block_time_ms=10_000)
@@ -142,7 +142,8 @@ def claim(element: str, at: int, tx_id: str = None, sender: str = "p") -> Transa
         id=tx_id or f"{element}-{at}",
         sender=sender,
         created_at=at,
-        payload={"op": element, "timestamp": at},
+        op=element,
+        timestamp=at,
     )
 
 
@@ -260,12 +261,7 @@ class TestRequestResponse:
         tx = claim("start", 1_500)
         result = inst.apply(tx, ctx_for(tx, block=4), real_now=1_600)
         assert result.status == "parked"
-        request = result.requests[0]
-        cb = Transaction(
-            id="cb-0", sender="oracle:pull", created_at=2_000,
-            payload={"op": "__callback__", "request_id": request.request_id, "value": 2_000},
-        )
-        done = inst.on_callback(request.request_id, 2_000, cb, ctx_for(cb, block=6), 2_100)
+        done = inst.on_callback(result.requests[0], 2_000, real_now=2_100)
         assert done.accepted
         record = done.records[0]
         assert record.block_number == 4  # decision attributed to requesting block
@@ -359,8 +355,8 @@ class TestEngineCycleAbsolute:
     def test_iterations_carry_deadline_outcome_and_missed(self):
         inst = self.make()
         # a sender claiming 3100 for a tx created at 2900 passes the 3000 due
-        lying = Transaction(id="tick-lie", sender="p", created_at=2_900,
-                            payload={"op": "tick", "timestamp": 3_100})
+        lying = Transaction(id="tick-lie", sender="p", created_at=2_900, op="tick",
+                            timestamp=3_100)
         result = inst.apply(lying, ctx_for(lying), real_now=3_000)
         (record,) = result.records
         assert result.accepted and record.outcome is Outcome.FP
@@ -422,12 +418,8 @@ def anchored_race_instance() -> ProcessInstance:
     return ProcessInstance(model, MeasureKind.REQUEST_RESPONSE_ORACLE, PARAMS)
 
 
-def callback(inst, request_id: int, value: int, block: int = 9):
-    cb = Transaction(
-        id=f"cb-{request_id}", sender="oracle:pull", created_at=value,
-        payload={"op": "__callback__", "request_id": request_id, "value": value},
-    )
-    return inst.on_callback(request_id, value, cb, ctx_for(cb, block=block), value + 100)
+def callback(inst, request_id: int, value: int):
+    return inst.on_callback(request_id, value, real_now=value + 100)
 
 
 class TestRequestResponseAnchors:
@@ -435,13 +427,12 @@ class TestRequestResponseAnchors:
         inst = anchored_race_instance()
         tx = claim("start", 1_500)
         parked = inst.apply(tx, ctx_for(tx, block=1), real_now=1_600)
-        assert callback(inst, parked.requests[0].request_id, 1_700).accepted
+        assert callback(inst, parked.requests[0], 1_700).accepted
         send = claim("send", 2_000)
         result = inst.apply(send, ctx_for(send, block=2), real_now=2_100)
-        assert result.accepted
+        assert result.accepted  # not parked: its one request is the anchor's
         (anchor_request,) = result.requests
-        assert anchor_request.purpose == "anchor"
-        return inst, anchor_request.request_id
+        return inst, anchor_request
 
     @pytest.mark.parametrize("branch", ["wait", "cycle"])
     def test_guard_on_pending_anchor_rejects_without_record(self, branch):
@@ -450,7 +441,7 @@ class TestRequestResponseAnchors:
         tx = claim(branch, 9_000)
         parked = inst.apply(tx, ctx_for(tx, block=3), real_now=9_100)
         assert parked.status == "parked"
-        result = callback(inst, parked.requests[0].request_id, 9_500)
+        result = callback(inst, parked.requests[0], 9_500)
         assert result.status == "rejected" and result.reason == "anchor_pending"
         assert result.records == [] and len(inst.records) == before
         assert inst.is_enabled(branch)
@@ -461,7 +452,7 @@ class TestRequestResponseAnchors:
         tx = claim("wait", 4_300)
         parked = inst.apply(tx, ctx_for(tx, block=5), real_now=4_400)
         assert parked.status == "parked"
-        result = callback(inst, parked.requests[0].request_id, 4_600)
+        result = callback(inst, parked.requests[0], 4_600)
         assert result.accepted
         record = next(r for r in result.records if r.constraint_type == RELATIVE)
         assert record.element == "wait" and record.tx_id == "wait-4300"

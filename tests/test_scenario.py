@@ -193,6 +193,7 @@ def processless(entry: dict, path: str):
 
 
 SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms": 2}]
+TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_000}]
 
 
 @pytest.mark.parametrize(
@@ -246,6 +247,13 @@ SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms
         processless({"element": "a", "on_enabled_delay_ms": 0},
                     "participants[0].script[0].on_enabled_delay_ms"),
         processless({"element": "b", "on_due": True}, "participants[0].script[0].on_due"),
+        # every sender name is taken once: participants, then oracle:<provider>
+        malformed("invoice-demo", ["participants", 1, "name"], "mno", "participants[1].name"),
+        malformed("invoice-demo", ["oracles", "push"], TWIN_PUSH, "oracles.push[1].provider"),
+        malformed("invoice-demo", ["participants", 1, "name"], "oracle:timefeed",
+                  "oracles.push[0].provider"),
+        malformed("invoice-demo", ["oracles", "pull", 0, "provider"], "timefeed",
+                  "oracles.pull[0].provider"),
     ],
 )
 def test_malformed_tree_reports_field_path(tree, path):
@@ -320,9 +328,11 @@ def scenario_configs(draw):
     push = draw(st.lists(st.builds(
         PushOracleConfig, provider=idents, cadence_ms=st.integers(1, 10**7),
         staleness_ms=instants, active_from_ms=instants, outages=outages,
-    ), max_size=2))
+    ), max_size=2, unique_by=lambda o: o.provider))
+    # sender names are unique: participants, then oracle:<provider>
+    pull_provider = idents.filter(lambda s: s not in {o.provider for o in push})
     pull = draw(st.lists(
-        st.builds(PullOracleConfig, provider=idents, latency_ms=instants, outages=outages),
+        st.builds(PullOracleConfig, provider=pull_provider, latency_ms=instants, outages=outages),
         max_size=1,
     ))
     process = draw(st.none() | process_models())
@@ -354,10 +364,11 @@ def scenario_configs(draw):
         activation_floor_ms=draw(instants),
         measures=tuple(measures) or (MeasureKind.PARAMETER,),
         participants=tuple(draw(st.lists(st.builds(
-            Participant, name=idents, lie_ms=st.integers(-10**6, 10**6),
+            Participant, name=idents.filter(lambda s: not s.startswith("oracle:")),
+            lie_ms=st.integers(-10**6, 10**6),
             inclusion_delay=st.none() | dists,
             script=st.lists(script_entries(process), max_size=3).map(tuple),
-        ), max_size=2))),
+        ), max_size=2, unique_by=lambda p: p.name))),
         horizon_ms=genesis + draw(st.integers(1, 10**12)),
         cycle_limit=draw(st.integers(1, 100)),
         simulate_unused_oracles=draw(st.booleans()),

@@ -11,6 +11,7 @@ from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import Outcome
 from chaintime.scenario import (
     FaultConfig,
+    SchemaError,
     NetworkConfig,
     Participant,
     ScenarioConfig,
@@ -163,6 +164,17 @@ class TestRunMechanics:
         # the second provider is a bystander: only oracles.push[0] is read
         assert max(map(abs, lags((fresh, stale)))) < 25_000
         assert min(lags((stale, fresh))) > 25_000
+
+    @pytest.mark.parametrize(
+        "measure, path",
+        [(MeasureKind.STORAGE_ORACLE, "oracles.push"),
+         (MeasureKind.REQUEST_RESPONSE_ORACLE, "oracles.pull")],
+    )
+    def test_run_measure_needs_its_provider(self, measure, path):
+        # the measure run, not only config.measures, is checked
+        with pytest.raises(SchemaError) as exc_info:
+            run(deferred_overtake_scenario(), 0, measure)
+        assert exc_info.value.path == path
 
     def test_pull_oracle_values_follow_block_visibility(self):
         config = invoice_demo_scenario()
