@@ -131,6 +131,8 @@ class PushOracleConfig:
             raise ValueError("cadence must be positive")
         if self.staleness_ms < 0:
             raise ValueError("staleness must be non-negative")
+        if self.active_from_ms < 0:
+            raise ValueError("active_from must be non-negative")
         _check_outages(self.outages)
 
 

@@ -11,9 +11,9 @@ Match/Mismatch for deferred choice races).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .chain import SimTime, Transaction, _Ident
 from .measures import (
@@ -50,14 +50,6 @@ CYCLE = "cycle"
 DEFERRED_CHOICE = "deferred_choice"
 
 
-class CycleExhausted(Exception):
-    pass
-
-
-class NoEligibleBranch(Exception):
-    pass
-
-
 class ModelError(ValueError):
     pass
 
@@ -81,63 +73,6 @@ def classify_absolute(s_tx: SimTime, s_e: SimTime, measured: SimTime) -> Outcome
     if s_e <= s_tx:
         return Outcome.TP
     return Outcome.TN
-
-
-@dataclass(frozen=True)
-class CycleState:
-    """Progress through a cycle's due schedule; indices are 0-based."""
-
-    due_schedule: tuple[SimTime, ...]
-    next_index: int = 0
-
-    def __post_init__(self):
-        if any(b <= a for a, b in zip(self.due_schedule, self.due_schedule[1:])):
-            raise ValueError("due schedule must be strictly increasing")
-
-
-def cycle_advance(
-    state: CycleState, measured_now: SimTime
-) -> tuple[CycleState, bool, list[int]]:
-    """Try to accept the next cycle iteration at the given measured instant.
-
-    Accepts iff the next due time has (measurably) passed. Later iterations
-    whose due times have also passed are reported as missed but not skipped;
-    the counter always advances one iteration at a time.
-    """
-    k = state.next_index
-    if k >= len(state.due_schedule):
-        raise CycleExhausted(f"all {len(state.due_schedule)} iterations consumed")
-    if measured_now < state.due_schedule[k]:
-        return state, False, []
-    missed = [
-        j
-        for j in range(k + 1, len(state.due_schedule))
-        if state.due_schedule[j] < measured_now
-    ]
-    return replace(state, next_index=k + 1), True, missed
-
-
-def resolve_deferred_choice(
-    applied_order: Sequence[tuple[str, bool]],
-    triggers: Mapping[str, SimTime],
-) -> tuple[str, str, Outcome]:
-    """Decide a deferred-choice race and compare against ground truth.
-
-    `applied_order` lists (branch, eligible) per arriving transaction in
-    miner-applied order; the winner is the first eligible one. `triggers`
-    maps each actually-triggered branch to its ground-truth trigger instant
-    (message: sender creation time; timer: due time). Returns
-    (winner, ground-truth winner, Match/Mismatch).
-    """
-    winner = next((branch for branch, eligible in applied_order if eligible), None)
-    if winner is None:
-        raise NoEligibleBranch("no branch was accepted")
-    if not triggers:
-        raise ValueError("at least one ground-truth trigger required")
-    order = {branch: i for i, (branch, _) in enumerate(applied_order)}
-    truth = min(triggers, key=lambda b: (triggers[b], order.get(b, len(order)), b))
-    outcome = Outcome.MATCH if truth == winner else Outcome.MISMATCH
-    return winner, truth, outcome
 
 
 # ---------------------------------------------------------------------------
@@ -323,21 +258,22 @@ class Anchor:
 
 @dataclass
 class _GatewayRound:
+    """An open deferred-choice race: the branches guarded so far, in order."""
+
     gateway_id: str
-    applied: list[tuple[str, bool]] = field(default_factory=list)
-    resolved: bool = False
+    applied: list[str] = field(default_factory=list)
 
 
 @dataclass
 class _EnabledEntry:
     """An enabled element. A timer also carries its due instants, fixed at
-    enablement, and its guard's progress through them: the targets are the
-    dues themselves, or for a delta-guarded timer the dues minus the anchor."""
+    enablement, and the index of the next one its guard waits for; the race
+    it belongs to, until that race is decided."""
 
     anchor: Anchor
     round: _GatewayRound | None = None
     dues: tuple[SimTime, ...] = ()
-    state: CycleState | None = None
+    next_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -385,7 +321,7 @@ class ProcessInstance:
         self._request_counter = itertools.count()
         self._read = _SYNC_READS.get(measure_kind)  # None: ask the pull oracle
         self._pending: dict[int, _PendingGuard] = {}
-        self._message_notes: dict[str, list[tuple[SimTime, bool]]] = {}
+        self._message_notes: dict[str, list[SimTime]] = {}
         start_anchor = Anchor(truth_ms=activation_floor_ms, measured_ms=activation_floor_ms)
         self._enabled = {model.start: self._entry(model.start, start_anchor)}
 
@@ -406,11 +342,11 @@ class ProcessInstance:
     def cycle_next_index(self, element_id: str) -> int:
         """Iterations already accepted for a cycle element (actor view)."""
         entry = self._enabled.get(element_id)
-        return 0 if entry is None or entry.state is None else entry.state.next_index
+        return 0 if entry is None else entry.next_index
 
     def note_message_created(self, element_id: str, s_tx: SimTime) -> None:
         """Record a message transaction's creation for deferred-choice truth."""
-        self._message_notes.setdefault(element_id, []).append((s_tx, False))
+        self._message_notes.setdefault(element_id, []).append(s_tx)
 
     def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> ApplyResult:
         """Advance the state machine by one transaction, if its guard passes."""
@@ -470,10 +406,11 @@ class ProcessInstance:
                 pass  # next anchor stays unmeasured; downstream guards will reject
         round_ = self._enabled[element.id].round
         if round_ is not None:
-            round_.applied.append((element.id, True))
+            round_.applied.append(element.id)
             self._resolve_gateway(round_, element.id, real_now, result)
-        if isinstance(element, MessageCatch):
-            self._consume_message_note(element.id, tx.created_at)
+        notes = self._message_notes.get(element.id, [])
+        if tx.created_at in notes:
+            notes.remove(tx.created_at)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
         if self._read is None:
             result.requests.append(self._request(tx, ctx, next_anchor))
@@ -481,11 +418,13 @@ class ProcessInstance:
         return result
 
     def _guard(self, element, tx, ctx, real_now, measured=None) -> ApplyResult:
-        """Evaluate a timer guard against the next target of its schedule:
-        the measured instant against a due, or for durations and relative
-        cycles the measured interval since the anchor against a required
-        delay. `measured` is a pull-oracle callback's value; without it the
-        guard measures now."""
+        """Evaluate a timer guard against the next due of its schedule: the
+        measured instant against the due, or for durations and relative
+        cycles the measured interval since the anchor against the due minus
+        the anchor. It passes iff the measured value reaches that target, and
+        an acceptance lists the later iterations it has also passed as
+        missed, not skipped. `measured` is a pull-oracle callback's value;
+        without it the guard measures now."""
         entry = self._enabled[element.id]
         if measured is None:
             if self._read is None:
@@ -494,16 +433,20 @@ class ProcessInstance:
                 measured = self._read(ctx)
             except (MissingParameter, UninitializedOracle) as exc:
                 return ApplyResult(status="rejected", reason=type(exc).__name__)
-        truth, observed, delta = tx.created_at, measured, _is_delta(element)
+        truth, observed, offset = tx.created_at, measured, 0
+        delta = _is_delta(element)
         if delta:
             anchor = entry.anchor
             if anchor.measured_ms is None:
                 return ApplyResult(status="rejected", reason="anchor_pending")
-            truth, observed = truth - anchor.truth_ms, measured - anchor.measured_ms
+            offset = anchor.truth_ms
+            truth, observed = truth - offset, measured - anchor.measured_ms
         ctype = _constraint_type(element)
-        iteration = entry.state.next_index
-        target = entry.state.due_schedule[iteration]
-        state, accepted, missed = cycle_advance(entry.state, observed)
+        iteration = entry.next_index
+        target = entry.dues[iteration] - offset
+        accepted = observed >= target
+        later = range(iteration + 1, len(entry.dues)) if accepted else ()
+        missed = [j for j in later if entry.dues[j] - offset < observed]
         record = GuardRecord(
             element=element.id,
             constraint_type=ctype,
@@ -523,15 +466,15 @@ class ProcessInstance:
         self.records.append(record)
         result = ApplyResult(status="accepted", records=[record])
         if entry.round is not None:
-            entry.round.applied.append((element.id, accepted))
+            entry.round.applied.append(element.id)
         if not accepted:
             result.status = "rejected"
             result.reason = _NOT_DUE[ctype]
             return result
         if entry.round is not None:
             self._resolve_gateway(entry.round, element.id, real_now, result)
-        entry.state = state
-        if state.next_index < len(state.due_schedule):
+        entry.next_index += 1
+        if entry.next_index < len(entry.dues):
             return result
         self._advance(element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result)
         return result
@@ -539,30 +482,33 @@ class ProcessInstance:
     # -- gateway handling --------------------------------------------------
 
     def _resolve_gateway(self, round_, winner_branch, real_now, result) -> None:
-        if round_.resolved:
-            return
-        round_.resolved = True
+        """Decide a race at its first acceptance, which wins it. The true
+        winner is the branch triggered first (a message at its creation, a
+        timer at its first due); a tie goes to the branch whose last guard
+        came first, and a never-guarded branch after every guarded one."""
         gateway = self.model.elements[round_.gateway_id]
         triggers = self._gateway_triggers(gateway, real_now)
-        winner, truth_winner, outcome = resolve_deferred_choice(
-            round_.applied, triggers
-        )
+        last = {branch: i for i, branch in enumerate(round_.applied)}
+        never = len(round_.applied)
+        truth_winner = min(triggers, key=lambda b: (triggers[b], last.get(b, never), b))
         record = GuardRecord(
             element=round_.gateway_id,
             constraint_type=DEFERRED_CHOICE,
             measure_kind=self.measure_kind,
-            outcome=outcome,
-            ground_truth_ms=triggers.get(truth_winner),
-            winner=winner,
+            outcome=Outcome.MATCH if truth_winner == winner_branch else Outcome.MISMATCH,
+            ground_truth_ms=triggers[truth_winner],
+            winner=winner_branch,
             truth_winner=truth_winner,
             accepted=True,
         )
         self.records.append(record)
         result.records.append(record)
-        # losing branches leave the enabled set; the winner is removed by _advance
+        # losing branches leave the enabled set and the winner leaves the
+        # race; _advance removes the winner once it has no dues left
         for branch in gateway.branches:
             if branch != winner_branch:
                 self._enabled.pop(branch, None)
+        self._enabled[winner_branch].round = None
 
     def _gateway_triggers(self, gateway, real_now) -> dict[str, SimTime]:
         triggers: dict[str, SimTime] = {}
@@ -571,20 +517,10 @@ class ProcessInstance:
             if isinstance(element, TimerCatch):
                 triggers[branch] = self._enabled[branch].dues[0]
             else:
-                notes = self._message_notes.get(branch, [])
-                candidates = [
-                    s_tx for s_tx, consumed in notes if not consumed and s_tx <= real_now
-                ]
-                if candidates:
-                    triggers[branch] = min(candidates)
+                notes = [s_tx for s_tx in self._message_notes.get(branch, []) if s_tx <= real_now]
+                if notes:
+                    triggers[branch] = min(notes)
         return triggers
-
-    def _consume_message_note(self, element_id, s_tx) -> None:
-        notes = self._message_notes.get(element_id, [])
-        for i, (note_time, consumed) in enumerate(notes):
-            if not consumed and note_time == s_tx:
-                notes[i] = (note_time, True)
-                return
 
     # -- plumbing ----------------------------------------------------------
 
@@ -625,6 +561,5 @@ class ProcessInstance:
             if isinstance(element.spec, CycleAbsTimer) and dues[0] < anchor.truth_ms:
                 raise ModelError("no start due time at or after the activation floor")
             dues = dues[:1]
-        targets = tuple(d - anchor.truth_ms for d in dues) if _is_delta(element) else dues
-        return _EnabledEntry(anchor, round_, dues, CycleState(due_schedule=targets))
+        return _EnabledEntry(anchor, round_, dues)
 

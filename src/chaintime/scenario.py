@@ -8,7 +8,7 @@ named preset (``preset: invoice-demo``) and override individual keys.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
 from types import UnionType
@@ -149,6 +149,9 @@ class ScenarioConfig:
             raise SchemaError("activation_floor_ms", "must be non-negative")
         if not self.measures:
             raise SchemaError("measures", "at least one measure kind required")
+        for i, measure in enumerate(self.measures):
+            if measure in self.measures[:i]:
+                raise SchemaError(f"measures[{i}]", f"measure {measure.value!r} is listed twice")
         if self.cycle_limit < 1:
             raise SchemaError("cycle_limit", "must be >= 1")
 
@@ -446,10 +449,28 @@ def config_to_dict(config: ScenarioConfig) -> dict:
     return _dump(ScenarioConfig, config)
 
 
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """A safe loader that rejects a key given twice in one mapping, at the
+    second key's mark, where safe_load would keep the last value."""
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":
+                key = self.construct_object(key_node)
+                if key in seen:
+                    raise yaml.constructor.ConstructorError(
+                        "while constructing a mapping", node.start_mark,
+                        f"duplicate key {key!r}", key_node.start_mark,
+                    )
+                seen.add(key)
+        return super().construct_mapping(node, deep)
+
+
 def load_scenario(path: str) -> ScenarioConfig:
     """Load, merge (preset), and validate a scenario file."""
     with open(path, "r", encoding="utf-8") as fh:
-        tree = yaml.safe_load(fh)
+        tree = yaml.load(fh, Loader=_UniqueKeyLoader)
     if tree is None:
         raise SchemaError("<root>", "empty scenario file")
     if not isinstance(tree, Mapping):
@@ -620,31 +641,12 @@ def deferred_overtake_scenario() -> ScenarioConfig:
 def deferred_fifo_scenario() -> ScenarioConfig:
     """Zero-delay FIFO variant of the race: arrival order is preserved."""
     base = deferred_overtake_scenario()
-    return ScenarioConfig(
+    mno, customer = base.participants
+    return replace(
+        base,
         name="deferred-fifo",
-        network=NetworkConfig(
-            block_time=constant(10_000),
-            mining_time=constant(0),
-            inclusion_delay=constant(0),
-            genesis_timestamp_ms=0,
-            assumed_mean_block_time_ms=10_000,
-        ),
-        process=base.process,
-        measures=base.measures,
-        participants=(
-            Participant(
-                name="mno",
-                script=(
-                    ScriptEntry(element="start_timer", at_ms=15_000),
-                    ScriptEntry(element="late_timer", at_ms=101_000),
-                ),
-            ),
-            Participant(
-                name="customer",
-                script=(ScriptEntry(element="notice", at_ms=99_000),),
-            ),
-        ),
-        horizon_ms=200_000,
+        network=replace(base.network, mining_time=constant(0), inclusion_delay=constant(0)),
+        participants=(mno, replace(customer, inclusion_delay=None)),
     )
 
 

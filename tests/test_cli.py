@@ -132,6 +132,12 @@ class TestUnreadableInput:
         assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
         assert f"error: {path}:2:13: mapping values are not allowed here" in capsys.readouterr().err
 
+    def test_duplicate_key_names_the_second_one(self, tmp_path, capsys):
+        path = tmp_path / "twice.yaml"
+        path.write_text("preset: deferred-fifo\nhorizon_ms: 150000\nhorizon_ms: 300000\n")
+        assert main(["print-config", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert f"error: {path}:3:1: duplicate key 'horizon_ms'" in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def test_sweep_csv(self, capsys):

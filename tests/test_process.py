@@ -10,8 +10,6 @@ from chaintime.process import (
     CYCLE,
     DEFERRED_CHOICE,
     RELATIVE,
-    CycleExhausted,
-    CycleState,
     EventGateway,
     MessageCatch,
     ModelError,
@@ -22,8 +20,6 @@ from chaintime.process import (
     Task,
     TimerCatch,
     classify_absolute,
-    cycle_advance,
-    resolve_deferred_choice,
 )
 from chaintime.timers import parse_timer
 
@@ -67,51 +63,6 @@ class TestClassifyDelta:
     def test_negative_measured_delta_counts_as_not_met(self):
         # anchor measured at 100, the claim at 90: the interval is -10
         assert classify_absolute(s_tx=100, s_e=5, measured=-10) is Outcome.FN
-
-
-class TestCycleAdvance:
-    def test_accepts_in_order(self):
-        state = CycleState(due_schedule=(100, 200, 300))
-        state, accepted, missed = cycle_advance(state, 150)
-        assert accepted and state.next_index == 1 and missed == []
-
-    def test_rejects_before_due(self):
-        state = CycleState(due_schedule=(100, 200))
-        same, accepted, missed = cycle_advance(state, 99)
-        assert not accepted and same.next_index == 0
-
-    def test_reports_missed_iterations(self):
-        state = CycleState(due_schedule=(100, 200, 300, 400))
-        state, accepted, missed = cycle_advance(state, 350)
-        assert accepted and missed == [1, 2]
-        # missed iterations are still consumable afterwards
-        state, accepted, missed = cycle_advance(state, 350)
-        assert accepted and state.next_index == 2
-
-    def test_exhaustion(self):
-        state = CycleState(due_schedule=(100,), next_index=1)
-        with pytest.raises(CycleExhausted):
-            cycle_advance(state, 500)
-
-
-class TestDeferredChoice:
-    def test_first_eligible_wins(self):
-        winner, truth, outcome = resolve_deferred_choice(
-            [("a", False), ("b", True), ("c", True)], {"b": 10}
-        )
-        assert winner == "b" and truth == "b" and outcome is Outcome.MATCH
-
-    def test_mismatch_when_truth_differs(self):
-        winner, truth, outcome = resolve_deferred_choice(
-            [("timer", True)], {"timer": 100, "msg": 50}
-        )
-        assert winner == "timer" and truth == "msg" and outcome is Outcome.MISMATCH
-
-    def test_trigger_tie_broken_by_applied_order(self):
-        winner, truth, outcome = resolve_deferred_choice(
-            [("a", True), ("b", True)], {"a": 50, "b": 50}
-        )
-        assert truth == "a" and outcome is Outcome.MATCH
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +174,49 @@ class TestEngineRelativeAndRace:
         assert gateway.outcome is Outcome.MATCH
         assert inst.done
 
+    def test_rejected_timer_then_message_wins_with_match(self):
+        inst = make_instance()
+        started(inst, at=1_500)
+        early = claim("wait", 3_000)  # delta 1500 < 2000
+        assert inst.apply(early, ctx_for(early), real_now=3_100).status == "rejected"
+        inst.note_message_created("note", 3_200)
+        tx = claim("note", 3_200, sender="customer")
+        result = inst.apply(tx, ctx_for(tx), real_now=3_300)
+        assert result.accepted
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.winner == "note" and gateway.truth_winner == "note"
+        assert gateway.outcome is Outcome.MATCH
+
+    def test_trigger_tie_goes_to_the_branch_guarded_first(self):
+        inst = make_instance()
+        started(inst, at=1_500)  # the timer is due at 3500
+        # created at the due, but claiming 3000: measured delta 1500 < 2000
+        lying = Transaction(id="wait-lie", sender="p", created_at=3_500, op="wait",
+                            timestamp=3_000)
+        assert inst.apply(lying, ctx_for(lying), real_now=3_600).status == "rejected"
+        inst.note_message_created("note", 3_500)
+        tx = claim("note", 3_500, sender="customer")
+        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.winner == "note" and gateway.truth_winner == "wait"
+        assert gateway.outcome is Outcome.MISMATCH and gateway.ground_truth_ms == 3_500
+
+    @pytest.mark.parametrize("rejections", [0, 1, 2])
+    def test_trigger_tie_with_an_unguarded_branch_ignores_rejections(self, rejections):
+        # the message is created at the timer's due but not yet included: the
+        # guarded timer takes the tie however often it was rejected first
+        inst = make_instance()
+        started(inst, at=1_500)
+        inst.note_message_created("note", 3_500)
+        for i in range(rejections):
+            early = claim("wait", 3_000 + i)
+            assert inst.apply(early, ctx_for(early), real_now=3_100).status == "rejected"
+        tx = claim("wait", 3_600)
+        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.winner == "wait" and gateway.truth_winner == "wait"
+        assert gateway.outcome is Outcome.MATCH
+
 
 class TestEngineCycle:
     def advance_to_cycle(self, inst):
@@ -253,6 +247,22 @@ class TestEngineCycle:
         assert result.accepted
         assert result.records[0].missed_iterations == (1,)
         assert inst.cycle_next_index("cycle") == 1  # second iteration still pending
+        again = claim("cycle", 9_000, tx_id="cycle-9000-again")
+        result = inst.apply(again, ctx_for(again), real_now=9_100)
+        assert result.accepted and result.records[0].iteration == 1
+        assert result.records[0].missed_iterations == ()
+        assert inst.done
+
+    def test_claim_after_the_last_iteration_is_not_enabled(self):
+        inst = make_instance()
+        self.advance_to_cycle(inst)
+        for at in (4_700, 5_700):
+            tx = claim("cycle", at)
+            assert inst.apply(tx, ctx_for(tx), real_now=at + 100).accepted
+        extra = claim("cycle", 6_700)
+        result = inst.apply(extra, ctx_for(extra), real_now=6_800)
+        assert result.status == "rejected" and result.reason == "element_not_enabled"
+        assert result.records == []
 
 
 class TestRequestResponse:

@@ -238,6 +238,10 @@ TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_
         malformed("deferred-overtake", ["network", "genesis_timestamp_ms"], -1,
                   "network.genesis_timestamp_ms"),
         malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]"),
+        malformed("invoice-demo", ["oracles", "push", 0, "active_from_ms"], -5_000,
+                  "oracles.push[0]"),
+        malformed("deferred-fifo", ["measures"], ["block_timestamp", "block_timestamp"],
+                  "measures[1]"),
         # script entries that could never fire
         malformed("invoice-demo", ["participants", 0, "script", 1],
                   {"element": "send_invoice", "on_due": True},

@@ -10,6 +10,8 @@ from chaintime.dists import constant, normal, uniform
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import Outcome
 from chaintime.scenario import (
+    INVOICE_START_DUE,
+    MS_PER_DAY,
     FaultConfig,
     SchemaError,
     NetworkConfig,
@@ -281,6 +283,33 @@ class TestRunMechanics:
     def test_unused_oracles_not_simulated_by_default(self):
         trace = run(invoice_demo_scenario(), seed=3, measure=MeasureKind.BLOCK_TIMESTAMP)
         assert trace.oracle_events == []
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_measure_does_not_touch_chain_or_oracle_updates(self, seed):
+        # a shortened invoice-demo: two days of history, a 10-minute feed
+        base = invoice_demo_scenario()
+        genesis = INVOICE_START_DUE - 2 * MS_PER_DAY
+        config = replace(
+            base,
+            network=replace(base.network, genesis_timestamp_ms=genesis),
+            activation_floor_ms=genesis,
+            push_oracles=(replace(base.push_oracles[0], cadence_ms=600_000),),
+            simulate_unused_oracles=True,
+        )
+        seen = []
+        for measure in MeasureKind:
+            trace = run(config, seed, measure)
+            updates = {
+                tx_id: meta for tx_id, meta in trace.tx_meta.items()
+                if tx_id.startswith("oracle:timefeed-")
+            }
+            assert updates
+            seen.append((trace.chain.timestamps, trace.chain.mining_durations, updates))
+        timestamps, mining, updates = seen[0]
+        for other in seen[1:]:
+            assert np.array_equal(other[0], timestamps)
+            assert np.array_equal(other[1], mining)
+            assert other[2] == updates
 
     def test_miner_ordering_does_not_touch_block_schedule(self):
         base = deferred_overtake_scenario()
