@@ -454,6 +454,8 @@ class _UniqueKeyLoader(yaml.SafeLoader):
     second key's mark, where safe_load would keep the last value."""
 
     def construct_mapping(self, node, deep=False):
+        if not isinstance(node, yaml.MappingNode):
+            return super().construct_mapping(node, deep)
         seen = set()
         for key_node, _ in node.value:
             if isinstance(key_node, yaml.ScalarNode) and key_node.tag != "tag:yaml.org,2002:merge":

@@ -138,6 +138,13 @@ class TestUnreadableInput:
         assert main(["print-config", "--scenario", str(path)]) == EXIT_SCENARIO
         assert f"error: {path}:3:1: duplicate key 'horizon_ms'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["!!map foo", "!!map [a, b]", "!!set foo"])
+    def test_mapping_tag_on_a_non_mapping(self, tmp_path, capsys, value):
+        path = tmp_path / "tagged.yaml"
+        path.write_text(f"preset: deferred-fifo\nhorizon_ms: {value}\n")
+        assert main(["print-config", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert f"error: {path}:2:13: expected a mapping node" in capsys.readouterr().err
+
 
 class TestSweepAndReport:
     def test_sweep_csv(self, capsys):
