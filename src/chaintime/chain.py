@@ -1,9 +1,9 @@
 """Ledger data model: block columns, transactions, and the trace export.
 
-Timestamps are integer milliseconds since the simulation epoch. The chain
-stores block columns (timestamps, mining durations) as numpy arrays so that
-multi-million-block runs stay cheap; transactions are kept sparsely per
-block since most simulated blocks are empty.
+Timestamps are integer milliseconds since the simulation epoch. A chain is a
+frozen value: its block columns (timestamps, mining durations) are numpy
+arrays so that multi-million-block runs stay cheap, and its transactions are
+kept sparsely per block, since most simulated blocks are empty.
 """
 
 from __future__ import annotations
@@ -48,27 +48,22 @@ class Transaction:
             raise ValueError("priority must be non-negative")
 
 
+@dataclass(frozen=True, eq=False)
 class Chain:
-    """Ordered list of blocks numbered consecutively from 0 (genesis).
+    """Blocks numbered consecutively from 0 (genesis): the timestamp and
+    mining duration columns, and the transactions of each non-empty block
+    by number. Build one with from_schedule, which checks the columns."""
 
-    A chain is built in one shot by from_schedule, which enforces strictly
-    increasing timestamps; a bare Chain() is empty.
-    """
-
-    def __init__(self):
-        self._timestamps = np.empty(0, dtype=np.int64)
-        self._mining = np.empty(0, dtype=np.int64)
-        self._txs: dict[int, tuple[Transaction, ...]] = {}
+    timestamps: np.ndarray
+    mining_durations: np.ndarray
+    txs: Mapping[int, tuple[Transaction, ...]]
 
     @classmethod
     def from_schedule(
-        cls,
-        timestamps: np.ndarray,
-        mining_durations: np.ndarray,
+        cls, timestamps: np.ndarray, mining_durations: np.ndarray,
         txs_by_block: Mapping[int, tuple[Transaction, ...]] | None = None,
     ) -> "Chain":
         """Build a chain in one shot from precomputed block columns."""
-        chain = cls()
         timestamps = np.asarray(timestamps, dtype=np.int64)
         mining_durations = np.asarray(mining_durations, dtype=np.int64)
         if timestamps.shape != mining_durations.shape:
@@ -77,29 +72,20 @@ class Chain:
             raise NonMonotonicTimestamp("bulk schedule is not strictly increasing")
         if np.any(mining_durations < 0):
             raise ValueError("mining durations must be non-negative")
-        chain._timestamps = timestamps
-        chain._mining = mining_durations
-        for number, txs in (txs_by_block or {}).items():
+        txs = {}
+        for number, block_txs in (txs_by_block or {}).items():
             if not 0 <= number < len(timestamps):
                 raise OutOfRange(f"no block {number} in schedule")
-            chain._txs[number] = tuple(txs)
-        return chain
+            txs[number] = tuple(block_txs)
+        return cls(timestamps, mining_durations, txs)
 
     def __len__(self) -> int:
-        return len(self._timestamps)
-
-    @property
-    def timestamps(self) -> np.ndarray:
-        return self._timestamps
-
-    @property
-    def mining_durations(self) -> np.ndarray:
-        return self._mining
+        return len(self.timestamps)
 
     def export_trace(self, stream: IO[str]) -> None:
         """Write the line-delimited trace: one block line, then its tx lines."""
-        tx_blocks = self._txs
+        timestamps, mining, tx_blocks = self.timestamps, self.mining_durations, self.txs
         for i in range(len(self)):
-            stream.write(f"block,{i},{int(self._timestamps[i])},{int(self._mining[i])}\n")
+            stream.write(f"block,{i},{int(timestamps[i])},{int(mining[i])}\n")
             for tx in tx_blocks.get(i, ()):
                 stream.write(f"tx,{tx.id},{tx.created_at},{tx.sender},{tx.op}\n")

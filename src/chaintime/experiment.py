@@ -9,7 +9,7 @@ seed list.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, IO, Iterable
 
 from .measures import MeasureKind
@@ -81,12 +81,15 @@ def sweep(
     measures: Iterable[MeasureKind] | None = None,
     per_run: Callable[[RunTrace], None] | None = None,
 ) -> MetricsReport:
-    """Run every (seed, measure) combination, aggregating as it goes."""
+    """Run every (seed, measure) combination, aggregating as it goes.
+    measures replaces config.measures and is checked the same way: a
+    repeated measure, or none, is a SchemaError."""
+    if measures is not None:
+        config = replace(config, measures=tuple(measures))
     seed_list = tuple(seeds)
-    chosen = tuple(measures) if measures is not None else config.measures
     report = MetricsReport(scenario=config.name, seeds=seed_list)
     for seed in seed_list:
-        for measure in chosen:
+        for measure in config.measures:
             trace = run(config, seed, measure)
             report.add_trace(trace)
             if per_run is not None:

@@ -16,14 +16,7 @@ from enum import Enum
 from typing import Mapping
 
 from .chain import SimTime, Transaction, _Ident
-from .measures import (
-    _SYNC_READS,
-    ChainParams,
-    MeasureKind,
-    MissingParameter,
-    TxContext,
-    UninitializedOracle,
-)
+from .measures import _SYNC_READS, MeasureKind, MissingParameter, TxContext, UninitializedOracle
 from .timers import (
     CycleAbsTimer,
     CycleRelTimer,
@@ -307,14 +300,12 @@ class ProcessInstance:
         self,
         model: ProcessModel,
         measure_kind: MeasureKind,
-        chain_params: ChainParams,
         activation_floor_ms: SimTime = 0,
         cycle_limit: int = 64,
     ):
         model.validate()
         self.model = model
         self.measure_kind = measure_kind
-        self.chain_params = chain_params
         self.cycle_limit = cycle_limit
         self.records: list[GuardRecord] = []
         self.done = False
@@ -352,6 +343,7 @@ class ProcessInstance:
         """Advance the state machine by one transaction, if its guard passes."""
         element_id = tx.op
         if self.done or element_id not in self._enabled:
+            self._drop_note(tx)  # a refused message never triggers a race
             return ApplyResult(status="rejected", reason="element_not_enabled")
         element = self.model.elements[element_id]
         if isinstance(element, (Task, MessageCatch)):
@@ -408,9 +400,7 @@ class ProcessInstance:
         if round_ is not None:
             round_.applied.append(element.id)
             self._resolve_gateway(round_, element.id, real_now, result)
-        notes = self._message_notes.get(element.id, [])
-        if tx.created_at in notes:
-            notes.remove(tx.created_at)
+        self._drop_note(tx)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
         if self._read is None:
             result.requests.append(self._request(tx, ctx, next_anchor))
@@ -523,6 +513,13 @@ class ProcessInstance:
         return triggers
 
     # -- plumbing ----------------------------------------------------------
+
+    def _drop_note(self, tx) -> None:
+        """Forget a message claim's creation note once the contract has
+        accepted or refused the claim."""
+        notes = self._message_notes.get(tx.op, [])
+        if tx.created_at in notes:
+            notes.remove(tx.created_at)
 
     def _request(self, tx, ctx, anchor=None) -> int:
         """Register a pull-oracle query for a parked guard or a pending anchor."""

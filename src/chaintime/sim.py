@@ -8,16 +8,22 @@ ordered by (time, kind, insertion). At equal instants transaction creations
 apply before oracle update ticks, then block sealing, block visibility, and
 oracle callbacks. A sealed block's pull-oracle requests and newly enabled
 elements are the args of its visibility event, which is scheduled only when
-the block has something to announce. Likewise each pending transaction
-carries the call that executes it when its block seals: a claim goes to the
-process, a callback to its parked guard, an update to its oracle cell.
+the block has something to announce.
+
+Claims, oracle updates and callbacks are all made by one ``_send``, which
+numbers them per sender. Each carries the call that executes it when its
+block seals: a claim goes to the process, a callback to its parked guard, an
+update to the log (and, from ``oracles.push[0]``, the one storage cell the
+storage-oracle measure reads). Draws come from named substreams made on
+first use: ``delay/<sender>``, ``participant/<name>`` and ``miner/order``.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +32,6 @@ from .measures import (
     ChainParams,
     MeasureKind,
     OracleCell,
-    PullOracleConfig,
     PushOracleConfig,
     TxContext,
     in_outage,
@@ -64,11 +69,11 @@ class RunTrace:
     measure: MeasureKind
     chain: Chain
     real_starts: np.ndarray
-    records: list = field(default_factory=list)
-    oracle_events: list[tuple[str, str, SimTime, int]] = field(default_factory=list)
-    tx_meta: dict[str, TxMeta] = field(default_factory=dict)
-    dropped: list[str] = field(default_factory=list)
-    stuck: list = field(default_factory=list)
+    records: list
+    oracle_events: list[tuple[str, str, SimTime, int]]
+    tx_meta: dict[str, TxMeta]
+    dropped: list[str]
+    stuck: list
 
     def export_trace(self, stream) -> None:
         self.chain.export_trace(stream)
@@ -127,45 +132,29 @@ class _Runner:
         self.seed = seed
         self.measure = measure
         self.starts, self.timestamps, self.mining = block_schedule(config, seed)
-        self.n_blocks = len(self.starts)
         self.chain_params = ChainParams(
             genesis_timestamp=int(self.timestamps[0]),
             assumed_mean_block_time_ms=config.network.assumed_mean_block_time_ms,
         )
-        self.instance = None
-        if config.process is not None:
-            self.instance = ProcessInstance(
-                model=config.process,
-                measure_kind=measure,
-                chain_params=self.chain_params,
-                activation_floor_ms=config.activation_floor_ms,
-                cycle_limit=config.cycle_limit,
-            )
-        drive_all = config.simulate_unused_oracles
-        self.push_configs = tuple(
-            config.push_oracles
-            if (drive_all or measure is MeasureKind.STORAGE_ORACLE)
-            else ()
+        self.instance = None if config.process is None else ProcessInstance(
+            config.process, measure, activation_floor_ms=config.activation_floor_ms,
+            cycle_limit=config.cycle_limit,
         )
-        self.pull_config: PullOracleConfig | None = None
-        if config.pull_oracles and (
-            drive_all or measure is MeasureKind.REQUEST_RESPONSE_ORACLE
-        ):
-            self.pull_config = config.pull_oracles[0]
-        self.cells = {p.provider: OracleCell(p.provider) for p in self.push_configs}
-        self.read_cell = (
-            self.cells[self.push_configs[0].provider] if self.push_configs else None
-        )
+        drive_push = config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
+        self.push_configs = tuple(config.push_oracles) if drive_push else ()
+        # only the request/response measure makes requests
+        self.pull_config = config.pull_oracles[0] if config.pull_oracles else None
+        # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
+        self.cell = OracleCell(self.push_configs[0].provider) if self.push_configs else None
+        self.inclusion_delays = {
+            p.name: p.inclusion_delay for p in config.participants
+            if p.inclusion_delay is not None
+        }
 
         self.heap: list = []
         self.seq = itertools.count()
-        self.tx_counters: dict[str, itertools.count] = {}
-        self.delay_rngs: dict[str, np.random.Generator] = {}
-        self.actor_rngs: dict[str, np.random.Generator] = {}
-        self.miner_rng = substream(seed, "miner/order")
-        self.participants: dict[str, Participant] = {
-            p.name: p for p in config.participants
-        }
+        self.sent: Counter[str] = Counter()  # transactions created per sender
+        self.streams: dict[str, np.random.Generator] = {}
 
         # blocks seal in number order; a key of pending_by_block is a block whose
         # seal event is scheduled, its entries (visible_at, tx, execute, args)
@@ -173,51 +162,42 @@ class _Runner:
         self.last_sealed = 0  # genesis carries no transactions
         self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
 
-        self.trace = RunTrace(
-            scenario=config.name,
-            seed=seed,
-            measure=measure,
-            chain=Chain(),
-            real_starts=self.starts,
-        )
+        self.oracle_events: list[tuple[str, str, SimTime, int]] = []
+        self.tx_meta: dict[str, TxMeta] = {}
+        self.dropped: list[str] = []
 
     # -- event plumbing ----------------------------------------------------
 
     def _push(self, at: SimTime, kind: int, handler, *args) -> None:
         heapq.heappush(self.heap, (at, kind, next(self.seq), handler, args))
 
-    def _next_tx_id(self, sender: str) -> str:
-        counter = self.tx_counters.setdefault(sender, itertools.count())
-        return f"{sender}-{next(counter)}"
-
-    def _delay_for(self, sender: str) -> int:
-        dist = self.config.network.inclusion_delay
-        participant = self.participants.get(sender)
-        if participant is not None and participant.inclusion_delay is not None:
-            dist = participant.inclusion_delay
-        rng = self.delay_rngs.get(sender)
+    def _stream(self, name: str) -> np.random.Generator:
+        """The run's named substream, made on first use."""
+        rng = self.streams.get(name)
         if rng is None:
-            rng = self.delay_rngs[sender] = substream(self.seed, f"delay/{sender}")
-        return max(0, dist.sample_one(rng))
-
-    def _actor_rng(self, name: str) -> np.random.Generator:
-        rng = self.actor_rngs.get(name)
-        if rng is None:
-            rng = self.actor_rngs[name] = substream(self.seed, f"participant/{name}")
+            rng = self.streams[name] = substream(self.seed, name)
         return rng
+
+    def _send(self, now: SimTime, sender: str, op: str, execute, *args, **fields) -> None:
+        """Create the sender's next transaction and submit it."""
+        n = self.sent[sender]
+        self.sent[sender] = n + 1
+        tx = Transaction(id=f"{sender}-{n}", sender=sender, created_at=now, op=op, **fields)
+        self._submit(tx, execute, *args)
 
     def _submit(self, tx: Transaction, execute, *args) -> None:
         """Assign a created transaction to the first block mined after it
         becomes visible to the network and not sealed yet; sealing runs
         execute(now, tx, number, position, *args)."""
-        visible = tx.created_at + self._delay_for(tx.sender)
+        dist = self.inclusion_delays.get(tx.sender, self.config.network.inclusion_delay)
+        visible = tx.created_at + max(0, dist.sample_one(self._stream(f"delay/{tx.sender}")))
         idx = int(np.searchsorted(self.starts, visible, side="left"))
         idx = max(idx, self.last_sealed + 1)
-        if idx >= self.n_blocks:
-            self.trace.dropped.append(tx.id)
-            self.trace.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, None)
+        if idx >= len(self.starts):
+            self.dropped.append(tx.id)
+            self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, None)
             return
-        self.trace.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx)
+        self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx)
         pending = self.pending_by_block.get(idx)
         if pending is None:
             pending = self.pending_by_block[idx] = []
@@ -233,7 +213,7 @@ class _Runner:
             return sorted(entries, key=lambda e: e[0])
         if policy == "priority_then_arrival":
             return sorted(entries, key=lambda e: (-e[1].priority, e[0]))
-        order = self.miner_rng.permutation(len(entries))
+        order = self._stream("miner/order").permutation(len(entries))
         return [entries[int(i)] for i in order]
 
     def _seal_block(self, now: SimTime, number: int) -> None:
@@ -262,70 +242,57 @@ class _Runner:
             block_timestamp=int(self.timestamps[number]),
             position_in_block=position,
             chain_params=self.chain_params,
-            oracle_view=self.read_cell,
+            oracle_view=self.cell,
         )
         return self.instance.apply(tx, ctx, now)
 
     def _block_visible(self, now: SimTime, request_ids: list[int], enabled: list[str]) -> None:
+        """The pull oracle sees the block's requests, then participants see
+        its newly enabled elements."""
+        pull = self.pull_config
         for request_id in request_ids:
-            self._observe_request(request_id, now)
+            self.oracle_events.append((pull.provider, "request", now, request_id))
+            if not in_outage(pull.outages, now):
+                self._push(
+                    now + pull.latency_ms, K_ORACLE_CALLBACK, self._create_callback, request_id
+                )
         self._notify(now, enabled)
 
-    # -- pull oracle -------------------------------------------------------
-
-    def _observe_request(self, request_id: int, observed_at: SimTime) -> None:
-        pull = self.pull_config
-        self.trace.oracle_events.append((pull.provider, "request", observed_at, request_id))
-        if in_outage(pull.outages, observed_at):
-            return
-        self._push(
-            observed_at + pull.latency_ms, K_ORACLE_CALLBACK, self._create_callback, request_id
-        )
+    # -- oracles -----------------------------------------------------------
 
     def _create_callback(self, now: SimTime, request_id: int) -> None:
         pull = self.pull_config
+        self.oracle_events.append((pull.provider, "callback", now, now))
         sender = f"oracle:{pull.provider}"
-        tx = Transaction(
-            id=self._next_tx_id(sender), sender=sender, created_at=now, op="__callback__"
-        )
-        self.trace.oracle_events.append((pull.provider, "callback", now, now))
-        self._submit(tx, self._deliver_callback, request_id)
+        self._send(now, sender, "__callback__", self._deliver_callback, request_id)
 
     def _deliver_callback(self, now, tx, number, position, request_id: int) -> ApplyResult:
         """The callback answers with the instant it was created."""
         return self.instance.on_callback(request_id, tx.created_at, now)
 
-    # -- push oracle -------------------------------------------------------
-
     def _oracle_tick(self, now: SimTime, push: PushOracleConfig) -> None:
         """An update transaction; so_update_times already skips outages."""
-        value = now - push.staleness_ms
-        sender = f"oracle:{push.provider}"
-        tx = Transaction(
-            id=self._next_tx_id(sender), sender=sender, created_at=now, op="__oracle_update__"
+        self._send(
+            now, f"oracle:{push.provider}", "__oracle_update__",
+            self._write_update, push.provider, now - push.staleness_ms,
         )
-        self._submit(tx, self._write_update, push.provider, value)
 
     def _write_update(self, now, tx, number, position, provider: str, value: SimTime) -> None:
-        self.cells[provider].write((number, position), value)
-        self.trace.oracle_events.append((provider, "update", now, value))
+        if provider == self.cell.provider:
+            self.cell.write((number, position), value)
+        self.oracle_events.append((provider, "update", now, value))
 
     # -- participants ------------------------------------------------------
 
     def _create_claim(self, now: SimTime, participant: Participant, entry: ScriptEntry) -> None:
-        tx = Transaction(
-            id=self._next_tx_id(participant.name),
-            sender=participant.name,
-            created_at=now,
-            op=entry.element,
-            timestamp=now + participant.lie_ms,
-            priority=entry.priority,
-        )
         if self.instance is not None:
             element = self.config.process.elements.get(entry.element)
             if isinstance(element, MessageCatch):
                 self.instance.note_message_created(entry.element, now)
-        self._submit(tx, self._apply_claim)
+        self._send(
+            now, participant.name, entry.element, self._apply_claim,
+            timestamp=now + participant.lie_ms, priority=entry.priority,
+        )
 
     def _notify(self, now: SimTime, enabled: list[str]) -> None:
         enabled_set = set(enabled)
@@ -345,7 +312,7 @@ class _Runner:
         self, now: SimTime, participant: Participant, entry: ScriptEntry
     ) -> None:
         dues = self.instance.element_due_times(entry.element)
-        rng = self._actor_rng(participant.name)
+        rng = self._stream(f"participant/{participant.name}")
         for iteration, due in enumerate(dues):
             jitter = entry.jitter.sample_one(rng) if entry.jitter is not None else 0
             first = max(now, due + entry.jitter_offset_ms + jitter)
@@ -392,11 +359,16 @@ class _Runner:
                 break
             handler(at, *args)
 
+        records, stuck = [], []
         if self.instance is not None:
-            self.trace.stuck = self.instance.finalize(horizon)
-            self.trace.records = list(self.instance.records)
-        self.trace.chain = Chain.from_schedule(self.timestamps, self.mining, self.txs_by_block)
-        return self.trace
+            stuck = self.instance.finalize(horizon)
+            records = list(self.instance.records)
+        return RunTrace(
+            scenario=self.config.name, seed=self.seed, measure=self.measure,
+            chain=Chain.from_schedule(self.timestamps, self.mining, self.txs_by_block),
+            real_starts=self.starts, records=records, oracle_events=self.oracle_events,
+            tx_meta=self.tx_meta, dropped=self.dropped, stuck=stuck,
+        )
 
 
 def run(config: ScenarioConfig, seed: int, measure: MeasureKind | None = None) -> RunTrace:

@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from chaintime.experiment import (
     MetricsReport,
     RECORD_HEADER,
@@ -13,7 +15,7 @@ from chaintime.experiment import (
 )
 from chaintime.measures import MeasureKind
 from chaintime.process import Outcome
-from chaintime.scenario import deferred_fifo_scenario, deferred_overtake_scenario
+from chaintime.scenario import SchemaError, deferred_fifo_scenario, deferred_overtake_scenario
 from chaintime.sim import run
 
 
@@ -41,6 +43,17 @@ class TestSweep:
         config = deferred_overtake_scenario()
         report = sweep(config, (0,), measures=(MeasureKind.BLOCK_TIMESTAMP,))
         assert all(measure is MeasureKind.BLOCK_TIMESTAMP for measure, _ in report.cells)
+
+    @pytest.mark.parametrize(
+        "measures, path",
+        [([MeasureKind.BLOCK_TIMESTAMP, MeasureKind.BLOCK_TIMESTAMP], "measures[1]"),
+         ([], "measures")],
+    )
+    def test_measures_argument_is_checked_like_the_config(self, measures, path):
+        # a repeated measure would count every cell twice
+        with pytest.raises(SchemaError) as exc_info:
+            sweep(deferred_fifo_scenario(), (0, 1), measures=measures)
+        assert exc_info.value.path == path
 
 
 class TestEmission:

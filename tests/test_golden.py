@@ -1,4 +1,4 @@
-"""Golden slice: the first pinned item of three benchmark workloads, recomputed.
+"""Golden slice: the first pinned item of each benchmark workload, recomputed.
 
 Each item's output digests (records, csv, markdown, trace export) and counts
 must equal the values in perfbench/pinned.json, and its guard records must
@@ -20,7 +20,8 @@ import workloads  # noqa: E402
 PINNED = json.loads((PERFBENCH / "pinned.json").read_text())
 
 
-@pytest.mark.parametrize("name", ["race-sweep", "invoice-sweep", "trace-export"])
+# oracle-flood is the one workload that drives a bystander push provider
+@pytest.mark.parametrize("name", ["race-sweep", "invoice-sweep", "oracle-flood", "trace-export"])
 def test_first_pinned_item_reproduces(name):
     result = workloads.WORKLOADS[name]().run_item(0)
     expected = PINNED[name]["default"]["0"]

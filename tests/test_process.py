@@ -85,7 +85,7 @@ def race_model() -> ProcessModel:
 
 
 def make_instance(measure=MeasureKind.PARAMETER) -> ProcessInstance:
-    return ProcessInstance(race_model(), measure, PARAMS)
+    return ProcessInstance(race_model(), measure)
 
 
 def claim(element: str, at: int, tx_id: str = None, sender: str = "p") -> Transaction:
@@ -217,6 +217,20 @@ class TestEngineRelativeAndRace:
         assert gateway.winner == "wait" and gateway.truth_winner == "wait"
         assert gateway.outcome is Outcome.MATCH
 
+    def test_refused_message_claim_never_triggers_the_race(self):
+        # the message is claimed before the gateway is enabled: the contract
+        # refuses it, so it is no trigger once the race is on
+        inst = make_instance()
+        inst.note_message_created("note", 500)
+        early = claim("note", 500, sender="customer")
+        assert inst.apply(early, ctx_for(early), real_now=600).reason == "element_not_enabled"
+        started(inst, at=1_500)
+        tx = claim("wait", 3_600)
+        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
+        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        assert gateway.winner == "wait" and gateway.truth_winner == "wait"
+        assert gateway.outcome is Outcome.MATCH and gateway.ground_truth_ms == 3_500
+
 
 class TestEngineCycle:
     def advance_to_cycle(self, inst):
@@ -296,7 +310,7 @@ def tick_instance(spec: str, enabled_at: int, **kwargs) -> ProcessInstance:
     }
     model = ProcessModel(elements=elements, flows={"start": "tick", "tick": None},
                          start="start")
-    inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS, **kwargs)
+    inst = ProcessInstance(model, MeasureKind.PARAMETER, **kwargs)
     started(inst, at=enabled_at)
     return inst
 
@@ -332,14 +346,13 @@ class TestDueSchedule:
         start = StartTimer(id="start", spec=parse_timer("R3/1970-01-01T00:00:01Z/PT1S"))
         model = ProcessModel(elements={"start": start}, flows={"start": None}, start="start")
         with pytest.raises(ModelError):
-            inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS,
-                                   activation_floor_ms=10_000)
+            inst = ProcessInstance(model, MeasureKind.PARAMETER, activation_floor_ms=10_000)
             inst.element_due_times("start")
 
     def test_start_cycle_due_is_its_first_at_or_after_the_floor(self):
         start = StartTimer(id="start", spec=parse_timer("R3/1970-01-01T00:00:01Z/PT1S"))
         model = ProcessModel(elements={"start": start}, flows={"start": None}, start="start")
-        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS, activation_floor_ms=1_500)
+        inst = ProcessInstance(model, MeasureKind.PARAMETER, activation_floor_ms=1_500)
         assert inst.element_due_times("start") == [2_000]
 
 
@@ -401,7 +414,7 @@ class TestEngineCycleAbsolute:
         }
         flows = {"start": "gate", "tick": None, "note": None}
         model = ProcessModel(elements=elements, flows=flows, start="start")
-        inst = ProcessInstance(model, MeasureKind.PARAMETER, PARAMS)
+        inst = ProcessInstance(model, MeasureKind.PARAMETER)
         started(inst, at=2_500)
         inst.note_message_created("note", 2_700)
         tx = claim("tick", 3_100)
@@ -425,7 +438,7 @@ def anchored_race_instance() -> ProcessInstance:
     }
     flows = {"start": "send", "send": "gate", "wait": None, "cycle": None}
     model = ProcessModel(elements=elements, flows=flows, start="start")
-    return ProcessInstance(model, MeasureKind.REQUEST_RESPONSE_ORACLE, PARAMS)
+    return ProcessInstance(model, MeasureKind.REQUEST_RESPONSE_ORACLE)
 
 
 def callback(inst, request_id: int, value: int):

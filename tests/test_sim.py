@@ -40,6 +40,19 @@ def plain_config(**kwargs) -> ScenarioConfig:
     return ScenarioConfig(**defaults)
 
 
+def short_invoice(**kwargs) -> ScenarioConfig:
+    """invoice-demo on two days of history, with a 10-minute feed."""
+    base = invoice_demo_scenario()
+    genesis = INVOICE_START_DUE - 2 * MS_PER_DAY
+    return replace(
+        base,
+        network=replace(base.network, genesis_timestamp_ms=genesis),
+        activation_floor_ms=genesis,
+        push_oracles=(replace(base.push_oracles[0], cadence_ms=600_000),),
+        **kwargs,
+    )
+
+
 def placements(trace) -> dict[str, tuple[int, int]]:
     """{tx_id: (block, position)} of every included transaction, read from
     the run's trace export."""
@@ -286,16 +299,7 @@ class TestRunMechanics:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_measure_does_not_touch_chain_or_oracle_updates(self, seed):
-        # a shortened invoice-demo: two days of history, a 10-minute feed
-        base = invoice_demo_scenario()
-        genesis = INVOICE_START_DUE - 2 * MS_PER_DAY
-        config = replace(
-            base,
-            network=replace(base.network, genesis_timestamp_ms=genesis),
-            activation_floor_ms=genesis,
-            push_oracles=(replace(base.push_oracles[0], cadence_ms=600_000),),
-            simulate_unused_oracles=True,
-        )
+        config = short_invoice(simulate_unused_oracles=True)
         seen = []
         for measure in MeasureKind:
             trace = run(config, seed, measure)
@@ -310,6 +314,22 @@ class TestRunMechanics:
             assert np.array_equal(other[0], timestamps)
             assert np.array_equal(other[1], mining)
             assert other[2] == updates
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("measure", list(MeasureKind))
+    def test_bystander_participant_changes_no_other_sender(self, measure, seed):
+        # the bystander's one message claim comes an hour before the invoice
+        # window, when the contract refuses it
+        base = short_invoice()
+        entry = ScriptEntry(element="payment_received", at_ms=INVOICE_START_DUE - 3_600_000)
+        bystander = Participant(name="bystander", script=(entry,))
+        alone = run(base, seed, measure)
+        joined = run(replace(base, participants=(*base.participants, bystander)), seed, measure)
+        assert np.array_equal(joined.chain.timestamps, alone.chain.timestamps)
+        assert joined.tx_meta["bystander-0"].block is not None
+        others = {k: v for k, v in joined.tx_meta.items() if v.sender != "bystander"}
+        assert others == alone.tx_meta
+        assert joined.records == alone.records
 
     def test_miner_ordering_does_not_touch_block_schedule(self):
         base = deferred_overtake_scenario()
