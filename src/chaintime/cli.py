@@ -116,13 +116,22 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_report(args) -> int:
     report = MetricsReport(scenario="records", seeds=())
+    scenarios: set[str] = set()
+    seeds: set[int] = set()
     for path in args.records:
-        _ingest_record_file(report, path)
+        _ingest_record_file(report, path, scenarios, seeds)
+    if len(scenarios) == 1:
+        (report.scenario,) = scenarios
+    report.seeds = tuple(sorted(seeds))
     _write_out(args.out, emit_report(report, args.format))
     return EXIT_OK
 
 
-def _ingest_record_file(report: MetricsReport, path: str) -> None:
+def _ingest_record_file(
+    report: MetricsReport, path: str, scenarios: set[str], seeds: set[int]
+) -> None:
+    """Add a record file's records to the report, one run per header line,
+    and its scenario names and seeds to the given sets."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -131,14 +140,18 @@ def _ingest_record_file(report: MetricsReport, path: str) -> None:
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from None
     for lineno, line in enumerate(lines, 1):
-        if not line or line == RECORD_HEADER:
+        if line == RECORD_HEADER:
+            report.runs += 1
+            continue
+        if not line:
             continue
         try:
-            record = _parse_record(line)
+            scenario, seed, record = _parse_record(line)
         except ValueError as exc:
             raise ScenarioInputError(f"{path}:{lineno}: {exc}") from None
+        scenarios.add(scenario)
+        seeds.add(seed)
         report.cell(record.measure_kind, record.constraint_type).add(record)
-        report.runs = max(report.runs, 1)
 
 
 def _cmd_parse_timer(args) -> int:

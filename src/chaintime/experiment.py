@@ -101,14 +101,14 @@ def sweep(
 # Text output
 # ---------------------------------------------------------------------------
 
-def _parse_record(line: str) -> GuardRecord:
-    """A record-stream line back as the record fields a report aggregates;
-    raises ValueError naming the malformed field."""
+def _parse_record(line: str) -> tuple[str, int, GuardRecord]:
+    """A record-stream line back as its scenario, seed and the record fields
+    a report aggregates; raises ValueError naming the malformed field."""
     parts = line.split(",")
     if len(parts) != 8:
         raise ValueError("malformed record line")
-    _, _, measure, constraint, element, truth, measured, outcome = parts
-    return GuardRecord(
+    scenario, seed, measure, constraint, element, truth, measured, outcome = parts
+    return scenario, _parse_field("seed", seed, int), GuardRecord(
         element=element,
         constraint_type=constraint,
         measure_kind=_parse_field("measure", measure, MeasureKind),

@@ -12,7 +12,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import cache
 from types import UnionType
-from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
+from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -31,6 +31,10 @@ from .process import (
 from .timers import TimerParseError, TimerSpec, format_timer, parse_timer
 
 MS_PER_DAY = 86_400_000
+
+DEFAULT_BLOCK_TIME = normal(15_190, 2_710, 4_460, 30_310)
+DEFAULT_MINING_TIME = uniform(500, 2_500)
+DEFAULT_INCLUSION_DELAY = uniform(500, 6_000)
 
 
 class SchemaError(ValueError):
@@ -56,9 +60,9 @@ class SchemaError(ValueError):
 
 @dataclass(frozen=True)
 class NetworkConfig:
-    block_time: Distribution
-    mining_time: Distribution
-    inclusion_delay: Distribution
+    block_time: Distribution = DEFAULT_BLOCK_TIME
+    mining_time: Distribution = DEFAULT_MINING_TIME
+    inclusion_delay: Distribution = DEFAULT_INCLUSION_DELAY
     genesis_timestamp_ms: int = 0
     miner_ordering: str = "fifo_by_arrival"
     assumed_mean_block_time_ms: int = 15_190
@@ -128,13 +132,13 @@ class Participant:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    name: _Ident
-    network: NetworkConfig
+    name: _Ident = "scenario"
+    network: NetworkConfig = NetworkConfig()
     faults: FaultConfig = FaultConfig()
     push_oracles: tuple[PushOracleConfig, ...] = ()
     pull_oracles: tuple[PullOracleConfig, ...] = ()
     process: ProcessModel | None = None
-    activation_floor_ms: int = 0
+    activation_floor_ms: int | None = None  # None: the genesis timestamp
     measures: tuple[MeasureKind, ...] = (MeasureKind.PARAMETER,)
     participants: tuple[Participant, ...] = ()
     # required, so keyword-only to keep its place in the print-config order
@@ -145,6 +149,8 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.horizon_ms <= self.network.genesis_timestamp_ms:
             raise SchemaError("horizon_ms", "must lie after the genesis timestamp")
+        if self.activation_floor_ms is None:
+            object.__setattr__(self, "activation_floor_ms", self.network.genesis_timestamp_ms)
         if self.activation_floor_ms < 0:
             raise SchemaError("activation_floor_ms", "must be non-negative")
         if not self.measures:
@@ -247,22 +253,6 @@ _ELEMENT_TYPES = {
 }
 _ELEMENT_NAMES = {cls: name for name, cls in _ELEMENT_TYPES.items()}
 
-# Defaults a scenario file has and a config built in Python does not; each
-# is called with the fields built so far and the entry's index in its list.
-_FILE_DEFAULTS: dict[tuple[type, str], Callable[[dict, int], Any]] = {
-    (ScenarioConfig, "name"): lambda built, i: "scenario",
-    (ScenarioConfig, "network"): lambda built, i: _build(NetworkConfig, {}, "network"),
-    (ScenarioConfig, "activation_floor_ms"): (
-        lambda built, i: built["network"].genesis_timestamp_ms
-    ),
-    (NetworkConfig, "block_time"): lambda built, i: DEFAULT_BLOCK_TIME,
-    (NetworkConfig, "mining_time"): lambda built, i: DEFAULT_MINING_TIME,
-    (NetworkConfig, "inclusion_delay"): lambda built, i: DEFAULT_INCLUSION_DELAY,
-    (PushOracleConfig, "provider"): lambda built, i: f"push{i}",
-    (PullOracleConfig, "provider"): lambda built, i: f"pull{i}",
-}
-
-
 _SCALARS = {bool: "true or false", int: "an integer", str: "a string"}
 
 
@@ -296,9 +286,8 @@ def _pick(table: Mapping[str, Any], value: Any, path: str, what: str) -> Any:
     return table[value]
 
 
-def _build(tp: Any, value: Any, path: str, index: int = 0) -> Any:
-    """One YAML node built as type hint `tp`, or a SchemaError at its path.
-    `index` is the node's position in its list, for defaults that use it."""
+def _build(tp: Any, value: Any, path: str) -> Any:
+    """One YAML node built as type hint `tp`, or a SchemaError at its path."""
     origin, args = get_origin(tp), get_args(tp)
     if tp is _Ident:
         ok = isinstance(value, str) and value != "" and not any(c in value for c in ",\r\n")
@@ -313,9 +302,9 @@ def _build(tp: Any, value: Any, path: str, index: int = 0) -> Any:
     if tp == Element:
         _expect(isinstance(value, Mapping), value, path, "a mapping")
         cls = _pick(_ELEMENT_TYPES, value.get("type"), _join(path, "type"), "element type")
-        return _build_fields(cls, {k: v for k, v in value.items() if k != "type"}, path, index)
+        return _build_fields(cls, {k: v for k, v in value.items() if k != "type"}, path)
     if origin in (Union, UnionType):  # an optional value: X | None
-        return None if value is None else _build(args[0], value, path, index)
+        return None if value is None else _build(args[0], value, path)
     if tp in _SCALARS:
         ok = isinstance(value, tp) and (tp is bool or not isinstance(value, bool))
         _expect(ok, value, path, _SCALARS[tp])
@@ -326,9 +315,7 @@ def _build(tp: Any, value: Any, path: str, index: int = 0) -> Any:
         _expect(isinstance(value, list), value, path, "a list")
         types = [args[0]] * len(value) if args[-1] is Ellipsis else args
         _expect(len(types) == len(value), value, path, f"a list of {len(types)} values")
-        return tuple(
-            _build(t, v, f"{path}[{i}]", i) for i, (t, v) in enumerate(zip(types, value))
-        )
+        return tuple(_build(t, v, f"{path}[{i}]") for i, (t, v) in enumerate(zip(types, value)))
     if origin is Mapping and args[1] == Element:  # a list of elements keyed by id
         elements: dict[str, Any] = {}
         for i, element in enumerate(_build(tuple[Element, ...], value, path)):
@@ -347,13 +334,11 @@ def _build(tp: Any, value: Any, path: str, index: int = 0) -> Any:
     if tp is Distribution:
         _expect(isinstance(value, Mapping), value, path, "a mapping with a 'kind' key")
         keys = _pick(_DIST_KEYS, value.get("kind"), _join(path, "kind"), "distribution kind")
-        return _build_fields(tp, value, path, index, required=("kind", *keys))
-    return _build_fields(tp, value, path, index)
+        return _build_fields(tp, value, path, required=("kind", *keys))
+    return _build_fields(tp, value, path)
 
 
-def _build_fields(
-    cls: type, value: Any, path: str, index: int, required: tuple[str, ...] = ()
-) -> Any:
+def _build_fields(cls: type, value: Any, path: str, required: tuple[str, ...] = ()) -> Any:
     """A config dataclass from its YAML mapping, one field at a time. Only the
     `required` fields are read if given; otherwise all, each with its default."""
     _expect(isinstance(value, Mapping), value, path, "a mapping")
@@ -368,8 +353,6 @@ def _build_fields(
         field_path = _join(path, *_yaml_key(cls, name))
         if given.get(name) is not None:
             built[name] = _build(_hints(cls)[name], given[name], field_path)
-        elif (cls, name) in _FILE_DEFAULTS:
-            built[name] = _FILE_DEFAULTS[cls, name](built, index)
         elif required or not has_default[name]:
             raise SchemaError(field_path, "required")
     try:
@@ -488,8 +471,13 @@ def load_scenario(path: str) -> ScenarioConfig:
 def _deep_merge(base: dict, override: Mapping) -> dict:
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, Mapping) and isinstance(out.get(key), dict):
-            out[key] = _deep_merge(out[key], value)
+        base_value = out.get(key)
+        # a distribution of another kind replaces the base one whole
+        if (
+            isinstance(value, Mapping) and isinstance(base_value, dict)
+            and value.get("kind", base_value.get("kind")) == base_value.get("kind")
+        ):
+            out[key] = _deep_merge(base_value, value)
         else:
             out[key] = value
     return out
@@ -498,10 +486,6 @@ def _deep_merge(base: dict, override: Mapping) -> dict:
 # ---------------------------------------------------------------------------
 # Presets
 # ---------------------------------------------------------------------------
-
-DEFAULT_BLOCK_TIME = normal(15_190, 2_710, 4_460, 30_310)
-DEFAULT_MINING_TIME = uniform(500, 2_500)
-DEFAULT_INCLUSION_DELAY = uniform(500, 6_000)
 
 GENESIS_2019 = 1_546_300_800_000  # 2019-01-01T00:00:00Z
 INVOICE_START_DUE = 1_577_836_800_000  # 2020-01-01T00:00:00Z
@@ -569,13 +553,7 @@ def invoice_demo_scenario() -> ScenarioConfig:
     )
     return ScenarioConfig(
         name="invoice-demo",
-        network=NetworkConfig(
-            block_time=DEFAULT_BLOCK_TIME,
-            mining_time=DEFAULT_MINING_TIME,
-            inclusion_delay=DEFAULT_INCLUSION_DELAY,
-            genesis_timestamp_ms=GENESIS_2019,
-            assumed_mean_block_time_ms=15_190,
-        ),
+        network=NetworkConfig(genesis_timestamp_ms=GENESIS_2019),
         push_oracles=(
             PushOracleConfig(
                 provider="timefeed",
@@ -585,7 +563,6 @@ def invoice_demo_scenario() -> ScenarioConfig:
         ),
         pull_oracles=(PullOracleConfig(provider="timeserver", latency_ms=30_000),),
         process=invoice_demo_model(),
-        activation_floor_ms=GENESIS_2019,
         measures=tuple(MeasureKind),
         participants=(mno, customer),
         horizon_ms=INVOICE_START_DUE + 18 * MS_PER_DAY,
@@ -617,7 +594,6 @@ def deferred_overtake_scenario() -> ScenarioConfig:
             block_time=constant(10_000),
             mining_time=constant(1_000),
             inclusion_delay=constant(2_000),
-            genesis_timestamp_ms=0,
             assumed_mean_block_time_ms=10_000,
         ),
         process=_deferred_race_model(),

@@ -120,7 +120,7 @@ def block_schedule(
         # running clamp: ts_i = max(ts_{i-1} + 1, starts_i + drift_i)
         timestamps = np.maximum.accumulate(starts + drift - index) + index
     else:
-        timestamps = starts.copy()
+        timestamps = starts
     return starts, timestamps, mining
 
 

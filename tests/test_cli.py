@@ -161,14 +161,17 @@ class TestSweepAndReport:
                   "--out", str(path)])
             paths.append(str(path))
         capsys.readouterr()
-        code = main(["sweep", "--scenario", "deferred-overtake", "--seeds", "2"])
-        assert code == EXIT_OK
-        swept = capsys.readouterr().out
-        code = main(["report", *paths])
-        assert code == EXIT_OK
-        reported = capsys.readouterr().out
-        # same decisions in, same counters and error columns out
-        assert reported == swept
+        for fmt in ("csv", "markdown"):
+            code = main(["sweep", "--scenario", "deferred-overtake", "--seeds", "2",
+                         "--format", fmt])
+            assert code == EXIT_OK
+            swept = capsys.readouterr().out
+            code = main(["report", *paths, "--format", fmt])
+            assert code == EXIT_OK
+            reported = capsys.readouterr().out
+            # same decisions in, same counters and error columns out, and in
+            # markdown the same title and run and seed counts
+            assert reported == swept
 
     def test_report_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -183,6 +186,7 @@ class TestSweepAndReport:
             ("s,0,parameter,absolute,start,15000,1.5,TP", "invalid measured_ms '1.5'"),
             ("s,0,sundial,absolute,start,15000,15000,TP", "invalid measure 'sundial'"),
             ("s,0,parameter,absolute,start,15000,15000,Maybe", "invalid outcome 'Maybe'"),
+            ("s,x,parameter,absolute,start,15000,15000,TP", "invalid seed 'x'"),
         ],
     )
     def test_report_bad_field_is_input_error_with_location(self, tmp_path, capsys, line, message):

@@ -38,7 +38,6 @@ def short_invoice(ordering: str = "fifo_by_arrival", drift: bool = False):
         base,
         network=replace(base.network, genesis_timestamp_ms=genesis, miner_ordering=ordering),
         faults=replace(base.faults, miner_drift_enabled=drift),
-        activation_floor_ms=genesis,
         participants=(replace(mno, script=script), customer),
     )
 

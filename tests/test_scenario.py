@@ -103,6 +103,14 @@ class TestSchema:
         with pytest.raises(SchemaError):
             build_config(tree)
 
+    def test_omitted_fields_take_the_constructor_defaults(self):
+        config = build_config({"network": {"genesis_timestamp_ms": 5000}, "horizon_ms": 10**6})
+        assert config == ScenarioConfig(
+            network=NetworkConfig(genesis_timestamp_ms=5000), horizon_ms=10**6
+        )
+        # an unset activation floor is the genesis timestamp, in Python and in files
+        assert config.activation_floor_ms == 5000
+
     def test_script_element_must_exist_in_process(self):
         config = invoice_demo_scenario()
         tree = config_to_dict(config)
@@ -159,6 +167,30 @@ class TestPresetOverride:
         assert config.measures == (MeasureKind.PARAMETER,)
         # untouched keys keep their preset values
         assert config.push_oracles[0].provider == "timefeed"
+
+    def test_kind_override_replaces_preset_distribution(self, tmp_path):
+        path = tmp_path / "override.yaml"
+        path.write_text(
+            "preset: invoice-demo\n"
+            "network:\n"
+            "  inclusion_delay: {kind: constant, value_ms: 1000}\n"
+            "  block_time: {mean_ms: 16000}\n"
+        )
+        network = load_scenario(str(path)).network
+        assert network.inclusion_delay == constant(1_000)
+        # a partial override of the same kind still merges into the preset's
+        assert network.block_time == normal(16_000, 2_710, 4_460, 30_310)
+
+    def test_oracle_entry_must_name_its_provider(self, tmp_path):
+        path = tmp_path / "override.yaml"
+        path.write_text(
+            "preset: invoice-demo\n"
+            "oracles:\n"
+            "  push: [{cadence_ms: 30000}]\n"
+        )
+        with pytest.raises(SchemaError) as exc_info:
+            load_scenario(str(path))
+        assert exc_info.value.path == "oracles.push[0].provider"
 
     def test_unknown_preset(self, tmp_path):
         path = tmp_path / "bad.yaml"
