@@ -44,7 +44,7 @@ from .scenario import (
     SCENARIO_PRESETS,
     load_scenario,
 )
-from .sim import RunTrace, block_schedule, run
+from .sim import RunTrace, SeedWorld, block_schedule, run
 from .timers import (
     CycleAbsTimer,
     CycleRelTimer,
@@ -70,7 +70,7 @@ __all__ = [
     "substream",
     "FaultConfig", "NetworkConfig", "Participant", "ScenarioConfig",
     "SchemaError", "ScriptEntry", "SCENARIO_PRESETS", "load_scenario",
-    "RunTrace", "block_schedule", "run",
+    "RunTrace", "SeedWorld", "block_schedule", "run",
     "CycleAbsTimer", "CycleRelTimer", "DateTimer", "DurationTimer",
     "TimerParseError", "due_times", "format_timer", "parse_timer",
 ]

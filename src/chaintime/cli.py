@@ -1,14 +1,15 @@
 """Command-line front end.
 
 Subcommands: run (one seeded run, record stream out), sweep (seed range,
-aggregated report), report (re-aggregate saved record streams), parse-timer,
-demo-invoice, and print-config. Exit codes: 0 success, 1 scenario/input
-error, 2 runtime failure.
+aggregated report), report (re-aggregate saved record streams), parse-timer
+and print-config. Exit codes: 0 success, 1 scenario/input error, 2 runtime
+failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from dataclasses import asdict
 
@@ -75,30 +76,20 @@ def _measure_arg(value: str | None) -> MeasureKind | None:
         ) from None
 
 
-def _open_out(path: str | None):
-    if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8"), True
-
-
 def _write_out(path: str | None, text: str) -> None:
-    stream, close = _open_out(path)
-    try:
-        stream.write(text)
-    finally:
-        if close:
-            stream.close()
+    if path is None or path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_run(args) -> int:
     config = _resolve_scenario(args.scenario)
     trace = run(config, args.seed, _measure_arg(args.measure))
-    stream, close = _open_out(args.out)
-    try:
-        write_records(trace, stream)
-    finally:
-        if close:
-            stream.close()
+    records = io.StringIO()
+    write_records(trace, records)
+    _write_out(args.out, records.getvalue())
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as fh:
             trace.export_trace(fh)
@@ -169,13 +160,6 @@ def _cmd_parse_timer(args) -> int:
     return EXIT_OK
 
 
-def _cmd_demo_invoice(args) -> int:
-    config = SCENARIO_PRESETS["invoice-demo"]()
-    report = sweep(config, range(args.seed, args.seed + args.seeds))
-    _write_out(args.out, emit_report(report, args.format))
-    return EXIT_OK
-
-
 def _cmd_print_config(args) -> int:
     config = _resolve_scenario(args.scenario)
     _write_out(args.out, dump_config_yaml(config))
@@ -218,13 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--enablement", type=int, default=0, help="enablement instant for due times (ms)"
     )
     p_timer.set_defaults(func=_cmd_parse_timer)
-
-    p_demo = sub.add_parser("demo-invoice", help="run the invoicing demo sweep")
-    p_demo.add_argument("--seed", type=int, default=0)
-    p_demo.add_argument("--seeds", type=int, default=1)
-    p_demo.add_argument("--format", choices=("csv", "markdown"), default="markdown")
-    p_demo.add_argument("--out", default=None)
-    p_demo.set_defaults(func=_cmd_demo_invoice)
 
     p_config = sub.add_parser("print-config", help="show the effective configuration")
     p_config.add_argument("--scenario", default="invoice-demo")

@@ -8,6 +8,7 @@ seed list.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Callable, IO, Iterable
@@ -15,7 +16,7 @@ from typing import Callable, IO, Iterable
 from .measures import MeasureKind
 from .process import ABSOLUTE, CYCLE, DEFERRED_CHOICE, RELATIVE, GuardRecord, Outcome
 from .scenario import ScenarioConfig
-from .sim import RunTrace, run
+from .sim import RunTrace, SeedWorld, run
 
 CONSTRAINT_ORDER = (ABSOLUTE, RELATIVE, CYCLE, DEFERRED_CHOICE)
 
@@ -71,7 +72,7 @@ class MetricsReport:
         constraint_rank = {c: i for i, c in enumerate(CONSTRAINT_ORDER)}
         return sorted(
             self.cells,
-            key=lambda key: (measure_rank[key[0]], constraint_rank.get(key[1], 99)),
+            key=lambda key: (measure_rank[key[0]], constraint_rank[key[1]]),
         )
 
 
@@ -81,16 +82,17 @@ def sweep(
     measures: Iterable[MeasureKind] | None = None,
     per_run: Callable[[RunTrace], None] | None = None,
 ) -> MetricsReport:
-    """Run every (seed, measure) combination, aggregating as it goes.
-    measures replaces config.measures and is checked the same way: a
-    repeated measure, or none, is a SchemaError."""
+    """Run every (seed, measure) combination, aggregating as it goes; the
+    runs of one seed share its world. measures replaces config.measures and
+    is checked the same way: a repeated measure, or none, is a SchemaError."""
     if measures is not None:
         config = replace(config, measures=tuple(measures))
     seed_list = tuple(seeds)
     report = MetricsReport(scenario=config.name, seeds=seed_list)
     for seed in seed_list:
+        world = SeedWorld(config, seed)
         for measure in config.measures:
-            trace = run(config, seed, measure)
+            trace = run(config, seed, measure, world=world)
             report.add_trace(trace)
             if per_run is not None:
                 per_run(trace)
@@ -108,13 +110,13 @@ def _parse_record(line: str) -> tuple[str, int, GuardRecord]:
     if len(parts) != 8:
         raise ValueError("malformed record line")
     scenario, seed, measure, constraint, element, truth, measured, outcome = parts
-    return scenario, _parse_field("seed", seed, int), GuardRecord(
+    return scenario, _parse_field("seed", seed, _parse_int), GuardRecord(
         element=element,
-        constraint_type=constraint,
+        constraint_type=_parse_field("constraint", constraint, _parse_constraint),
         measure_kind=_parse_field("measure", measure, MeasureKind),
         outcome=_parse_field("outcome", outcome, Outcome),
-        ground_truth_ms=_parse_field("ground_truth_ms", truth, int) if truth else None,
-        measured_ms=_parse_field("measured_ms", measured, int) if measured else None,
+        ground_truth_ms=_parse_field("ground_truth_ms", truth, _parse_int) if truth else None,
+        measured_ms=_parse_field("measured_ms", measured, _parse_int) if measured else None,
     )
 
 
@@ -123,6 +125,20 @@ def _parse_field(name: str, text: str, parse):
         return parse(text)
     except ValueError:
         raise ValueError(f"invalid {name} {text!r}") from None
+
+
+def _parse_int(text: str) -> int:
+    """An integer as record_lines writes it: ASCII digits after an optional
+    '-', which int() alone would also take with '+', '_' or blanks."""
+    if re.fullmatch("-?[0-9]+", text) is None:
+        raise ValueError(text)
+    return int(text)
+
+
+def _parse_constraint(text: str) -> str:
+    if text not in CONSTRAINT_ORDER:
+        raise ValueError(text)
+    return text
 
 
 def record_lines(trace: RunTrace) -> list[str]:
@@ -171,26 +187,19 @@ def _emit_csv(report: MetricsReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-# Design-level ratings of each measure, asserted from qualitative analysis
-# rather than simulation output (more dots = better).
+# Design-level ratings of each measure in MeasureKind order, asserted from
+# qualitative analysis rather than simulation output (more dots = better).
 REFERENCE_CRITERIA_RATINGS = {
-    "accuracy": {"block_timestamp": 2, "block_number": 0, "parameter": 3,
-                 "storage_oracle": 1, "request_response_oracle": 1},
-    "trust": {"block_timestamp": 2, "block_number": 3, "parameter": 0,
-              "storage_oracle": 1, "request_response_oracle": 1},
-    "immediacy": {"block_timestamp": 3, "block_number": 3, "parameter": 3,
-                  "storage_oracle": 3, "request_response_oracle": 0},
-    "cost": {"block_timestamp": 3, "block_number": 3, "parameter": 2,
-             "storage_oracle": 0, "request_response_oracle": 0},
-    "reliability": {"block_timestamp": 3, "block_number": 3, "parameter": 2,
-                    "storage_oracle": 1, "request_response_oracle": 0},
+    "accuracy": (2, 0, 3, 1, 1),
+    "trust": (2, 3, 0, 1, 1),
+    "immediacy": (3, 3, 3, 3, 0),
+    "cost": (3, 3, 2, 0, 0),
+    "reliability": (3, 3, 2, 1, 0),
 }
 
 REFERENCE_CONSTRAINT_RATINGS = {
-    "absolute": {"block_timestamp": 2, "block_number": 0, "parameter": 3,
-                 "storage_oracle": 1, "request_response_oracle": 1},
-    "relative": {"block_timestamp": 2, "block_number": 1, "parameter": 3,
-                 "storage_oracle": 0, "request_response_oracle": 0},
+    "absolute": (2, 0, 3, 1, 1),
+    "relative": (2, 1, 3, 0, 0),
 }
 
 
@@ -213,28 +222,14 @@ def _emit_markdown(report: MetricsReport) -> str:
     for measure, constraint in report.sorted_keys():
         row = _row(measure, constraint, report.cells[(measure, constraint)])
         out.append("| " + " | ".join(value or "-" for value in row) + " |")
-    out += [
-        "",
-        "## Reference ratings (design-level, not measured)",
-        "",
-        "| criterion | " + " | ".join(m.value for m in MeasureKind) + " |",
-        "|---|---|---|---|---|---|",
-    ]
-    for criterion, ratings in REFERENCE_CRITERIA_RATINGS.items():
-        out.append(
-            f"| {criterion} | "
-            + " | ".join(_dots(ratings[m.value]) for m in MeasureKind)
-            + " |"
-        )
-    out += [
-        "",
-        "| constraint fit | " + " | ".join(m.value for m in MeasureKind) + " |",
-        "|---|---|---|---|---|---|",
-    ]
-    for constraint, ratings in REFERENCE_CONSTRAINT_RATINGS.items():
-        out.append(
-            f"| {constraint} | "
-            + " | ".join(_dots(ratings[m.value]) for m in MeasureKind)
-            + " |"
-        )
+    out += ["", "## Reference ratings (design-level, not measured)"]
+    for title, table in (
+        ("criterion", REFERENCE_CRITERIA_RATINGS), ("constraint fit", REFERENCE_CONSTRAINT_RATINGS)
+    ):
+        out += ["", f"| {title} | " + " | ".join(m.value for m in MeasureKind) + " |"]
+        out.append("|---|---|---|---|---|---|")
+        out += [
+            f"| {name} | " + " | ".join(map(_dots, levels)) + " |"
+            for name, levels in table.items()
+        ]
     return "\n".join(out) + "\n"

@@ -10,9 +10,10 @@ transaction, and the two oracle measures rely on third-party providers
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .chain import SimTime, Transaction, _Ident
 
@@ -56,29 +57,33 @@ class TxContext:
 class OracleCell:
     """On-chain storage cell a push provider updates via transactions.
 
-    History entries are keyed by effective position (block number,
-    intra-block index); reads see the last write strictly before the
-    reader's own position, including earlier writes in the same block.
+    A run writes the provider's updates once, as columns in chain order:
+    block number, position in the block and value. A read sees the last
+    write strictly before the reader's own position, including earlier
+    writes in the same block. The cell keeps the columns it is given, not
+    copies, so that the simulator can fix a block's positions and values in
+    place when the block seals, before any read in it.
     """
 
     def __init__(self, provider: str):
         self.provider = provider
-        self._positions: list[tuple[int, int]] = []
-        self._values: list[SimTime] = []
+        self._blocks = self._positions = self._values = np.empty(0, dtype=np.int64)
 
-    def write(self, position: tuple[int, int], value: SimTime) -> None:
-        if self._positions and position <= self._positions[-1]:
+    def write(self, blocks: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
+        step, shift = np.diff(blocks), np.diff(positions)
+        if np.any((step < 0) | ((step == 0) & (shift <= 0))):
             raise ValueError("oracle writes must arrive in chain order")
-        self._positions.append(position)
-        self._values.append(value)
+        self._blocks, self._positions, self._values = blocks, positions, values
 
     def read_before(self, position: tuple[int, int]) -> SimTime:
-        idx = bisect.bisect_left(self._positions, position)
+        block, index = position
+        lo, hi = np.searchsorted(self._blocks, (block, block + 1)).tolist()
+        idx = lo + int(np.searchsorted(self._positions[lo:hi], index))
         if idx == 0:
             raise UninitializedOracle(
                 f"no update by {self.provider!r} before position {position}"
             )
-        return self._values[idx - 1]
+        return int(self._values[idx - 1])
 
 
 def measure_bt(ctx: TxContext) -> SimTime:
@@ -160,12 +165,9 @@ def in_outage(outages: tuple[tuple[int, int], ...], now: SimTime) -> bool:
     return any(start <= now < end for start, end in outages)
 
 
-def so_update_times(config: PushOracleConfig, horizon_ms: SimTime) -> list[SimTime]:
+def so_update_times(config: PushOracleConfig, horizon_ms: SimTime) -> np.ndarray:
     """All cadence ticks up to the horizon, skipping outage intervals."""
-    out = []
-    t = config.active_from_ms
-    while t <= horizon_ms:
-        if not in_outage(config.outages, t):
-            out.append(t)
-        t += config.cadence_ms
-    return out
+    ticks = np.arange(config.active_from_ms, horizon_ms + 1, config.cadence_ms, dtype=np.int64)
+    for start, end in config.outages:
+        ticks = ticks[(ticks < start) | (ticks >= end)]
+    return ticks

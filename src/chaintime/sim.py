@@ -1,21 +1,30 @@
 """Seeded discrete-event simulator tying the chain, oracles, participants,
 and the process contract together.
 
-The block schedule (mining starts, durations, optional miner clock drift) is
-precomputed vectorially; the event loop only carries dynamic events. Each is
-a heap entry ``(at, kind, seq, handler, args)`` run as ``handler(at, *args)``,
-ordered by (time, kind, insertion). At equal instants transaction creations
-apply before oracle update ticks, then block sealing, block visibility, and
-oracle callbacks. A sealed block's pull-oracle requests and newly enabled
-elements are the args of its visibility event, which is scheduled only when
-the block has something to announce.
+A seed's world (``SeedWorld``), shared by its runs under each measure, is
+built before any event: the block schedule (mining starts, durations,
+optional miner clock drift), the chain parameters and, on first use, the
+push providers' update streams. An update stream is arrays with one row per
+update: its tick, the instant it is visible (one vector draw from
+``delay/oracle:<provider>``), its block (the first mined at or after that
+instant; past the last block it is dropped) and its value (tick minus
+staleness).
 
-Claims, oracle updates and callbacks are all made by one ``_send``, which
-numbers them per sender. Each carries the call that executes it when its
-block seals: a claim goes to the process, a callback to its parked guard, an
-update to the log (and, from ``oracles.push[0]``, the one storage cell the
-storage-oracle measure reads). Draws come from named substreams made on
-first use: ``delay/<sender>``, ``participant/<name>`` and ``miner/order``.
+A run's event loop carries only participant, seal, visibility and callback
+events, never an update. Each is a heap entry ``(at, kind, seq, handler,
+args)`` run as ``handler(at, *args)``, ordered by (time, kind, insertion).
+At equal instants transaction creations apply first, then update ticks (not
+events, but ranked), block sealing, block visibility, and oracle callbacks.
+A sealed block's pull-oracle requests and newly enabled elements are the
+args of its visibility event, scheduled only when the block has something
+to announce.
+
+Claims and callbacks are made by one ``_send``, which numbers them per
+sender; each carries the call that executes it when its block seals. A block
+that holds updates too merges them in then, in the miner's order, which
+fixes where they sit in the storage cell of ``oracles.push[0]``, the one the
+storage-oracle measure reads. Draws come from named substreams made on first
+use: ``delay/<sender>``, ``participant/<name>`` and ``miner/order``.
 """
 
 from __future__ import annotations
@@ -24,6 +33,9 @@ import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,7 +44,6 @@ from .measures import (
     ChainParams,
     MeasureKind,
     OracleCell,
-    PushOracleConfig,
     TxContext,
     in_outage,
     so_update_times,
@@ -43,16 +54,17 @@ from .scenario import Participant, ScenarioConfig, ScriptEntry, _check_provider
 
 # event kind ranks; ties at one instant resolve in this order
 K_TX_CREATED = 0
-K_ORACLE_UPDATE = 1
 K_BLOCK_SEAL = 2
 K_BLOCK_VISIBLE = 3
 K_ORACLE_CALLBACK = 4
+# an update tick's rank: not a heap event, it still orders among the
+# transactions submitted at its instant
+UPDATE_RANK = 1
 
 _SCHEDULE_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class TxMeta:
+class TxMeta(NamedTuple):
     created_at: SimTime
     sender: str
     visible_at: SimTime
@@ -124,28 +136,127 @@ def block_schedule(
     return starts, timestamps, mining
 
 
-class _Runner:
-    def __init__(self, config: ScenarioConfig, seed: int, measure: MeasureKind):
-        config.validate()
-        _check_provider(config, measure)
+class _Updates:
+    """The push providers' update transactions of one seed, from arrays.
+
+    The included updates are rows sorted by block, then by their order among
+    the block's updates when no other transaction joins them: (visible, tick,
+    provider), the order of every miner policy but adversarial_reorder's.
+    ``txs``, ``events``, ``by_block`` and ``cell`` (oracles.push[0]'s block,
+    position and value columns) follow the rows; ``meta`` and ``dropped``
+    (each id with its submission key) cover the dropped updates too.
+    """
+
+    def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
+        pushes = config.push_oracles
+        senders = [f"oracle:{push.provider}" for push in pushes]
+        ticks = [so_update_times(push, config.horizon_ms) for push in pushes]
+        counts = [len(t) for t in ticks]
+        delays = [
+            config.network.inclusion_delay.sample(substream(seed, f"delay/{sender}"), count)
+            for sender, count in zip(senders, counts)
+        ]
+        provider = np.repeat(np.arange(len(pushes)), counts)
+        tick = np.concatenate(ticks)
+        visible = tick + np.maximum(np.concatenate(delays), 0)
+        # Genesis carries no transactions. Otherwise the first block mined at
+        # or after the update is visible is never sealed yet: it starts at or
+        # after the tick, and a tick ranks before a seal of its instant.
+        block = np.maximum(np.searchsorted(starts, visible, side="left"), 1)
+        value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
+        ids = [f"{sender}-{n}" for sender, count in zip(senders, counts) for n in range(count)]
+        sender_of = [senders[p] for p in provider.tolist()]
+        self.meta = dict(zip(ids, map(
+            TxMeta, tick.tolist(), sender_of, visible.tolist(), block.tolist()
+        )))
+        self.dropped = [
+            ((int(tick[row]), UPDATE_RANK, int(provider[row])), ids[row])
+            for row in np.flatnonzero(block >= len(starts))
+        ]
+        for _, tx_id in self.dropped:
+            self.meta[tx_id] = self.meta[tx_id]._replace(block=None)
+
+        kept = np.flatnonzero(block < len(starts))
+        rows = kept[np.lexsort((provider[kept], tick[kept], visible[kept], block[kept]))]
+        columns = [column[rows] for column in (block, visible, tick, provider, value)]
+        self.block, self.visible, self.tick, self.provider, self.value = columns
+        block, _, tick, provider, value = columns
+        order = rows.tolist()
+        self.txs = list(map(
+            Transaction, [ids[row] for row in order], [sender_of[row] for row in order],
+            tick.tolist(), itertools.repeat("__oracle_update__"),
+        ))
+        self.events = list(zip(
+            [pushes[p].provider for p in provider.tolist()], itertools.repeat("update"),
+            starts[block].tolist(), value.tolist(),
+        ))
+        self.by_block: dict[int, tuple[Transaction, ...]] = {}
+        for number, tx in zip(block.tolist(), self.txs):
+            self.by_block[number] = self.by_block.get(number, ()) + (tx,)
+        numbers, sizes = np.unique(block, return_counts=True)
+        self.multi = numbers[sizes > 1].tolist()  # blocks of two or more updates
+        position = np.arange(len(block)) - np.searchsorted(block, block, side="left")
+        first = provider == 0
+        self.cell = (block[first], position[first], value[first])
+
+
+class SeedWorld:
+    """What every measure's run of one seed shares: the block schedule, the
+    chain parameters and, built on first use, the push providers' update
+    streams. experiment.sweep builds one per seed and passes it to run."""
+
+    def __init__(self, config: ScenarioConfig, seed: int):
+        self.key = _world_key(config, seed)
         self.config = config
         self.seed = seed
-        self.measure = measure
         self.starts, self.timestamps, self.mining = block_schedule(config, seed)
         self.chain_params = ChainParams(
             genesis_timestamp=int(self.timestamps[0]),
             assumed_mean_block_time_ms=config.network.assumed_mean_block_time_ms,
         )
+
+    @cached_property
+    def updates(self) -> _Updates:
+        return _Updates(self.config, self.seed, self.starts)
+
+
+def _world_key(config: ScenarioConfig, seed: int) -> tuple:
+    return (seed, config.network, config.faults, config.horizon_ms, config.push_oracles)
+
+
+class _Runner:
+    def __init__(
+        self, config: ScenarioConfig, seed: int, measure: MeasureKind, world: SeedWorld | None
+    ):
+        config.validate()
+        _check_provider(config, measure)
+        if world is None:
+            world = SeedWorld(config, seed)
+        elif world.key != _world_key(config, seed):
+            raise ValueError("the world was built for another seed or scenario")
+        self.config = config
+        self.seed = seed
+        self.measure = measure
+        self.starts, self.timestamps, self.mining = world.starts, world.timestamps, world.mining
+        self.chain_params = world.chain_params
         self.instance = None if config.process is None else ProcessInstance(
             config.process, measure, activation_floor_ms=config.activation_floor_ms,
             cycle_limit=config.cycle_limit,
         )
-        drive_push = config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
-        self.push_configs = tuple(config.push_oracles) if drive_push else ()
         # only the request/response measure makes requests
         self.pull_config = config.pull_oracles[0] if config.pull_oracles else None
-        # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
-        self.cell = OracleCell(self.push_configs[0].provider) if self.push_configs else None
+        self.updates: _Updates | None = None
+        self.cell = None
+        if config.push_oracles and (
+            config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
+        ):
+            self.updates = u = world.updates
+            # the run's copies, in which _place settles the order of a block
+            self.update_events = list(u.events)
+            self.cell_columns = tuple(column.copy() for column in u.cell)
+            # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
+            self.cell = OracleCell(config.push_oracles[0].provider)
+            self.cell.write(*self.cell_columns)
         self.inclusion_delays = {
             p.name: p.inclusion_delay for p in config.participants
             if p.inclusion_delay is not None
@@ -153,18 +264,23 @@ class _Runner:
 
         self.heap: list = []
         self.seq = itertools.count()
+        # the latest (instant, kind) the loop has reached: a transaction's
+        # submission key, which places it after every update tick before it
+        self.reached = (-1, 0)
         self.sent: Counter[str] = Counter()  # transactions created per sender
         self.streams: dict[str, np.random.Generator] = {}
 
         # blocks seal in number order; a key of pending_by_block is a block whose
-        # seal event is scheduled, its entries (visible_at, tx, execute, args)
+        # seal event is scheduled, its entries (visible_at, submitted, tx,
+        # execute, args); an update's entry has no execute and its row as args
         self.pending_by_block: dict[int, list[tuple]] = {}
         self.last_sealed = 0  # genesis carries no transactions
         self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
+        self.next_multi = 0  # adversarial_reorder: first update block not yet shuffled
 
         self.oracle_events: list[tuple[str, str, SimTime, int]] = []
         self.tx_meta: dict[str, TxMeta] = {}
-        self.dropped: list[str] = []
+        self.dropped: list[tuple[tuple[int, int], str]] = []
 
     # -- event plumbing ----------------------------------------------------
 
@@ -193,36 +309,94 @@ class _Runner:
         visible = tx.created_at + max(0, dist.sample_one(self._stream(f"delay/{tx.sender}")))
         idx = int(np.searchsorted(self.starts, visible, side="left"))
         idx = max(idx, self.last_sealed + 1)
-        if idx >= len(self.starts):
-            self.dropped.append(tx.id)
-            self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, None)
+        # Skip a block that updates alone sealed at its start, earlier in this
+        # instant. Only a transaction with no inclusion delay, submitted after
+        # the instant's seals (a callback, or a claim created behind one), can
+        # find such a block.
+        if (
+            idx < len(self.starts) and (int(self.starts[idx]), K_BLOCK_SEAL) < self.reached
+            and self.updates is not None and idx in self.updates.block
+        ):
+            idx += 1
+        included = idx < len(self.starts)
+        self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx if included else None)
+        if not included:
+            self.dropped.append((self.reached, tx.id))
             return
-        self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx)
         pending = self.pending_by_block.get(idx)
         if pending is None:
             pending = self.pending_by_block[idx] = []
             self._push(int(self.starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
-        pending.append((visible, tx, execute, args))
+        pending.append((visible, self.reached, tx, execute, args))
 
     # -- block sealing -----------------------------------------------------
 
     def _order_block(self, entries: list[tuple]) -> list[tuple]:
-        """Ties keep the submission order: sorted is stable."""
+        """Ties keep the submission order, (submitted, then list order):
+        sorted is stable."""
         policy = self.config.network.miner_ordering
         if policy == "fifo_by_arrival":
-            return sorted(entries, key=lambda e: e[0])
+            return sorted(entries, key=lambda e: (e[0], e[1]))
         if policy == "priority_then_arrival":
-            return sorted(entries, key=lambda e: (-e[1].priority, e[0]))
+            return sorted(entries, key=lambda e: (-e[2].priority, e[0], e[1]))
+        entries = sorted(entries, key=itemgetter(1))
         order = self._stream("miner/order").permutation(len(entries))
         return [entries[int(i)] for i in order]
 
+    def _update_entries(self, number: int) -> list[tuple]:
+        """The block's updates as pending entries; an update is submitted at
+        its tick with the update rank, after the providers before its own."""
+        u = self.updates
+        lo, hi = np.searchsorted(u.block, (number, number + 1)).tolist()
+        return [
+            (int(u.visible[row]), (int(u.tick[row]), UPDATE_RANK, int(u.provider[row])),
+             u.txs[row], None, row)
+            for row in range(lo, hi)
+        ]
+
+    def _shuffle_update_blocks(self, before: int) -> None:
+        """Under adversarial_reorder every sealed block of two or more
+        transactions draws a permutation from miner/order, in block order. A
+        block of updates alone draws when a later block seals or the run ends;
+        one of a single update would draw nothing."""
+        if self.config.network.miner_ordering != "adversarial_reorder":
+            return
+        multi = self.updates.multi
+        while self.next_multi < len(multi) and multi[self.next_multi] <= before:
+            number = multi[self.next_multi]
+            self.next_multi += 1
+            if number < before:
+                self._place(number, self._order_block(self._update_entries(number)))
+
+    def _place(self, number: int, entries: list[tuple]) -> None:
+        """Keep the block's order, and where its updates sit in it: for the
+        update events, and in the storage cell, before any claim reads it."""
+        self.txs_by_block[number] = tuple(entry[2] for entry in entries)
+        placed = [(position, e[4]) for position, e in enumerate(entries) if e[3] is None]
+        if not placed:
+            return
+        u = self.updates
+        first = int(np.searchsorted(u.block, number))
+        self.update_events[first:first + len(placed)] = [u.events[row] for _, row in placed]
+        own = [(position, row) for position, row in placed if u.provider[row] == 0]
+        blocks, positions, values = self.cell_columns
+        at = int(np.searchsorted(blocks, number))
+        positions[at:at + len(own)] = [position for position, _ in own]
+        values[at:at + len(own)] = [u.value[row] for _, row in own]
+
     def _seal_block(self, now: SimTime, number: int) -> None:
         self.last_sealed = number
-        entries = self._order_block(self.pending_by_block.pop(number))
-        self.txs_by_block[number] = tuple(entry[1] for entry in entries)
+        entries = self.pending_by_block.pop(number)
+        if self.updates is not None:
+            self._shuffle_update_blocks(number)
+            entries += self._update_entries(number)
+        entries = self._order_block(entries)
+        self._place(number, entries)
         request_ids: list[int] = []
         enabled: list[str] = []
-        for position, (_, tx, execute, args) in enumerate(entries):
+        for position, (_, _, tx, execute, args) in enumerate(entries):
+            if execute is None:
+                continue
             result = execute(now, tx, number, position, *args)
             if result is not None:
                 request_ids.extend(result.requests)
@@ -269,18 +443,6 @@ class _Runner:
     def _deliver_callback(self, now, tx, number, position, request_id: int) -> ApplyResult:
         """The callback answers with the instant it was created."""
         return self.instance.on_callback(request_id, tx.created_at, now)
-
-    def _oracle_tick(self, now: SimTime, push: PushOracleConfig) -> None:
-        """An update transaction; so_update_times already skips outages."""
-        self._send(
-            now, f"oracle:{push.provider}", "__oracle_update__",
-            self._write_update, push.provider, now - push.staleness_ms,
-        )
-
-    def _write_update(self, now, tx, number, position, provider: str, value: SimTime) -> None:
-        if provider == self.cell.provider:
-            self.cell.write((number, position), value)
-        self.oracle_events.append((provider, "update", now, value))
 
     # -- participants ------------------------------------------------------
 
@@ -340,9 +502,6 @@ class _Runner:
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> RunTrace:
-        for push in self.push_configs:
-            for tick in so_update_times(push, self.config.horizon_ms):
-                self._push(tick, K_ORACLE_UPDATE, self._oracle_tick, push)
         for participant in self.config.participants:
             for entry in participant.script:
                 if entry.at_ms is not None:
@@ -354,24 +513,53 @@ class _Runner:
 
         horizon = self.config.horizon_ms
         while self.heap:
-            at, _, _, handler, args = heapq.heappop(self.heap)
+            at, kind, _, handler, args = heapq.heappop(self.heap)
             if at > horizon:
                 break
+            self.reached = max(self.reached, (at, kind))
             handler(at, *args)
 
         records, stuck = [], []
         if self.instance is not None:
             stuck = self.instance.finalize(horizon)
             records = list(self.instance.records)
+        txs, oracle_events, tx_meta, dropped = self._merge_updates()
         return RunTrace(
             scenario=self.config.name, seed=self.seed, measure=self.measure,
-            chain=Chain.from_schedule(self.timestamps, self.mining, self.txs_by_block),
-            real_starts=self.starts, records=records, oracle_events=self.oracle_events,
-            tx_meta=self.tx_meta, dropped=self.dropped, stuck=stuck,
+            chain=Chain.from_schedule(self.timestamps, self.mining, txs),
+            real_starts=self.starts, records=records, oracle_events=oracle_events,
+            tx_meta=tx_meta, dropped=[tx_id for _, tx_id in dropped], stuck=stuck,
+        )
+
+    def _merge_updates(self) -> tuple:
+        """The run's transactions by block, oracle events, metadata and
+        dropped transactions, with the updates merged in: an update event
+        belongs to its block's seal, so it comes before a request or callback
+        of the same instant, and a dropped transaction goes by submission."""
+        u = self.updates
+        if u is None:
+            return self.txs_by_block, self.oracle_events, self.tx_meta, self.dropped
+        self._shuffle_update_blocks(len(self.starts))
+        updates = self.update_events
+        sealed = np.searchsorted(self.starts, [e[2] for e in self.oracle_events], side="right")
+        events, done = [], 0
+        for cut, event in zip(np.searchsorted(u.block, sealed).tolist(), self.oracle_events):
+            events += updates[done:cut]
+            events.append(event)
+            done = cut
+        events += updates[done:]
+        return (
+            {**u.by_block, **self.txs_by_block}, events, {**u.meta, **self.tx_meta},
+            sorted(u.dropped + self.dropped, key=itemgetter(0)),
         )
 
 
-def run(config: ScenarioConfig, seed: int, measure: MeasureKind | None = None) -> RunTrace:
-    """Execute one seeded run of a scenario under one time measure."""
+def run(
+    config: ScenarioConfig, seed: int, measure: MeasureKind | None = None, *,
+    world: SeedWorld | None = None,
+) -> RunTrace:
+    """Execute one seeded run of a scenario under one time measure. A world
+    built from the same seed and scenario shares its schedule and update
+    streams with the other runs of that seed."""
     chosen = measure if measure is not None else config.measures[0]
-    return _Runner(config, seed, chosen).run()
+    return _Runner(config, seed, chosen, world).run()

@@ -222,60 +222,36 @@ def _format_instant(instant_ms: int) -> str:
     return f"{base}Z"
 
 
-def _format_ms_period(ms: int, prefer_hours: bool) -> str:
-    if ms == 0:
-        return "PT0S"
-    parts_date = ""
-    rest = ms
-    if not prefer_hours:
-        days, rest = divmod(rest, MS_PER_DAY)
-        if days:
-            parts_date = f"{days}D"
+def _format_period(months: int, ms: int, prefer_hours: bool) -> str:
+    """An ISO period: years and months, then days unless hours are
+    preferred, then hours, minutes and seconds; an empty period is PT0S."""
+    years, months = divmod(months, 12)
+    days, rest = (0, ms) if prefer_hours else divmod(ms, MS_PER_DAY)
     hours, rest = divmod(rest, MS_PER_HOUR)
     minutes, rest = divmod(rest, MS_PER_MINUTE)
     seconds, millis = divmod(rest, MS_PER_SECOND)
-    parts_time = ""
-    if hours:
-        parts_time += f"{hours}H"
-    if minutes:
-        parts_time += f"{minutes}M"
+    date = "".join(f"{n}{unit}" for n, unit in ((years, "Y"), (months, "M"), (days, "D")) if n)
+    time = "".join(f"{n}{unit}" for n, unit in ((hours, "H"), (minutes, "M")) if n)
     if millis:
-        parts_time += f"{seconds}.{millis:03d}S"
+        time += f"{seconds}.{millis:03d}S"
     elif seconds:
-        parts_time += f"{seconds}S"
-    out = "P" + parts_date
-    if parts_time:
-        out += "T" + parts_time
-    return out
-
-
-def _format_cycle_period(months: int, ms: int) -> str:
-    if months == 0:
-        # Fixed-ms cycle periods use the time designator ("every 24 hours").
-        return _format_ms_period(ms, prefer_hours=True)
-    out = "P"
-    years, rem_months = divmod(months, 12)
-    if years:
-        out += f"{years}Y"
-    if rem_months:
-        out += f"{rem_months}M"
-    if ms:
-        tail = _format_ms_period(ms, prefer_hours=False)
-        out += tail[1:]
-    return out
+        time += f"{seconds}S"
+    if not (date or time):
+        return "PT0S"
+    return f"P{date}T{time}" if time else f"P{date}"
 
 
 def format_timer(spec: TimerSpec) -> str:
-    """Format a spec so that parse_timer round-trips it structurally."""
+    """Format a spec so that parse_timer round-trips it structurally; a
+    fixed-length cycle period counts in hours ("every 24 hours")."""
     if isinstance(spec, DateTimer):
         return _format_instant(spec.instant_ms)
     if isinstance(spec, DurationTimer):
-        return _format_ms_period(spec.length_ms, prefer_hours=False)
+        return _format_period(0, spec.length_ms, prefer_hours=False)
+    if not isinstance(spec, (CycleRelTimer, CycleAbsTimer)):
+        raise TypeError(f"not a TimerSpec: {spec!r}")
+    head = "R" if spec.repetitions is None else f"R{spec.repetitions}"
     if isinstance(spec, CycleRelTimer):
-        head = "R" if spec.repetitions is None else f"R{spec.repetitions}"
-        return f"{head}/{_format_ms_period(spec.period_ms, prefer_hours=True)}"
-    if isinstance(spec, CycleAbsTimer):
-        head = "R" if spec.repetitions is None else f"R{spec.repetitions}"
-        start = _format_instant(spec.start_ms)
-        return f"{head}/{start}/{_format_cycle_period(spec.period_months, spec.period_ms)}"
-    raise TypeError(f"not a TimerSpec: {spec!r}")
+        return f"{head}/{_format_period(0, spec.period_ms, prefer_hours=True)}"
+    period = _format_period(spec.period_months, spec.period_ms, spec.period_months == 0)
+    return f"{head}/{_format_instant(spec.start_ms)}/{period}"

@@ -187,12 +187,19 @@ class TestSweepAndReport:
             ("s,0,sundial,absolute,start,15000,15000,TP", "invalid measure 'sundial'"),
             ("s,0,parameter,absolute,start,15000,15000,Maybe", "invalid outcome 'Maybe'"),
             ("s,x,parameter,absolute,start,15000,15000,TP", "invalid seed 'x'"),
+            # int() takes these too; record_lines never writes them
+            ("s,+0,parameter,absolute,start,1000,1300,FP", "invalid seed '+0'"),
+            ("s,0,parameter,absolute,start,1_000,1300,FP", "invalid ground_truth_ms '1_000'"),
+            ("s,0,parameter,absolute,start,1000, 1300,FP", "invalid measured_ms ' 1300'"),
+            ("s,0,parameter,absolute,start,\u0661\u0660\u0660\u0660,1300,FP",
+             "invalid ground_truth_ms '\u0661\u0660\u0660\u0660'"),
+            ("s,0,parameter,bogus,start,1000,1300,FP", "invalid constraint 'bogus'"),
         ],
     )
     def test_report_bad_field_is_input_error_with_location(self, tmp_path, capsys, line, message):
         bad = tmp_path / "bad.csv"
         good = "s,0,parameter,absolute,start,15000,15000,TP"
-        bad.write_text(f"{RECORD_HEADER}\n{good}\n{line}\n")
+        bad.write_text(f"{RECORD_HEADER}\n{good}\n{line}\n", encoding="utf-8")
         assert main(["report", str(bad)]) == EXIT_SCENARIO
         assert f"error: {bad}:3: {message}" in capsys.readouterr().err
 
@@ -203,11 +210,13 @@ class TestSweepAndReport:
             "s,0,parameter,deferred_choice,gate,,,Match\n"
             "s,0,parameter,absolute,start,100,,StuckPending\n"
             "s,0,parameter,absolute,start,100,130,FP\n"
+            "s,-1,parameter,relative,wait,-200,-170,TP\n"
         )
         assert main(["report", str(path)]) == EXIT_OK
         rows = capsys.readouterr().out.splitlines()[1:]
         assert rows == [
             "parameter,absolute,0,0,1,0,0,0,1,30.000,30",
+            "parameter,relative,1,0,0,0,0,0,0,30.000,30",
             "parameter,deferred_choice,0,0,0,0,1,0,0,,",
         ]
 
@@ -233,8 +242,8 @@ class TestOther:
         assert "name: invoice-demo" in out
         assert "assumed_mean_block_time_ms: 15190" in out
 
-    def test_demo_invoice_markdown(self, capsys):
-        code = main(["demo-invoice", "--seeds", "1"])
+    def test_sweep_invoice_markdown(self, capsys):
+        code = main(["sweep", "--scenario", "invoice-demo", "--seeds", "1", "--format", "markdown"])
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "Sweep report: invoice-demo" in out

@@ -1,5 +1,6 @@
 """Unit checks for the five measures and the oracle provider helpers."""
 
+import numpy as np
 import pytest
 
 from chaintime.chain import Transaction
@@ -55,31 +56,47 @@ class TestSyncMeasures:
             measure_pa(make_ctx())
 
 
+def columns(*writes):
+    """OracleCell.write's (blocks, positions, values) from ((block, position), value) pairs."""
+    return [np.array(column, dtype=np.int64) for column in zip(*((b, p, v) for (b, p), v in writes))]
+
+
 class TestOracleCell:
     def test_read_sees_last_write_strictly_before(self):
         cell = OracleCell("p")
-        cell.write((3, 0), 111)
-        cell.write((5, 2), 222)
+        cell.write(*columns(((3, 0), 111), ((5, 2), 222)))
         assert cell.read_before((5, 2)) == 111  # own position excluded
         assert cell.read_before((5, 3)) == 222
         assert cell.read_before((4, 0)) == 111
 
     def test_same_block_earlier_position_visible(self):
         cell = OracleCell("p")
-        cell.write((7, 1), 999)
+        cell.write(*columns(((7, 1), 999)))
         assert cell.read_before((7, 2)) == 999
         with pytest.raises(UninitializedOracle):
             cell.read_before((7, 1))
 
     def test_writes_must_advance(self):
         cell = OracleCell("p")
-        cell.write((3, 0), 1)
         with pytest.raises(ValueError):
-            cell.write((3, 0), 2)
+            cell.write(*columns(((3, 0), 1), ((3, 0), 2)))
+        with pytest.raises(ValueError):
+            cell.write(*columns(((4, 0), 1), ((3, 5), 2)))
+
+    def test_a_fixed_position_is_read_in_place(self):
+        # the simulator settles a block's order when it seals, in the columns
+        blocks, positions, values = columns(((3, 0), 1), ((3, 1), 2))
+        cell = OracleCell("p")
+        cell.write(blocks, positions, values)
+        positions[:] = (1, 4)
+        with pytest.raises(UninitializedOracle):
+            cell.read_before((3, 1))
+        assert cell.read_before((3, 4)) == 1
+        assert cell.read_before((3, 5)) == 2
 
     def test_measure_so_uses_reader_position(self):
         cell = OracleCell("p")
-        cell.write((9, 0), 1_199_000)
+        cell.write(*columns(((9, 0), 1_199_000)))
         ctx = make_ctx(block_number=10, position=4, cell=cell)
         assert measure_so(ctx) == 1_199_000
 
@@ -93,7 +110,7 @@ class TestProviders:
         cfg = PushOracleConfig(
             provider="p", cadence_ms=10_000, active_from_ms=0, outages=((15_000, 35_000),)
         )
-        assert so_update_times(cfg, 50_000) == [0, 10_000, 40_000, 50_000]
+        assert so_update_times(cfg, 50_000).tolist() == [0, 10_000, 40_000, 50_000]
 
     def test_in_outage_boundaries(self):
         assert in_outage(((10, 20),), 10)

@@ -293,6 +293,11 @@ class TestRunMechanics:
         callback = trace.tx_meta["oracle:server-0"]
         assert (callback.created_at, callback.block) == (30_000, 4)
         assert where["oracle:feed-3"] == (3, 0)
+        # an update is logged at its block's seal, before the request seen
+        # and the callback created at that instant
+        assert [(kind, at) for _, kind, at, _ in trace.oracle_events if 20_000 <= at <= 30_000] == [
+            ("update", 20_000), ("request", 20_000), ("update", 30_000), ("callback", 30_000)
+        ]
 
     def test_unused_oracles_not_simulated_by_default(self):
         trace = run(invoice_demo_scenario(), seed=3, measure=MeasureKind.BLOCK_TIMESTAMP)
