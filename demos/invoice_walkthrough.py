@@ -11,7 +11,7 @@ Run with: python3 demos/invoice_walkthrough.py [measure]
 import sys
 from datetime import datetime, timezone
 
-from chaintime import MeasureKind
+from chaintime import MeasureKind, Outcome
 from chaintime.scenario import invoice_demo_scenario
 from chaintime.sim import run
 
@@ -49,8 +49,9 @@ def main() -> None:
                 f"deadline {show(record.deadline_ms)}, measured {show(record.measured_ms)}, "
                 f"created {show(record.ground_truth_ms)}"
             )
-    if trace.stuck:
-        print(f"\n{len(trace.stuck)} guard(s) still pending at the horizon")
+    stuck = sum(record.outcome is Outcome.STUCK_PENDING for record in trace.records)
+    if stuck:
+        print(f"\n{stuck} guard(s) still pending at the horizon")
 
 
 if __name__ == "__main__":

@@ -24,10 +24,6 @@ class NonMonotonicTimestamp(ValueError):
     """Block timestamp does not strictly exceed its predecessor's."""
 
 
-class OutOfRange(ValueError):
-    """Transaction placed in a block the schedule does not have."""
-
-
 @dataclass(frozen=True)
 class Transaction:
     """A signed transaction: created_at is the sender-local creation instant,
@@ -52,18 +48,16 @@ class Transaction:
 class Chain:
     """Blocks numbered consecutively from 0 (genesis): the timestamp and
     mining duration columns, and the transactions of each non-empty block
-    by number. Build one with from_schedule, which checks the columns."""
+    by number. Build one with from_schedule, which checks the columns, and
+    attach transactions with dataclasses.replace(chain, txs=...)."""
 
     timestamps: np.ndarray
     mining_durations: np.ndarray
     txs: Mapping[int, tuple[Transaction, ...]]
 
     @classmethod
-    def from_schedule(
-        cls, timestamps: np.ndarray, mining_durations: np.ndarray,
-        txs_by_block: Mapping[int, tuple[Transaction, ...]] | None = None,
-    ) -> "Chain":
-        """Build a chain in one shot from precomputed block columns."""
+    def from_schedule(cls, timestamps: np.ndarray, mining_durations: np.ndarray) -> "Chain":
+        """A chain of empty blocks from precomputed block columns."""
         timestamps = np.asarray(timestamps, dtype=np.int64)
         mining_durations = np.asarray(mining_durations, dtype=np.int64)
         if timestamps.shape != mining_durations.shape:
@@ -72,12 +66,7 @@ class Chain:
             raise NonMonotonicTimestamp("bulk schedule is not strictly increasing")
         if np.any(mining_durations < 0):
             raise ValueError("mining durations must be non-negative")
-        txs = {}
-        for number, block_txs in (txs_by_block or {}).items():
-            if not 0 <= number < len(timestamps):
-                raise OutOfRange(f"no block {number} in schedule")
-            txs[number] = tuple(block_txs)
-        return cls(timestamps, mining_durations, txs)
+        return cls(timestamps, mining_durations, {})
 
     def __len__(self) -> int:
         return len(self.timestamps)

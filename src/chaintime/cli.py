@@ -97,6 +97,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.seeds < 1:
+        raise ScenarioInputError(f"--seeds must be at least 1, got {args.seeds}")
     config = _resolve_scenario(args.scenario)
     seeds = range(args.seed, args.seed + args.seeds)
     measure = _measure_arg(args.measure)

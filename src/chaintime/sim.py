@@ -3,12 +3,13 @@ and the process contract together.
 
 A seed's world (``SeedWorld``), shared by its runs under each measure, is
 built before any event: the block schedule (mining starts, durations,
-optional miner clock drift), the chain parameters and, on first use, the
-push providers' update streams. An update stream is arrays with one row per
-update: its tick, the instant it is visible (one vector draw from
-``delay/oracle:<provider>``), its block (the first mined at or after that
-instant; past the last block it is dropped) and its value (tick minus
-staleness).
+optional miner clock drift), its chain of empty blocks, checked once (a run
+attaches its transactions with ``dataclasses.replace``), the chain
+parameters and, on first use, the push providers' update streams. An update
+stream is arrays with one row per update: its tick, the instant it is
+visible (one vector draw from ``delay/oracle:<provider>``), its block (the
+first mined at or after that instant; past the last block it is dropped)
+and its value (tick minus staleness).
 
 A run's event loop carries only participant, seal, visibility and callback
 events, never an update. Each is a heap entry ``(at, kind, seq, handler,
@@ -20,11 +21,15 @@ args of its visibility event, scheduled only when the block has something
 to announce.
 
 Claims and callbacks are made by one ``_send``, which numbers them per
-sender; each carries the call that executes it when its block seals. A block
-that holds updates too merges them in then, in the miner's order, which
-fixes where they sit in the storage cell of ``oracles.push[0]``, the one the
-storage-oracle measure reads. Draws come from named substreams made on first
-use: ``delay/<sender>``, ``participant/<name>`` and ``miner/order``.
+sender. Each goes to the first block mined at or after it is visible whose
+start the loop has not passed at seal rank, whatever that block holds, and
+carries the call that executes it when the block seals. A block that holds
+updates too merges them in then, in the miner's order, which fixes where
+they sit in the storage cell of ``oracles.push[0]``, the one the
+storage-oracle measure reads; under adversarial_reorder a block of two or
+more updates is sealed by an event of its own. Draws come from named
+substreams made on first use: ``delay/<sender>``, ``participant/<name>``
+and ``miner/order``.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 from typing import NamedTuple
@@ -85,7 +90,6 @@ class RunTrace:
     oracle_events: list[tuple[str, str, SimTime, int]]
     tx_meta: dict[str, TxMeta]
     dropped: list[str]
-    stuck: list
 
     def export_trace(self, stream) -> None:
         self.chain.export_trace(stream)
@@ -201,17 +205,19 @@ class _Updates:
 
 
 class SeedWorld:
-    """What every measure's run of one seed shares: the block schedule, the
-    chain parameters and, built on first use, the push providers' update
-    streams. experiment.sweep builds one per seed and passes it to run."""
+    """What every measure's run of one seed shares: the real block starts,
+    the chain of empty blocks, the chain parameters and, built on first use,
+    the push providers' update streams. experiment.sweep builds one per seed
+    and passes it to run."""
 
     def __init__(self, config: ScenarioConfig, seed: int):
         self.key = _world_key(config, seed)
         self.config = config
         self.seed = seed
-        self.starts, self.timestamps, self.mining = block_schedule(config, seed)
+        self.starts, timestamps, mining = block_schedule(config, seed)
+        self.chain = Chain.from_schedule(timestamps, mining)
         self.chain_params = ChainParams(
-            genesis_timestamp=int(self.timestamps[0]),
+            genesis_timestamp=int(timestamps[0]),
             assumed_mean_block_time_ms=config.network.assumed_mean_block_time_ms,
         )
 
@@ -234,11 +240,9 @@ class _Runner:
             world = SeedWorld(config, seed)
         elif world.key != _world_key(config, seed):
             raise ValueError("the world was built for another seed or scenario")
+        self.world = world
         self.config = config
-        self.seed = seed
         self.measure = measure
-        self.starts, self.timestamps, self.mining = world.starts, world.timestamps, world.mining
-        self.chain_params = world.chain_params
         self.instance = None if config.process is None else ProcessInstance(
             config.process, measure, activation_floor_ms=config.activation_floor_ms,
             cycle_limit=config.cycle_limit,
@@ -274,9 +278,7 @@ class _Runner:
         # seal event is scheduled, its entries (visible_at, submitted, tx,
         # execute, args); an update's entry has no execute and its row as args
         self.pending_by_block: dict[int, list[tuple]] = {}
-        self.last_sealed = 0  # genesis carries no transactions
         self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
-        self.next_multi = 0  # adversarial_reorder: first update block not yet shuffled
 
         self.oracle_events: list[tuple[str, str, SimTime, int]] = []
         self.tx_meta: dict[str, TxMeta] = {}
@@ -291,7 +293,7 @@ class _Runner:
         """The run's named substream, made on first use."""
         rng = self.streams.get(name)
         if rng is None:
-            rng = self.streams[name] = substream(self.seed, name)
+            rng = self.streams[name] = substream(self.world.seed, name)
         return rng
 
     def _send(self, now: SimTime, sender: str, op: str, execute, *args, **fields) -> None:
@@ -305,20 +307,16 @@ class _Runner:
         """Assign a created transaction to the first block mined after it
         becomes visible to the network and not sealed yet; sealing runs
         execute(now, tx, number, position, *args)."""
+        starts = self.world.starts
         dist = self.inclusion_delays.get(tx.sender, self.config.network.inclusion_delay)
         visible = tx.created_at + max(0, dist.sample_one(self._stream(f"delay/{tx.sender}")))
-        idx = int(np.searchsorted(self.starts, visible, side="left"))
-        idx = max(idx, self.last_sealed + 1)
-        # Skip a block that updates alone sealed at its start, earlier in this
-        # instant. Only a transaction with no inclusion delay, submitted after
-        # the instant's seals (a callback, or a claim created behind one), can
-        # find such a block.
-        if (
-            idx < len(self.starts) and (int(self.starts[idx]), K_BLOCK_SEAL) < self.reached
-            and self.updates is not None and idx in self.updates.block
-        ):
+        # Genesis carries no transactions. A block is sealed once the loop has
+        # passed its start at seal rank, whatever it holds: one starting at the
+        # loop's instant, as the transaction is visible no earlier.
+        idx = max(int(np.searchsorted(starts, visible, side="left")), 1)
+        if idx < len(starts) and (int(starts[idx]), K_BLOCK_SEAL) < self.reached:
             idx += 1
-        included = idx < len(self.starts)
+        included = idx < len(starts)
         self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx if included else None)
         if not included:
             self.dropped.append((self.reached, tx.id))
@@ -326,7 +324,7 @@ class _Runner:
         pending = self.pending_by_block.get(idx)
         if pending is None:
             pending = self.pending_by_block[idx] = []
-            self._push(int(self.starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
+            self._push(int(starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
         pending.append((visible, self.reached, tx, execute, args))
 
     # -- block sealing -----------------------------------------------------
@@ -354,20 +352,6 @@ class _Runner:
             for row in range(lo, hi)
         ]
 
-    def _shuffle_update_blocks(self, before: int) -> None:
-        """Under adversarial_reorder every sealed block of two or more
-        transactions draws a permutation from miner/order, in block order. A
-        block of updates alone draws when a later block seals or the run ends;
-        one of a single update would draw nothing."""
-        if self.config.network.miner_ordering != "adversarial_reorder":
-            return
-        multi = self.updates.multi
-        while self.next_multi < len(multi) and multi[self.next_multi] <= before:
-            number = multi[self.next_multi]
-            self.next_multi += 1
-            if number < before:
-                self._place(number, self._order_block(self._update_entries(number)))
-
     def _place(self, number: int, entries: list[tuple]) -> None:
         """Keep the block's order, and where its updates sit in it: for the
         update events, and in the storage cell, before any claim reads it."""
@@ -385,10 +369,8 @@ class _Runner:
         values[at:at + len(own)] = [u.value[row] for _, row in own]
 
     def _seal_block(self, now: SimTime, number: int) -> None:
-        self.last_sealed = number
         entries = self.pending_by_block.pop(number)
         if self.updates is not None:
-            self._shuffle_update_blocks(number)
             entries += self._update_entries(number)
         entries = self._order_block(entries)
         self._place(number, entries)
@@ -403,7 +385,7 @@ class _Runner:
                 enabled.extend(result.newly_enabled)
         if request_ids or enabled:
             self._push(
-                now + int(self.mining[number]), K_BLOCK_VISIBLE,
+                now + int(self.world.chain.mining_durations[number]), K_BLOCK_VISIBLE,
                 self._block_visible, request_ids, enabled,
             )
 
@@ -413,9 +395,9 @@ class _Runner:
         ctx = TxContext(
             tx=tx,
             block_number=number,
-            block_timestamp=int(self.timestamps[number]),
+            block_timestamp=int(self.world.chain.timestamps[number]),
             position_in_block=position,
-            chain_params=self.chain_params,
+            chain_params=self.world.chain_params,
             oracle_view=self.cell,
         )
         return self.instance.apply(tx, ctx, now)
@@ -509,7 +491,13 @@ class _Runner:
                         entry.at_ms, K_TX_CREATED, self._create_claim, participant, entry
                     )
         if self.instance is not None:
-            self._notify(int(self.starts[0]), self.instance.enabled_elements())
+            self._notify(int(self.world.starts[0]), self.instance.enabled_elements())
+        if self.updates is not None and self.config.network.miner_ordering == "adversarial_reorder":
+            # a block of two or more updates draws its miner/order permutation
+            # when it seals, in block order; one of a single update draws nothing
+            for number in self.updates.multi:
+                self.pending_by_block[number] = []
+                self._push(int(self.world.starts[number]), K_BLOCK_SEAL, self._seal_block, number)
 
         horizon = self.config.horizon_ms
         while self.heap:
@@ -519,38 +507,25 @@ class _Runner:
             self.reached = max(self.reached, (at, kind))
             handler(at, *args)
 
-        records, stuck = [], []
+        records = []
         if self.instance is not None:
-            stuck = self.instance.finalize(horizon)
+            self.instance.finalize(horizon)
             records = list(self.instance.records)
-        txs, oracle_events, tx_meta, dropped = self._merge_updates()
-        return RunTrace(
-            scenario=self.config.name, seed=self.seed, measure=self.measure,
-            chain=Chain.from_schedule(self.timestamps, self.mining, txs),
-            real_starts=self.starts, records=records, oracle_events=oracle_events,
-            tx_meta=tx_meta, dropped=[tx_id for _, tx_id in dropped], stuck=stuck,
-        )
-
-    def _merge_updates(self) -> tuple:
-        """The run's transactions by block, oracle events, metadata and
-        dropped transactions, with the updates merged in: an update event
-        belongs to its block's seal, so it comes before a request or callback
-        of the same instant, and a dropped transaction goes by submission."""
+        txs, events, meta = self.txs_by_block, self.oracle_events, self.tx_meta
+        dropped = self.dropped
         u = self.updates
-        if u is None:
-            return self.txs_by_block, self.oracle_events, self.tx_meta, self.dropped
-        self._shuffle_update_blocks(len(self.starts))
-        updates = self.update_events
-        sealed = np.searchsorted(self.starts, [e[2] for e in self.oracle_events], side="right")
-        events, done = [], 0
-        for cut, event in zip(np.searchsorted(u.block, sealed).tolist(), self.oracle_events):
-            events += updates[done:cut]
-            events.append(event)
-            done = cut
-        events += updates[done:]
-        return (
-            {**u.by_block, **self.txs_by_block}, events, {**u.meta, **self.tx_meta},
-            sorted(u.dropped + self.dropped, key=itemgetter(0)),
+        if u is not None:
+            # an update event belongs to its block's seal, so it comes before a
+            # request or callback of its instant; dropped go by submission
+            txs = {**u.by_block, **txs}
+            events = list(heapq.merge(self.update_events, events, key=itemgetter(2)))
+            meta = {**u.meta, **meta}
+            dropped = sorted(u.dropped + dropped, key=itemgetter(0))
+        return RunTrace(
+            scenario=self.config.name, seed=self.world.seed, measure=self.measure,
+            chain=replace(self.world.chain, txs=txs), real_starts=self.world.starts,
+            records=records, oracle_events=events, tx_meta=meta,
+            dropped=[tx_id for _, tx_id in dropped],
         )
 
 

@@ -1,22 +1,25 @@
 """Ledger invariants and the trace export."""
 
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chaintime.chain import Chain, NonMonotonicTimestamp, OutOfRange, Transaction
+from chaintime.chain import Chain, NonMonotonicTimestamp, Transaction
+from chaintime.experiment import sweep
+from chaintime.measures import MeasureKind
+from chaintime.scenario import invoice_demo_scenario
 
 
 def small_chain() -> Chain:
     tx_a = Transaction(id="a", sender="alice", created_at=90, op="ping")
     tx_b = Transaction(id="b", sender="bob", created_at=150)
-    return Chain.from_schedule(
-        np.array([0, 100, 230], dtype=np.int64),
-        np.array([0, 5, 7], dtype=np.int64),
-        {1: (tx_a,), 2: (tx_b,)},
+    chain = Chain.from_schedule(
+        np.array([0, 100, 230], dtype=np.int64), np.array([0, 5, 7], dtype=np.int64)
     )
+    return replace(chain, txs={1: (tx_a,), 2: (tx_b,)})
 
 
 class TestAppend:
@@ -34,7 +37,7 @@ class TestFromSchedule:
         timestamps = np.array([0, 100, 230], dtype=np.int64)
         mining = np.array([0, 5, 7], dtype=np.int64)
         tx = Transaction(id="a", sender="alice", created_at=90)
-        chain = Chain.from_schedule(timestamps, mining, {1: (tx,)})
+        chain = replace(Chain.from_schedule(timestamps, mining), txs={1: (tx,)})
         assert len(chain) == 3
         out = io.StringIO()
         chain.export_trace(out)
@@ -46,10 +49,19 @@ class TestFromSchedule:
         with pytest.raises(NonMonotonicTimestamp):
             Chain.from_schedule(np.array([0, 5, 5]), np.zeros(3, dtype=np.int64))
 
-    def test_rejects_tx_outside_schedule(self):
-        tx = Transaction(id="a", sender="alice", created_at=0)
-        with pytest.raises(OutOfRange):
-            Chain.from_schedule(np.array([0, 10]), np.zeros(2, dtype=np.int64), {5: (tx,)})
+    def test_a_sweep_checks_each_seeds_chain_once(self, monkeypatch):
+        # the five runs of a seed attach their transactions to its world's chain
+        checked = []
+        from_schedule = Chain.from_schedule.__func__
+
+        def counted(cls, timestamps, mining_durations):
+            checked.append(len(timestamps))
+            return from_schedule(cls, timestamps, mining_durations)
+
+        monkeypatch.setattr(Chain, "from_schedule", classmethod(counted))
+        report = sweep(invoice_demo_scenario(), [0], measures=list(MeasureKind))
+        assert report.runs == 5
+        assert len(checked) == 1
 
 
 class TestTrace:

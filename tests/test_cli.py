@@ -153,6 +153,14 @@ class TestSweepAndReport:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == REPORT_HEADER
 
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_sweep_of_no_seeds_is_input_error(self, capsys, seeds):
+        code = main(["sweep", "--scenario", "deferred-overtake", "--seeds", seeds])
+        assert code == EXIT_SCENARIO
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --seeds must be at least 1, got {seeds}" in captured.err
+
     def test_report_reaggregates_run_output(self, tmp_path, capsys):
         paths = []
         for seed in (0, 1):

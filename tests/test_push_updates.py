@@ -150,6 +150,12 @@ def test_update_stream_digests_are_pinned(case):
     updates = [sum(s.startswith("oracle:") for s in senders) for senders in blocks]
     assert any(n >= 2 for n in updates)
     assert any(0 < n < len(senders) for n, senders in zip(updates, blocks))
+    if ordering == "adversarial_reorder":
+        # a block of two or more updates and a claim: it has a seal event of
+        # its own, and the claim's must not seal it a second time
+        assert any(2 <= n < len(senders) for n, senders in zip(updates, blocks))
+        ids = [tx.id for txs in trace.chain.txs.values() for tx in txs]
+        assert len(ids) == len(set(ids))
     assert trace.dropped
 
 

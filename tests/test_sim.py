@@ -216,8 +216,10 @@ class TestRunMechanics:
             ),
         )
         trace = run(config, seed=1, measure=MeasureKind.REQUEST_RESPONSE_ORACLE)
-        assert trace.stuck
-        assert all(r.outcome is Outcome.STUCK_PENDING for r in trace.stuck)
+        # no request is ever answered, so every guard the run reached is pending
+        stuck = [r for r in trace.records if r.outcome is Outcome.STUCK_PENDING]
+        assert stuck
+        assert stuck == trace.records
 
     def test_parameter_lies_shift_measured_values(self):
         base = invoice_demo_scenario()
@@ -321,13 +323,33 @@ class TestRunMechanics:
             assert np.array_equal(other[1], mining)
             assert other[2] == updates
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("measure", list(MeasureKind))
-    def test_bystander_participant_changes_no_other_sender(self, measure, seed):
-        # the bystander's one message claim comes an hour before the invoice
-        # window, when the contract refuses it
-        base = short_invoice()
-        entry = ScriptEntry(element="payment_received", at_ms=INVOICE_START_DUE - 3_600_000)
+    @pytest.mark.parametrize("case, measure, seed", [
+        *(
+            pytest.param("invoice", measure, seed, id=f"invoice-{measure.value}-{seed}")
+            for measure in MeasureKind for seed in (0, 1, 2)
+        ),
+        pytest.param("empty-block", MeasureKind.BLOCK_TIMESTAMP, 0, id="empty-block"),
+    ])
+    def test_bystander_participant_changes_no_other_sender(self, case, measure, seed):
+        # the bystander's one claim comes when the contract refuses it
+        if case == "invoice":
+            # a message an hour before the invoice window
+            base = short_invoice()
+            entry = ScriptEntry(element="payment_received", at_ms=INVOICE_START_DUE - 3_600_000)
+        else:
+            # 10 s blocks, each visible when the next starts. Block 2 enables
+            # notice, and the customer's zero-delay claim is created at block 3's
+            # start, behind its seal: block 4, whether or not the bystander's
+            # second start_timer claim makes block 3 hold something.
+            base = deferred_fifo_scenario()
+            mno, customer = base.participants
+            notice = ScriptEntry(element="notice", on_enabled_delay_ms=0)
+            base = replace(
+                base,
+                network=replace(base.network, mining_time=constant(10_000)),
+                participants=(mno, replace(customer, script=(notice,))),
+            )
+            entry = ScriptEntry(element="start_timer", at_ms=25_000)
         bystander = Participant(name="bystander", script=(entry,))
         alone = run(base, seed, measure)
         joined = run(replace(base, participants=(*base.participants, bystander)), seed, measure)
@@ -336,6 +358,8 @@ class TestRunMechanics:
         others = {k: v for k, v in joined.tx_meta.items() if v.sender != "bystander"}
         assert others == alone.tx_meta
         assert joined.records == alone.records
+        if case == "empty-block":
+            assert alone.tx_meta["customer-0"].block == 4
 
     def test_miner_ordering_does_not_touch_block_schedule(self):
         base = deferred_overtake_scenario()
