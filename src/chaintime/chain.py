@@ -24,11 +24,12 @@ class NonMonotonicTimestamp(ValueError):
     """Block timestamp does not strictly exceed its predecessor's."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transaction:
-    """A signed transaction: created_at is the sender-local creation instant,
-    op the element claimed (or ``__oracle_update__``, ``__callback__`` for
-    oracle transactions) and timestamp the sender-supplied PA parameter."""
+    """A signed transaction: created_at is the sender-local creation instant
+    s_tx, op the element claimed (or ``__oracle_update__``, ``__callback__``),
+    timestamp the sender-supplied PA parameter, visible_at the instant the
+    network sees it and block its block (None if it is never mined)."""
 
     id: str
     sender: str
@@ -36,6 +37,8 @@ class Transaction:
     op: str = ""
     timestamp: SimTime | None = None
     priority: int = 0
+    visible_at: SimTime | None = None
+    block: int | None = None
 
     def __post_init__(self):
         if self.created_at < 0:

@@ -156,8 +156,11 @@ def _cmd_parse_timer(args) -> int:
     fields = ", ".join(f"{k}={v}" for k, v in asdict(spec).items())
     print(f"{type(spec).__name__}({fields})")
     print(f"canonical: {format_timer(spec)}")
-    dues = due_times(spec, args.enablement, limit=5)
-    for i, due in enumerate(dues[:5]):
+    try:
+        dues = due_times(spec, args.enablement, limit=5)
+    except ValueError as exc:  # a cycle stepped past year 9999
+        raise ScenarioInputError(str(exc)) from None
+    for i, due in enumerate(dues):
         print(f"due[{i}] = {due}")
     return EXIT_OK
 

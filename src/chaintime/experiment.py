@@ -141,18 +141,19 @@ def _parse_constraint(text: str) -> str:
     return text
 
 
+def _record_line(scenario: str, seed: int, record: GuardRecord) -> str:
+    """One decision as a record-stream line; _parse_record reads it back."""
+    truth = "" if record.ground_truth_ms is None else record.ground_truth_ms
+    measured = "" if record.measured_ms is None else record.measured_ms
+    return (
+        f"{scenario},{seed},{record.measure_kind.value},{record.constraint_type},"
+        f"{record.element},{truth},{measured},{record.outcome.value}"
+    )
+
+
 def record_lines(trace: RunTrace) -> list[str]:
     """One decision per line, in the documented record-stream format."""
-    lines = []
-    for record in trace.records:
-        truth = "" if record.ground_truth_ms is None else str(record.ground_truth_ms)
-        measured = "" if record.measured_ms is None else str(record.measured_ms)
-        lines.append(
-            f"{trace.scenario},{trace.seed},{trace.measure.value},"
-            f"{record.constraint_type},{record.element},{truth},{measured},"
-            f"{record.outcome.value}"
-        )
-    return lines
+    return [_record_line(trace.scenario, trace.seed, record) for record in trace.records]
 
 
 def write_records(trace: RunTrace, stream: IO[str]) -> None:

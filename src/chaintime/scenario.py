@@ -28,7 +28,7 @@ from .process import (
     Task,
     TimerCatch,
 )
-from .timers import TimerParseError, TimerSpec, format_timer, parse_timer
+from .timers import CycleAbsTimer, TimerParseError, TimerSpec, due_times, format_timer, parse_timer
 
 MS_PER_DAY = 86_400_000
 
@@ -164,6 +164,12 @@ class ScenarioConfig:
     def validate(self) -> None:
         if self.process is not None:
             self.process.validate()
+            for i, element in enumerate(self.process.elements.values()):
+                if isinstance(getattr(element, "spec", None), CycleAbsTimer):
+                    try:  # an absolute cycle's dues do not depend on its enablement
+                        due_times(element.spec, self.activation_floor_ms, self.cycle_limit)
+                    except ValueError as exc:
+                        raise SchemaError(f"process.elements[{i}].spec", str(exc)) from None
         for p, participant in enumerate(self.participants):
             for s, entry in enumerate(participant.script):
                 path = f"participants[{p}].script[{s}]"

@@ -20,6 +20,9 @@ A sealed block's pull-oracle requests and newly enabled elements are the
 args of its visibility event, scheduled only when the block has something
 to announce.
 
+Every update, claim and callback is one frozen ``Transaction`` that
+carries the instant it is visible and its block (None if dropped);
+``RunTrace.tx_meta`` maps each id to the object the chain's blocks hold.
 Claims and callbacks are made by one ``_send``, which numbers them per
 sender. Each goes to the first block mined at or after it is visible whose
 start the loop has not passed at seal rank, whatever that block holds, and
@@ -36,11 +39,10 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,13 +71,6 @@ UPDATE_RANK = 1
 _SCHEDULE_CHUNK = 1 << 16
 
 
-class TxMeta(NamedTuple):
-    created_at: SimTime
-    sender: str
-    visible_at: SimTime
-    block: int | None
-
-
 @dataclass
 class RunTrace:
     """Everything one run produced: the ledger, oracle activity, and every
@@ -88,7 +83,7 @@ class RunTrace:
     real_starts: np.ndarray
     records: list
     oracle_events: list[tuple[str, str, SimTime, int]]
-    tx_meta: dict[str, TxMeta]
+    tx_meta: dict[str, Transaction]  # every transaction created, dropped ones too
     dropped: list[str]
 
     def export_trace(self, stream) -> None:
@@ -147,8 +142,9 @@ class _Updates:
     the block's updates when no other transaction joins them: (visible, tick,
     provider), the order of every miner policy but adversarial_reorder's.
     ``txs``, ``events``, ``by_block`` and ``cell`` (oracles.push[0]'s block,
-    position and value columns) follow the rows; ``meta`` and ``dropped``
-    (each id with its submission key) cover the dropped updates too.
+    position and value columns) follow the rows; ``meta`` (by id) and
+    ``dropped`` (each id with its submission key) cover the dropped updates
+    too. All of them share one Transaction per update.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
@@ -169,27 +165,22 @@ class _Updates:
         block = np.maximum(np.searchsorted(starts, visible, side="left"), 1)
         value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
         ids = [f"{sender}-{n}" for sender, count in zip(senders, counts) for n in range(count)]
-        sender_of = [senders[p] for p in provider.tolist()]
-        self.meta = dict(zip(ids, map(
-            TxMeta, tick.tolist(), sender_of, visible.tolist(), block.tolist()
-        )))
+        n_blocks = len(starts)
+        txs = list(map(
+            Transaction, ids, [senders[p] for p in provider.tolist()], tick.tolist(),
+            itertools.repeat("__oracle_update__"), itertools.repeat(None), itertools.repeat(0),
+            visible.tolist(), [b if b < n_blocks else None for b in block.tolist()],
+        ))
+        self.meta = dict(zip(ids, txs))
         self.dropped = [
             ((int(tick[row]), UPDATE_RANK, int(provider[row])), ids[row])
-            for row in np.flatnonzero(block >= len(starts))
+            for row in np.flatnonzero(block >= n_blocks)
         ]
-        for _, tx_id in self.dropped:
-            self.meta[tx_id] = self.meta[tx_id]._replace(block=None)
-
-        kept = np.flatnonzero(block < len(starts))
+        kept = np.flatnonzero(block < n_blocks)
         rows = kept[np.lexsort((provider[kept], tick[kept], visible[kept], block[kept]))]
-        columns = [column[rows] for column in (block, visible, tick, provider, value)]
-        self.block, self.visible, self.tick, self.provider, self.value = columns
-        block, _, tick, provider, value = columns
-        order = rows.tolist()
-        self.txs = list(map(
-            Transaction, [ids[row] for row in order], [sender_of[row] for row in order],
-            tick.tolist(), itertools.repeat("__oracle_update__"),
-        ))
+        block, tick, provider, value = (column[rows] for column in (block, tick, provider, value))
+        self.block, self.tick, self.provider, self.value = block, tick, provider, value
+        self.txs = [txs[row] for row in rows.tolist()]
         self.events = list(zip(
             [pushes[p].provider for p in provider.tolist()], itertools.repeat("update"),
             starts[block].tolist(), value.tolist(),
@@ -271,17 +262,17 @@ class _Runner:
         # the latest (instant, kind) the loop has reached: a transaction's
         # submission key, which places it after every update tick before it
         self.reached = (-1, 0)
-        self.sent: Counter[str] = Counter()  # transactions created per sender
+        self.sent = defaultdict(itertools.count)  # numbers the transactions of each sender
         self.streams: dict[str, np.random.Generator] = {}
 
         # blocks seal in number order; a key of pending_by_block is a block whose
-        # seal event is scheduled, its entries (visible_at, submitted, tx,
-        # execute, args); an update's entry has no execute and its row as args
+        # seal event is scheduled, its entries (submitted, tx, execute, args);
+        # an update's entry has no execute and its row as args
         self.pending_by_block: dict[int, list[tuple]] = {}
         self.txs_by_block: dict[int, tuple[Transaction, ...]] = {}
 
         self.oracle_events: list[tuple[str, str, SimTime, int]] = []
-        self.tx_meta: dict[str, TxMeta] = {}
+        self.tx_meta: dict[str, Transaction] = {}
         self.dropped: list[tuple[tuple[int, int], str]] = []
 
     # -- event plumbing ----------------------------------------------------
@@ -297,35 +288,32 @@ class _Runner:
         return rng
 
     def _send(self, now: SimTime, sender: str, op: str, execute, *args, **fields) -> None:
-        """Create the sender's next transaction and submit it."""
-        n = self.sent[sender]
-        self.sent[sender] = n + 1
-        tx = Transaction(id=f"{sender}-{n}", sender=sender, created_at=now, op=op, **fields)
-        self._submit(tx, execute, *args)
-
-    def _submit(self, tx: Transaction, execute, *args) -> None:
-        """Assign a created transaction to the first block mined after it
-        becomes visible to the network and not sealed yet; sealing runs
-        execute(now, tx, number, position, *args)."""
+        """Create the sender's next transaction and queue it in the first
+        block mined after it becomes visible to the network and not sealed
+        yet; sealing runs execute(now, tx, position, *args)."""
+        n = next(self.sent[sender])
         starts = self.world.starts
-        dist = self.inclusion_delays.get(tx.sender, self.config.network.inclusion_delay)
-        visible = tx.created_at + max(0, dist.sample_one(self._stream(f"delay/{tx.sender}")))
+        dist = self.inclusion_delays.get(sender, self.config.network.inclusion_delay)
+        visible = now + max(0, dist.sample_one(self._stream(f"delay/{sender}")))
         # Genesis carries no transactions. A block is sealed once the loop has
         # passed its start at seal rank, whatever it holds: one starting at the
         # loop's instant, as the transaction is visible no earlier.
         idx = max(int(np.searchsorted(starts, visible, side="left")), 1)
         if idx < len(starts) and (int(starts[idx]), K_BLOCK_SEAL) < self.reached:
             idx += 1
-        included = idx < len(starts)
-        self.tx_meta[tx.id] = TxMeta(tx.created_at, tx.sender, visible, idx if included else None)
-        if not included:
+        block = idx if idx < len(starts) else None
+        tx = Transaction(
+            f"{sender}-{n}", sender, now, op, visible_at=visible, block=block, **fields
+        )
+        self.tx_meta[tx.id] = tx
+        if block is None:
             self.dropped.append((self.reached, tx.id))
             return
         pending = self.pending_by_block.get(idx)
         if pending is None:
             pending = self.pending_by_block[idx] = []
             self._push(int(starts[idx]), K_BLOCK_SEAL, self._seal_block, idx)
-        pending.append((visible, self.reached, tx, execute, args))
+        pending.append((self.reached, tx, execute, args))
 
     # -- block sealing -----------------------------------------------------
 
@@ -334,10 +322,10 @@ class _Runner:
         sorted is stable."""
         policy = self.config.network.miner_ordering
         if policy == "fifo_by_arrival":
-            return sorted(entries, key=lambda e: (e[0], e[1]))
+            return sorted(entries, key=lambda e: (e[1].visible_at, e[0]))
         if policy == "priority_then_arrival":
-            return sorted(entries, key=lambda e: (-e[2].priority, e[0], e[1]))
-        entries = sorted(entries, key=itemgetter(1))
+            return sorted(entries, key=lambda e: (-e[1].priority, e[1].visible_at, e[0]))
+        entries = sorted(entries, key=itemgetter(0))
         order = self._stream("miner/order").permutation(len(entries))
         return [entries[int(i)] for i in order]
 
@@ -347,16 +335,15 @@ class _Runner:
         u = self.updates
         lo, hi = np.searchsorted(u.block, (number, number + 1)).tolist()
         return [
-            (int(u.visible[row]), (int(u.tick[row]), UPDATE_RANK, int(u.provider[row])),
-             u.txs[row], None, row)
+            ((int(u.tick[row]), UPDATE_RANK, int(u.provider[row])), u.txs[row], None, row)
             for row in range(lo, hi)
         ]
 
     def _place(self, number: int, entries: list[tuple]) -> None:
         """Keep the block's order, and where its updates sit in it: for the
         update events, and in the storage cell, before any claim reads it."""
-        self.txs_by_block[number] = tuple(entry[2] for entry in entries)
-        placed = [(position, e[4]) for position, e in enumerate(entries) if e[3] is None]
+        self.txs_by_block[number] = tuple(entry[1] for entry in entries)
+        placed = [(position, e[3]) for position, e in enumerate(entries) if e[2] is None]
         if not placed:
             return
         u = self.updates
@@ -376,10 +363,10 @@ class _Runner:
         self._place(number, entries)
         request_ids: list[int] = []
         enabled: list[str] = []
-        for position, (_, _, tx, execute, args) in enumerate(entries):
+        for position, (_, tx, execute, args) in enumerate(entries):
             if execute is None:
                 continue
-            result = execute(now, tx, number, position, *args)
+            result = execute(now, tx, position, *args)
             if result is not None:
                 request_ids.extend(result.requests)
                 enabled.extend(result.newly_enabled)
@@ -389,13 +376,13 @@ class _Runner:
                 self._block_visible, request_ids, enabled,
             )
 
-    def _apply_claim(self, now, tx, number, position) -> ApplyResult | None:
+    def _apply_claim(self, now, tx, position) -> ApplyResult | None:
         if self.instance is None:
             return None
         ctx = TxContext(
             tx=tx,
-            block_number=number,
-            block_timestamp=int(self.world.chain.timestamps[number]),
+            block_number=tx.block,
+            block_timestamp=int(self.world.chain.timestamps[tx.block]),
             position_in_block=position,
             chain_params=self.world.chain_params,
             oracle_view=self.cell,
@@ -422,7 +409,7 @@ class _Runner:
         sender = f"oracle:{pull.provider}"
         self._send(now, sender, "__callback__", self._deliver_callback, request_id)
 
-    def _deliver_callback(self, now, tx, number, position, request_id: int) -> ApplyResult:
+    def _deliver_callback(self, now, tx, position, request_id: int) -> ApplyResult:
         """The callback answers with the instant it was created."""
         return self.instance.on_callback(request_id, tx.created_at, now)
 
@@ -512,8 +499,7 @@ class _Runner:
             self.instance.finalize(horizon)
             records = list(self.instance.records)
         txs, events, meta = self.txs_by_block, self.oracle_events, self.tx_meta
-        dropped = self.dropped
-        u = self.updates
+        dropped, u = self.dropped, self.updates
         if u is not None:
             # an update event belongs to its block's seal, so it comes before a
             # request or callback of its instant; dropped go by submission

@@ -238,8 +238,9 @@ class TestParseTimer:
         assert "canonical: R7/PT24H" in out
         assert "due[4] = 432000000" in out  # fifth daily due from epoch 0
 
-    def test_invalid_timer_exits_one(self, capsys):
-        assert main(["parse-timer", "banana"]) == EXIT_SCENARIO
+    @pytest.mark.parametrize("text", ["banana", "R/9999-12-31/P1M"])
+    def test_invalid_timer_exits_one(self, capsys, text):
+        assert main(["parse-timer", text]) == EXIT_SCENARIO
 
 
 class TestOther:

@@ -3,18 +3,22 @@
 import io
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaintime.experiment import (
+    CONSTRAINT_ORDER,
     MetricsReport,
     RECORD_HEADER,
     REPORT_HEADER,
+    _parse_record,
+    _record_line,
     emit_report,
     record_lines,
     sweep,
     write_records,
 )
 from chaintime.measures import MeasureKind
-from chaintime.process import Outcome
+from chaintime.process import GuardRecord, Outcome
 from chaintime.scenario import SchemaError, deferred_fifo_scenario, deferred_overtake_scenario
 from chaintime.sim import run
 
@@ -102,3 +106,24 @@ class TestRecordStream:
         out = io.StringIO()
         write_records(trace, out)
         assert out.getvalue().splitlines()[0] == RECORD_HEADER
+
+
+names = st.text(min_size=1, max_size=8).filter(lambda s: not set(s) & set(",\r\n"))
+times = st.none() | st.integers(-(10**13), 10**13)  # a delta record's times can be negative
+guard_records = st.builds(
+    GuardRecord,
+    element=names,
+    constraint_type=st.sampled_from(CONSTRAINT_ORDER),
+    measure_kind=st.sampled_from(MeasureKind),
+    outcome=st.sampled_from(Outcome),
+    ground_truth_ms=times,
+    measured_ms=times,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names, st.integers(0, 2**32), guard_records)
+@example("s", 0, GuardRecord("late", "relative", MeasureKind.PARAMETER, Outcome.FN, None, -1_300))
+def test_record_line_round_trips(scenario, seed, record):
+    line = _record_line(scenario, seed, record)
+    assert _record_line(*_parse_record(line)) == line

@@ -157,6 +157,12 @@ def test_update_stream_digests_are_pinned(case):
         ids = [tx.id for txs in trace.chain.txs.values() for tx in txs]
         assert len(ids) == len(set(ids))
     assert trace.dropped
+    # one record per transaction: the chain's blocks hold the tx_meta objects
+    meta = trace.tx_meta
+    for number, txs in trace.chain.txs.items():
+        assert all(tx is meta[tx.id] and tx.block == number for tx in txs)
+    assert {tx_id for tx_id, tx in meta.items() if tx.block is None} == set(trace.dropped)
+    assert len(meta) == sum(map(len, trace.chain.txs.values())) + len(trace.dropped)
 
 
 @pytest.mark.parametrize("ordering", ["fifo_by_arrival", "adversarial_reorder"])

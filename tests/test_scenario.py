@@ -247,6 +247,9 @@ TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_
                   "process.elements[0].spec"),
         malformed("deferred-overtake", ["process", "elements", 1, "id"], "race,gw",
                   "process.elements[1].id"),
+        # an absolute cycle whose dues step past 9999-12-31
+        malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R/9999-12-01/P1M",
+                  "process.elements[0].spec"),
         malformed("invoice-demo", ["participants", 0, "script", 0, "retry_ms"], "x",
                   "participants[0].script[0].retry_ms"),
         malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], "x",
