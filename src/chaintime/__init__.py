@@ -8,7 +8,7 @@ experiments with reporting (experiment).
 
 from .chain import Chain, SimTime, Transaction
 from .dists import Distribution, constant, normal, uniform
-from .experiment import MetricsReport, emit_report, sweep, write_records
+from .experiment import MetricsReport, emit_report, read_records, sweep, write_records
 from .measures import (
     ChainParams,
     MeasureKind,
@@ -61,7 +61,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Chain", "SimTime", "Transaction",
     "Distribution", "constant", "normal", "uniform",
-    "MetricsReport", "emit_report", "sweep", "write_records",
+    "MetricsReport", "emit_report", "read_records", "sweep", "write_records",
     "ChainParams", "MeasureKind", "OracleCell", "PullOracleConfig",
     "PushOracleConfig", "TxContext",
     "measure_bn", "measure_bt", "measure_pa", "measure_so",

@@ -1,4 +1,4 @@
-"""Ledger data model: block columns, transactions, and the trace export.
+"""Ledger data model (block columns, transactions, trace export) and scenario field checks.
 
 Timestamps are integer milliseconds since the simulation epoch. A chain is a
 frozen value: its block columns (timestamps, mining durations) are numpy
@@ -18,6 +18,27 @@ SimTime = int
 # streams (scenario, participant, provider, element): non-empty, with no ','
 # and no line break. Scenario loading checks every field annotated with it.
 _Ident = NewType("Ident", str)
+
+
+class SchemaError(ValueError):
+    """Scenario validation failure, carrying the offending field path.
+
+    A config object's own checks name the field relative to the object;
+    build_config prefixes the object's path in the scenario tree.
+    """
+
+    def __init__(self, path: str, reason: str):
+        self.path = path
+        self.reason = reason
+        super().__init__(f"{path}: {reason}")
+
+
+def _check_bounds(config, *names: str) -> None:
+    """Durations stay below 2**45 ms in magnitude, so that with instants below 2**62 ms
+    no int64 sum in the simulator overflows: 65,536 gaps, an instant plus a drift or delay."""
+    for name in names:
+        if abs(getattr(config, name)) >> 45:
+            raise SchemaError(name, "must be below 2**45 in magnitude")
 
 
 class NonMonotonicTimestamp(ValueError):

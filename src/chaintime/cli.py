@@ -15,14 +15,7 @@ from dataclasses import asdict
 
 import yaml
 
-from .experiment import (
-    MetricsReport,
-    RECORD_HEADER,
-    _parse_record,
-    emit_report,
-    sweep,
-    write_records,
-)
+from .experiment import emit_report, read_records, sweep, write_records
 from .measures import MeasureKind
 from .scenario import (
     SCENARIO_PRESETS,
@@ -108,43 +101,19 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    report = MetricsReport(scenario="records", seeds=())
-    scenarios: set[str] = set()
-    seeds: set[int] = set()
+    files = []
     for path in args.records:
-        _ingest_record_file(report, path, scenarios, seeds)
-    if len(scenarios) == 1:
-        (report.scenario,) = scenarios
-    report.seeds = tuple(sorted(seeds))
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                files.append((path, fh.read()))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _unreadable(path, exc) from None
+    try:
+        report = read_records(files)
+    except ValueError as exc:  # a bad line, at its path:line
+        raise ScenarioInputError(str(exc)) from None
     _write_out(args.out, emit_report(report, args.format))
     return EXIT_OK
-
-
-def _ingest_record_file(
-    report: MetricsReport, path: str, scenarios: set[str], seeds: set[int]
-) -> None:
-    """Add a record file's records to the report, one run per header line,
-    and its scenario names and seeds to the given sets."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except FileNotFoundError:
-        raise ScenarioInputError(f"no such record file: {path!r}") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise _unreadable(path, exc) from None
-    for lineno, line in enumerate(lines, 1):
-        if line == RECORD_HEADER:
-            report.runs += 1
-            continue
-        if not line:
-            continue
-        try:
-            scenario, seed, record = _parse_record(line)
-        except ValueError as exc:
-            raise ScenarioInputError(f"{path}:{lineno}: {exc}") from None
-        scenarios.add(scenario)
-        seeds.add(seed)
-        report.cell(record.measure_kind, record.constraint_type).add(record)
 
 
 def _cmd_parse_timer(args) -> int:

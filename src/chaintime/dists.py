@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chain import _check_bounds
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -25,6 +27,7 @@ class Distribution:
     def __post_init__(self):
         if self.kind not in ("constant", "uniform", "normal"):
             raise ValueError(f"unknown distribution kind {self.kind!r}")
+        _check_bounds(self, "value_ms", "min_ms", "max_ms", "mean_ms", "stddev_ms")
         if self.kind == "constant" and self.value_ms < 0:
             raise ValueError("constant value must be non-negative")
         if self.kind == "uniform" and not 0 <= self.min_ms <= self.max_ms:

@@ -162,6 +162,31 @@ def write_records(trace: RunTrace, stream: IO[str]) -> None:
         stream.write(line + "\n")
 
 
+def read_records(files: Iterable[tuple[str, str]]) -> MetricsReport:
+    r"""Aggregate record files, given as (path, text) pairs, as write_records
+    writes them: lines end at '\n' alone, a header line starts a run, seeds
+    come from the seed column, and the scenario titles the report when the
+    records name one. A bad line raises ValueError("path:line: reason")."""
+    report = MetricsReport(scenario="records", seeds=())
+    scenarios, seeds = set(), set()
+    for path, text in files:
+        for lineno, line in enumerate(text.split("\n"), 1):
+            if line == RECORD_HEADER:
+                report.runs += 1
+            elif line:
+                try:
+                    scenario, seed, record = _parse_record(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
+                scenarios.add(scenario)
+                seeds.add(seed)
+                report.cell(record.measure_kind, record.constraint_type).add(record)
+    if len(scenarios) == 1:
+        (report.scenario,) = scenarios
+    report.seeds = tuple(sorted(seeds))
+    return report
+
+
 def emit_report(report: MetricsReport, fmt: str = "csv") -> str:
     if fmt == "csv":
         return _emit_csv(report)

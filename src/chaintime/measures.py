@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chain import SimTime, Transaction, _Ident
+from .chain import SimTime, Transaction, _Ident, _check_bounds
 
 
 class MeasureKind(str, Enum):
@@ -138,6 +138,7 @@ class PushOracleConfig:
             raise ValueError("staleness must be non-negative")
         if self.active_from_ms < 0:
             raise ValueError("active_from must be non-negative")
+        _check_bounds(self, "cadence_ms", "staleness_ms")
         _check_outages(self.outages)
 
 

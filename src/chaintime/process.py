@@ -336,8 +336,9 @@ class ProcessInstance:
         return 0 if entry is None else entry.next_index
 
     def note_message_created(self, element_id: str, s_tx: SimTime) -> None:
-        """Record a message transaction's creation for deferred-choice truth."""
-        self._message_notes.setdefault(element_id, []).append(s_tx)
+        """Record a message claim's creation for deferred-choice truth; ignore other claims."""
+        if isinstance(self.model.elements.get(element_id), MessageCatch):
+            self._message_notes.setdefault(element_id, []).append(s_tx)
 
     def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> ApplyResult:
         """Advance the state machine by one transaction, if its guard passes."""
@@ -365,26 +366,20 @@ class ProcessInstance:
             return ApplyResult(status="rejected", reason="superseded")
         return self._guard(self.model.elements[tx.op], tx, pending.ctx, real_now, measured=value)
 
-    def finalize(self, horizon_ms: SimTime) -> list[GuardRecord]:
+    def finalize(self) -> None:
         """Emit StuckPending records for guards still parked at the horizon."""
-        stuck = []
         for pending in self._pending.values():
-            if pending.anchor is not None:
-                continue
-            tx = pending.tx
-            record = GuardRecord(
-                element=tx.op,
-                constraint_type=_constraint_type(self.model.elements[tx.op]),
-                measure_kind=self.measure_kind,
-                outcome=Outcome.STUCK_PENDING,
-                ground_truth_ms=tx.created_at,
-                tx_id=tx.id,
-                accepted=False,
-            )
-            self.records.append(record)
-            stuck.append(record)
-        self._pending = {rid: p for rid, p in self._pending.items() if p.anchor is not None}
-        return stuck
+            if pending.anchor is None:
+                tx = pending.tx
+                self.records.append(GuardRecord(
+                    element=tx.op,
+                    constraint_type=_constraint_type(self.model.elements[tx.op]),
+                    measure_kind=self.measure_kind,
+                    outcome=Outcome.STUCK_PENDING,
+                    ground_truth_ms=tx.created_at,
+                    tx_id=tx.id,
+                    accepted=False,
+                ))
 
     # -- guard paths -------------------------------------------------------
 

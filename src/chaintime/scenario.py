@@ -16,7 +16,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .chain import _Ident
+from .chain import SchemaError, _Ident, _check_bounds
 from .dists import Distribution, constant, normal, uniform
 from .measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from .process import (
@@ -35,19 +35,6 @@ MS_PER_DAY = 86_400_000
 DEFAULT_BLOCK_TIME = normal(15_190, 2_710, 4_460, 30_310)
 DEFAULT_MINING_TIME = uniform(500, 2_500)
 DEFAULT_INCLUSION_DELAY = uniform(500, 6_000)
-
-
-class SchemaError(ValueError):
-    """Scenario validation failure, carrying the offending field path.
-
-    A config object's own checks name the field relative to the object;
-    build_config prefixes the object's path in the scenario tree.
-    """
-
-    def __init__(self, path: str, reason: str):
-        self.path = path
-        self.reason = reason
-        super().__init__(f"{path}: {reason}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +74,7 @@ class FaultConfig:
     miner_drift_max_ms: int = 15_000
 
     def __post_init__(self):
+        _check_bounds(self, "miner_drift_min_ms", "miner_drift_max_ms")
         if self.miner_drift_min_ms > self.miner_drift_max_ms:
             raise SchemaError("miner_drift_min_ms", "min must not exceed max")
 
@@ -147,8 +135,8 @@ class ScenarioConfig:
     simulate_unused_oracles: bool = False
 
     def __post_init__(self):
-        if self.horizon_ms <= self.network.genesis_timestamp_ms:
-            raise SchemaError("horizon_ms", "must lie after the genesis timestamp")
+        if not self.network.genesis_timestamp_ms < self.horizon_ms < 1 << 62:
+            raise SchemaError("horizon_ms", "must lie after the genesis timestamp and below 2**62")
         if self.activation_floor_ms is None:
             object.__setattr__(self, "activation_floor_ms", self.network.genesis_timestamp_ms)
         if self.activation_floor_ms < 0:
@@ -335,8 +323,6 @@ def _build(tp: Any, value: Any, path: str) -> Any:
             _build(args[0], k, _join(path, k)): _build(args[1], v, _join(path, k))
             for k, v in value.items()
         }
-    if tp is ProcessModel and isinstance(value, str):
-        return _pick(PROCESS_PRESETS, value, path, "process preset")()
     if tp is Distribution:
         _expect(isinstance(value, Mapping), value, path, "a mapping with a 'kind' key")
         keys = _pick(_DIST_KEYS, value.get("kind"), _join(path, "kind"), "distribution kind")
@@ -633,10 +619,6 @@ def deferred_fifo_scenario() -> ScenarioConfig:
         participants=(mno, replace(customer, inclusion_delay=None)),
     )
 
-
-PROCESS_PRESETS = {
-    "invoice-demo": invoice_demo_model,
-}
 
 SCENARIO_PRESETS = {
     "invoice-demo": invoice_demo_scenario,

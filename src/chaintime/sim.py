@@ -55,7 +55,7 @@ from .measures import (
     in_outage,
     so_update_times,
 )
-from .process import ApplyResult, MessageCatch, ProcessInstance
+from .process import ApplyResult, ProcessInstance
 from .rng import substream
 from .scenario import Participant, ScenarioConfig, ScriptEntry, _check_provider
 
@@ -417,9 +417,7 @@ class _Runner:
 
     def _create_claim(self, now: SimTime, participant: Participant, entry: ScriptEntry) -> None:
         if self.instance is not None:
-            element = self.config.process.elements.get(entry.element)
-            if isinstance(element, MessageCatch):
-                self.instance.note_message_created(entry.element, now)
+            self.instance.note_message_created(entry.element, now)
         self._send(
             now, participant.name, entry.element, self._apply_claim,
             timestamp=now + participant.lie_ms, priority=entry.priority,
@@ -496,7 +494,7 @@ class _Runner:
 
         records = []
         if self.instance is not None:
-            self.instance.finalize(horizon)
+            self.instance.finalize()
             records = list(self.instance.records)
         txs, events, meta = self.txs_by_block, self.oracle_events, self.tx_meta
         dropped, u = self.dropped, self.updates

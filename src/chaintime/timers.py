@@ -181,6 +181,8 @@ def add_months(instant_ms: int, months: int) -> int:
     sub_second = instant_ms % MS_PER_SECOND
     month_index = dt.month - 1 + months
     year = dt.year + month_index // 12
+    if not 1 <= year <= 9999:
+        raise ValueError(f"year {year} is out of range")
     month = month_index % 12 + 1
     day = min(dt.day, calendar.monthrange(year, month)[1])
     shifted = dt.replace(year=year, month=month, day=day)

@@ -1,11 +1,22 @@
 """Command-line surface: subcommands, formats, and exit codes."""
 
+import copy
+import io
+import os
+
 import pytest
 import yaml
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaintime.cli import EXIT_OK, EXIT_SCENARIO, main
-from chaintime.experiment import RECORD_HEADER, REPORT_HEADER
-from chaintime.scenario import config_to_dict, deferred_overtake_scenario
+from chaintime.experiment import RECORD_HEADER, REPORT_HEADER, write_records
+from chaintime.scenario import (
+    SCENARIO_PRESETS,
+    config_to_dict,
+    deferred_fifo_scenario,
+    deferred_overtake_scenario,
+)
+from chaintime.sim import run
 
 
 class TestRun:
@@ -181,6 +192,22 @@ class TestSweepAndReport:
             # markdown the same title and run and seed counts
             assert reported == swept
 
+    def test_report_reads_run_output_whose_name_holds_other_line_breaks(self, tmp_path, capsys):
+        # str.splitlines() also breaks at these; every stream is "\n"-delimited
+        tree = config_to_dict(deferred_fifo_scenario())
+        tree["name"] = "df\v\f\x1c\x1d\x1e\x85\u2028\u2029x"
+        scenario = tmp_path / "breaks.yaml"
+        scenario.write_text(yaml.safe_dump(tree), encoding="utf-8")
+        records = tmp_path / "records.csv"
+        assert main(["run", "--scenario", str(scenario), "--out", str(records)]) == EXIT_OK
+        for fmt in ("csv", "markdown"):
+            capsys.readouterr()
+            assert main(["sweep", "--scenario", str(scenario), "--seeds", "1",
+                         "--format", fmt]) == EXIT_OK
+            swept = capsys.readouterr().out
+            assert main(["report", str(records), "--format", fmt]) == EXIT_OK
+            assert capsys.readouterr().out == swept
+
     def test_report_rejects_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,record\n")
@@ -238,7 +265,11 @@ class TestParseTimer:
         assert "canonical: R7/PT24H" in out
         assert "due[4] = 432000000" in out  # fifth daily due from epoch 0
 
-    @pytest.mark.parametrize("text", ["banana", "R/9999-12-31/P1M"])
+    @pytest.mark.parametrize(
+        "text",
+        ["banana", "R/9999-12-31/P1M", "R/2020-01-01/P99999999999Y", "R/PT0S",
+         "R/2020-01-01/PT0S"],
+    )
     def test_invalid_timer_exits_one(self, capsys, text):
         assert main(["parse-timer", text]) == EXIT_SCENARIO
 
@@ -261,3 +292,75 @@ class TestOther:
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+# -- bounded fuzzers: malformed input exits 1, never 2 -------------------------
+
+def _record_file() -> bytes:
+    out = io.StringIO()
+    for seed in (0, 3):
+        write_records(run(deferred_overtake_scenario(), seed), out)
+    return out.getvalue().encode()
+
+
+def _int_leaves(node, path=()):
+    """The paths of a config tree's integer leaves."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _int_leaves(value, (*path, key))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield (*path, key)
+
+
+RECORD_FILE = _record_file()
+DEFERRED_TREES = {
+    name: config_to_dict(SCENARIO_PRESETS[name]())
+    for name in ("deferred-fifo", "deferred-overtake")
+}
+INT_LEAVES = [(name, path) for name, tree in DEFERRED_TREES.items() for path in _int_leaves(tree)]
+FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def byte_edits(draw, data: bytes) -> bytes:
+    """data with one byte replaced, inserted or deleted."""
+    at = draw(st.integers(0, len(data) - 1))
+    byte = bytes([draw(st.integers(0, 255))])
+    edit = draw(st.sampled_from(["replace", "insert", "delete"]))
+    tail = data[at + 1:] if edit != "insert" else data[at:]
+    return data[:at] + (b"" if edit == "delete" else byte) + tail
+
+
+@FUZZ
+@given(data=byte_edits(RECORD_FILE))
+def test_mutated_record_file_exits_zero_or_one(tmp_path, data):
+    path = tmp_path / "records.csv"
+    path.write_bytes(data)
+    assert main(["report", str(path), "--out", os.devnull]) in (EXIT_OK, EXIT_SCENARIO)
+
+
+@st.composite
+def mutated_scenarios(draw) -> bytes:
+    """A deferred preset's print-config YAML with one integer set to an
+    extreme or with one byte edited."""
+    if draw(st.booleans()):
+        name, (*keys, last) = draw(st.sampled_from(INT_LEAVES))
+        tree = copy.deepcopy(DEFERRED_TREES[name])
+        node = tree
+        for key in keys:
+            node = node[key]
+        node[last] = draw(st.sampled_from([2**63, -(2**63), 2**63 - 1, -1, 0]))
+        return yaml.safe_dump(tree).encode()
+    tree = DEFERRED_TREES[draw(st.sampled_from(sorted(DEFERRED_TREES)))]
+    return draw(byte_edits(yaml.safe_dump(tree).encode()))
+
+
+@FUZZ
+@given(data=mutated_scenarios())
+def test_mutated_scenario_exits_zero_or_one(tmp_path, data):
+    path = tmp_path / "scenario.yaml"
+    path.write_bytes(data)
+    assert main(["run", "--scenario", str(path), "--out", os.devnull]) in (EXIT_OK, EXIT_SCENARIO)

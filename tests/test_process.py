@@ -296,7 +296,8 @@ class TestRequestResponse:
         inst = make_instance(MeasureKind.REQUEST_RESPONSE_ORACLE)
         tx = claim("start", 1_500)
         assert inst.apply(tx, ctx_for(tx), real_now=1_600).status == "parked"
-        stuck = inst.finalize(horizon_ms=10_000)
+        assert inst.finalize() is None
+        stuck = [r for r in inst.records if r.outcome is Outcome.STUCK_PENDING]
         assert len(stuck) == 1
         assert stuck[0].outcome is Outcome.STUCK_PENDING
         assert stuck[0].constraint_type == ABSOLUTE
@@ -492,7 +493,8 @@ class TestRequestResponseAnchors:
         for branch in ("wait", "cycle"):
             tx = claim(branch, 9_000)
             assert inst.apply(tx, ctx_for(tx, block=3), real_now=9_100).status == "parked"
-        stuck = inst.finalize(horizon_ms=20_000)
+        inst.finalize()
+        stuck = [r for r in inst.records if r.outcome is Outcome.STUCK_PENDING]
         assert [(r.element, r.constraint_type) for r in stuck] == [
             ("wait", RELATIVE), ("cycle", CYCLE),
         ]
@@ -517,6 +519,12 @@ class TestModelValidation:
         }
         model = ProcessModel(elements=elements, flows={"start": None}, start="start")
         with pytest.raises(ModelError):
+            model.validate()
+
+    def test_element_key_must_be_its_id(self):
+        elements = {"start": StartTimer(id="begin", spec=parse_timer("P1D"))}
+        model = ProcessModel(elements=elements, flows={"start": None}, start="start")
+        with pytest.raises(ModelError, match="does not match id"):
             model.validate()
 
     def test_start_must_be_timer(self):

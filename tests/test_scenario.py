@@ -226,6 +226,10 @@ def processless(entry: dict, path: str):
 
 SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms": 2}]
 TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_000}]
+CONSTANT_2_63 = {"kind": "constant", "value_ms": 2**63}
+TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
+    {"id": "second_gateway", "type": "event_gateway", "branches": ["late_timer", "notice"]},
+]
 
 
 @pytest.mark.parametrize(
@@ -250,6 +254,8 @@ TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_
         # an absolute cycle whose dues step past 9999-12-31
         malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R/9999-12-01/P1M",
                   "process.elements[0].spec"),
+        malformed("deferred-fifo", ["process", "elements", 0, "spec"],
+                  "R/2020-01-01/P99999999999Y", "process.elements[0].spec"),
         malformed("invoice-demo", ["participants", 0, "script", 0, "retry_ms"], "x",
                   "participants[0].script[0].retry_ms"),
         malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], "x",
@@ -293,6 +299,32 @@ TWIN_PUSH = [{"provider": "timefeed"}, {"provider": "timefeed", "cadence_ms": 1_
                   "oracles.push[0].provider"),
         malformed("invoice-demo", ["oracles", "pull", 0, "provider"], "timefeed",
                   "oracles.pull[0].provider"),
+        # durations below 2**45 ms and instants below 2**62 ms, so that int64
+        # sums in the simulator cannot overflow
+        malformed("deferred-fifo", ["network", "block_time"], CONSTANT_2_63,
+                  "network.block_time.value_ms"),
+        malformed("deferred-fifo", ["network", "inclusion_delay"], CONSTANT_2_63,
+                  "network.inclusion_delay.value_ms"),
+        malformed("invoice-demo", ["network", "mining_time", "max_ms"], 2**63,
+                  "network.mining_time.max_ms"),
+        malformed("invoice-demo", ["faults", "miner_drift", "max_ms"], 2**63,
+                  "faults.miner_drift.max_ms"),
+        malformed("invoice-demo", ["participants", 0, "script", 0, "jitter", "max_ms"], 2**63,
+                  "participants[0].script[0].jitter.max_ms"),
+        malformed("invoice-demo", ["oracles", "push", 0, "staleness_ms"], 2**63,
+                  "oracles.push[0].staleness_ms"),
+        malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 2**45,
+                  "oracles.push[0].cadence_ms"),
+        malformed("deferred-fifo", ["horizon_ms"], 2**63, "horizon_ms"),
+        # a process is a mapping; ProcessModel.validate's errors are at `process`
+        malformed("deferred-fifo", ["process"], "invoice-demo", "process"),
+        malformed("deferred-fifo", ["process", "start"], "nowhere", "process"),
+        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "ghost", "process"),
+        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "start_timer",
+                  "process"),
+        malformed("deferred-fifo", ["process", "elements"], TWO_GATEWAYS, "process"),
+        malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process"),
+        malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process"),
     ],
 )
 def test_malformed_tree_reports_field_path(tree, path):
