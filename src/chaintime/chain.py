@@ -41,6 +41,11 @@ def _check_bounds(config, *names: str) -> None:
             raise SchemaError(name, "must be below 2**45 in magnitude")
 
 
+# blocks per write of the trace export, about 130 kB of text
+_EXPORT_CHUNK = 1 << 12
+_BLOCK_LINE = "block,%d,%d,%d\n"
+
+
 class NonMonotonicTimestamp(ValueError):
     """Block timestamp does not strictly exceed its predecessor's."""
 
@@ -96,9 +101,27 @@ class Chain:
         return len(self.timestamps)
 
     def export_trace(self, stream: IO[str]) -> None:
-        """Write the line-delimited trace: one block line, then its tx lines."""
-        timestamps, mining, tx_blocks = self.timestamps, self.mining_durations, self.txs
-        for i in range(len(self)):
-            stream.write(f"block,{i},{int(timestamps[i])},{int(mining[i])}\n")
-            for tx in tx_blocks.get(i, ()):
-                stream.write(f"tx,{tx.id},{tx.created_at},{tx.sender},{tx.op}\n")
+        """Write the line-delimited trace: one block line, then its tx lines.
+
+        One write per _EXPORT_CHUNK blocks keeps memory flat; the block lines
+        between two non-empty blocks are one format. A ``txs`` with a
+        ``lines(number)`` method gives the tx lines of its blocks itself.
+        """
+        txs = self.txs
+        lines = getattr(txs, "lines", None) or (lambda number: "".join(map(tx_line, txs[number])))
+        numbers = np.array(sorted(txs), dtype=np.int64)
+        for lo in range(0, len(self), _EXPORT_CHUNK):
+            hi = min(lo + _EXPORT_CHUNK, len(self))
+            columns = (np.arange(lo, hi), self.timestamps[lo:hi], self.mining_durations[lo:hi])
+            flat, parts, done = np.stack(columns, axis=1).ravel().tolist(), [], lo
+            first, last = np.searchsorted(numbers, (lo, hi))
+            for number in numbers[first:last].tolist():
+                stretch = flat[3 * (done - lo):3 * (number + 1 - lo)]
+                parts += (_BLOCK_LINE * (number + 1 - done) % tuple(stretch), lines(number))
+                done = number + 1
+            parts.append(_BLOCK_LINE * (hi - done) % tuple(flat[3 * (done - lo):]))
+            stream.write("".join(parts))
+
+
+def tx_line(tx: Transaction) -> str:
+    return f"tx,{tx.id},{tx.created_at},{tx.sender},{tx.op}\n"

@@ -28,7 +28,7 @@ from .process import (
     Task,
     TimerCatch,
 )
-from .timers import CycleAbsTimer, TimerParseError, TimerSpec, due_times, format_timer, parse_timer
+from .timers import CycleAbsTimer, TimerParseError, TimerSpec, add_months, format_timer, parse_timer
 
 MS_PER_DAY = 86_400_000
 
@@ -153,9 +153,11 @@ class ScenarioConfig:
         if self.process is not None:
             self.process.validate()
             for i, element in enumerate(self.process.elements.values()):
-                if isinstance(getattr(element, "spec", None), CycleAbsTimer):
-                    try:  # an absolute cycle's dues do not depend on its enablement
-                        due_times(element.spec, self.activation_floor_ms, self.cycle_limit)
+                if isinstance(spec := getattr(element, "spec", None), CycleAbsTimer):
+                    # its year moves one way with the index: only the last due can pass 9999
+                    last = min(spec.repetitions or self.cycle_limit, self.cycle_limit) - 1
+                    try:
+                        add_months(spec.start_ms, last * spec.period_months)
                     except ValueError as exc:
                         raise SchemaError(f"process.elements[{i}].spec", str(exc)) from None
         for p, participant in enumerate(self.participants):

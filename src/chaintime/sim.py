@@ -21,8 +21,11 @@ args of its visibility event, scheduled only when the block has something
 to announce.
 
 Every update, claim and callback is one frozen ``Transaction`` that
-carries the instant it is visible and its block (None if dropped);
-``RunTrace.tx_meta`` maps each id to the object the chain's blocks hold.
+carries the instant it is visible and its block (None if dropped); an
+update's is built from the columns only when it is looked up, once per
+world. In a run with updates, ``RunTrace.tx_meta`` (by id) and the chain's
+``txs`` (by block) are read-only mappings that lay the run's own objects
+over the update columns.
 Claims and callbacks are made by one ``_send``, which numbers them per
 sender. Each goes to the first block mined at or after it is visible whose
 start the loop has not passed at seal rank, whatever that block holds, and
@@ -40,13 +43,14 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
+from collections.abc import Mapping
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
-from .chain import Chain, SimTime, Transaction
+from .chain import _EXPORT_CHUNK, Chain, SchemaError, SimTime, Transaction, tx_line
 from .measures import (
     ChainParams,
     MeasureKind,
@@ -69,6 +73,9 @@ K_ORACLE_CALLBACK = 4
 UPDATE_RANK = 1
 
 _SCHEDULE_CHUNK = 1 << 16
+# the most blocks a chain may have, 7.7 times invoice-demo's 2.18 million;
+# the schedule stops drawing there, so that its memory stays bounded
+MAX_BLOCKS = 1 << 24
 
 
 @dataclass
@@ -83,13 +90,15 @@ class RunTrace:
     real_starts: np.ndarray
     records: list
     oracle_events: list[tuple[str, str, SimTime, int]]
-    tx_meta: dict[str, Transaction]  # every transaction created, dropped ones too
+    tx_meta: Mapping[str, Transaction]  # every transaction created, dropped ones too
     dropped: list[str]
 
     def export_trace(self, stream) -> None:
         self.chain.export_trace(stream)
-        for provider, kind, at, value in self.oracle_events:
-            stream.write(f"oracle,{provider},{kind},{at},{value}\n")
+        events = self.oracle_events
+        for lo in range(0, len(events), _EXPORT_CHUNK):
+            chunk = events[lo:lo + _EXPORT_CHUNK]
+            stream.write("oracle,%s,%s,%s,%s\n" * len(chunk) % tuple(itertools.chain(*chunk)))
 
 
 def block_schedule(
@@ -106,6 +115,8 @@ def block_schedule(
     chunks = [np.array([genesis], dtype=np.int64)]
     last = genesis
     while last <= config.horizon_ms:
+        if len(chunks) > MAX_BLOCKS // _SCHEDULE_CHUNK:
+            raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
         gaps = np.maximum(net.block_time.sample(rng_block, _SCHEDULE_CHUNK), 1)
         chunk = last + np.cumsum(gaps)
         chunks.append(chunk)
@@ -136,27 +147,30 @@ def block_schedule(
 
 
 class _Updates:
-    """The push providers' update transactions of one seed, from arrays.
+    """The push providers' update transactions of one seed, as columns.
 
-    The included updates are rows sorted by block, then by their order among
-    the block's updates when no other transaction joins them: (visible, tick,
-    provider), the order of every miner policy but adversarial_reorder's.
-    ``txs``, ``events``, ``by_block`` and ``cell`` (oracles.push[0]'s block,
-    position and value columns) follow the rows; ``meta`` (by id) and
-    ``dropped`` (each id with its submission key) cover the dropped updates
-    too. All of them share one Transaction per update.
+    One row per update: tick, visible, block (the chain's length if dropped),
+    provider, number (among the provider's updates) and value. Rows go by
+    block, then by their order among the block's updates when no other
+    transaction joins them: (visible, tick, provider), the order of every
+    miner policy but adversarial_reorder's. The first ``kept`` rows are the
+    included ones; ``events`` and ``cell`` (oracles.push[0]'s block, position
+    and value columns) follow them.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
         pushes = config.push_oracles
-        senders = [f"oracle:{push.provider}" for push in pushes]
+        self.senders = [f"oracle:{push.provider}" for push in pushes]
         ticks = [so_update_times(push, config.horizon_ms) for push in pushes]
         counts = [len(t) for t in ticks]
         delays = [
             config.network.inclusion_delay.sample(substream(seed, f"delay/{sender}"), count)
-            for sender, count in zip(senders, counts)
+            for sender, count in zip(self.senders, counts)
         ]
         provider = np.repeat(np.arange(len(pushes)), counts)
+        offsets = np.cumsum(counts) - counts  # each provider's first update
+        self.spans = dict(zip(self.senders, zip(offsets.tolist(), counts)))
+        number = np.arange(len(provider)) - offsets[provider]
         tick = np.concatenate(ticks)
         visible = tick + np.maximum(np.concatenate(delays), 0)
         # Genesis carries no transactions. Otherwise the first block mined at
@@ -164,35 +178,106 @@ class _Updates:
         # after the tick, and a tick ranks before a seal of its instant.
         block = np.maximum(np.searchsorted(starts, visible, side="left"), 1)
         value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
-        ids = [f"{sender}-{n}" for sender, count in zip(senders, counts) for n in range(count)]
-        n_blocks = len(starts)
-        txs = list(map(
-            Transaction, ids, [senders[p] for p in provider.tolist()], tick.tolist(),
-            itertools.repeat("__oracle_update__"), itertools.repeat(None), itertools.repeat(0),
-            visible.tolist(), [b if b < n_blocks else None for b in block.tolist()],
-        ))
-        self.meta = dict(zip(ids, txs))
+        order = np.lexsort((provider, tick, visible, block))
+        self.row_of = np.argsort(order)  # by provider, then number
+        self.tick, self.visible, self.block, self.provider, self.number, self.value = (
+            column[order] for column in (tick, visible, block, provider, number, value)
+        )
+        self.kept = kept = int(np.searchsorted(self.block, len(starts)))
         self.dropped = [
-            ((int(tick[row]), UPDATE_RANK, int(provider[row])), ids[row])
-            for row in np.flatnonzero(block >= n_blocks)
+            ((int(self.tick[row]), UPDATE_RANK, int(self.provider[row])), self.tx_id(row))
+            for row in range(kept, len(order))
         ]
-        kept = np.flatnonzero(block < n_blocks)
-        rows = kept[np.lexsort((provider[kept], tick[kept], visible[kept], block[kept]))]
-        block, tick, provider, value = (column[rows] for column in (block, tick, provider, value))
-        self.block, self.tick, self.provider, self.value = block, tick, provider, value
-        self.txs = [txs[row] for row in rows.tolist()]
+        block, provider, value = self.block[:kept], self.provider[:kept], self.value[:kept]
         self.events = list(zip(
             [pushes[p].provider for p in provider.tolist()], itertools.repeat("update"),
             starts[block].tolist(), value.tolist(),
         ))
-        self.by_block: dict[int, tuple[Transaction, ...]] = {}
-        for number, tx in zip(block.tolist(), self.txs):
-            self.by_block[number] = self.by_block.get(number, ()) + (tx,)
-        numbers, sizes = np.unique(block, return_counts=True)
-        self.multi = numbers[sizes > 1].tolist()  # blocks of two or more updates
-        position = np.arange(len(block)) - np.searchsorted(block, block, side="left")
+        self.numbers, sizes = np.unique(block, return_counts=True)  # blocks holding updates
+        self.multi = self.numbers[sizes > 1].tolist()  # blocks of two or more
+        position = np.arange(kept) - np.searchsorted(block, block, side="left")
         first = provider == 0
         self.cell = (block[first], position[first], value[first])
+        self.built: dict[int, Transaction] = {}
+
+    def tx_id(self, row: int) -> str:
+        return f"{self.senders[self.provider[row]]}-{self.number[row]}"
+
+    def tx(self, row: int) -> Transaction:
+        """The row's update, built on its first lookup."""
+        tx = self.built.get(row)
+        if tx is None:
+            tx = self.built[row] = Transaction(
+                self.tx_id(row), self.senders[self.provider[row]], int(self.tick[row]),
+                "__oracle_update__", visible_at=int(self.visible[row]),
+                block=int(self.block[row]) if row < self.kept else None,
+            )
+        return tx
+
+    def rows(self, number) -> range:
+        """The rows of a block's included updates."""
+        if not isinstance(number, (int, np.integer)):
+            return range(0)
+        return range(*np.searchsorted(self.block[:self.kept], (number, number + 1)).tolist())
+
+    def line(self, row: int) -> str:
+        """The row's tx line in the trace, from the columns."""
+        sender = self.senders[self.provider[row]]
+        return f"tx,{sender}-{self.number[row]},{self.tick[row]},{sender},__oracle_update__\n"
+
+
+class _BlockTxs(Mapping):
+    """A run's transactions by block, read-only: the blocks it sealed laid
+    over the world's blocks of updates only. It iterates, counts and
+    compares as the dict {**update blocks, **sealed}."""
+
+    def __init__(self, sealed: dict, updates: _Updates):
+        self.sealed, self.u = sealed, updates
+
+    def __getitem__(self, number) -> tuple[Transaction, ...]:
+        txs = self.sealed.get(number) or tuple(map(self.u.tx, self.u.rows(number)))
+        if not txs:
+            raise KeyError(number)
+        return txs
+
+    def __iter__(self):
+        yield from self.u.numbers.tolist()
+        yield from (number for number in self.sealed if not self.u.rows(number))
+
+    def __len__(self) -> int:
+        return len(self.u.numbers) + sum(not self.u.rows(number) for number in self.sealed)
+
+    def lines(self, number: int) -> str:
+        """The block's tx lines in the trace; for the export."""
+        if number in self.sealed:
+            return "".join(map(tx_line, self.sealed[number]))
+        return "".join(map(self.u.line, self.u.rows(number)))
+
+
+class _TxMeta(Mapping):
+    """Every transaction of a run by id, read-only: its own claims and
+    callbacks beside the world's updates (sender names are unique, so no id
+    is both). It iterates, counts and compares as the dict {**updates, **own}."""
+
+    def __init__(self, own: dict, updates: _Updates):
+        self.own, self.u = own, updates
+
+    def __getitem__(self, tx_id) -> Transaction:
+        if tx_id in self.own:
+            return self.own[tx_id]
+        sender, _, n = tx_id.rpartition("-") if isinstance(tx_id, str) else ("", "", "")
+        first, count = self.u.spans.get(sender, (0, 0))
+        if not (n.isdecimal() and str(int(n)) == n and int(n) < count):
+            raise KeyError(tx_id)
+        return self.u.tx(int(self.u.row_of[first + int(n)]))
+
+    def __iter__(self):
+        for sender, (_, count) in self.u.spans.items():
+            yield from (f"{sender}-{n}" for n in range(count))
+        yield from self.own
+
+    def __len__(self) -> int:
+        return len(self.own) + len(self.u.tick)
 
 
 class SeedWorld:
@@ -333,10 +418,9 @@ class _Runner:
         """The block's updates as pending entries; an update is submitted at
         its tick with the update rank, after the providers before its own."""
         u = self.updates
-        lo, hi = np.searchsorted(u.block, (number, number + 1)).tolist()
         return [
-            ((int(u.tick[row]), UPDATE_RANK, int(u.provider[row])), u.txs[row], None, row)
-            for row in range(lo, hi)
+            ((int(u.tick[row]), UPDATE_RANK, int(u.provider[row])), u.tx(row), None, row)
+            for row in u.rows(number)
         ]
 
     def _place(self, number: int, entries: list[tuple]) -> None:
@@ -501,9 +585,8 @@ class _Runner:
         if u is not None:
             # an update event belongs to its block's seal, so it comes before a
             # request or callback of its instant; dropped go by submission
-            txs = {**u.by_block, **txs}
+            txs, meta = _BlockTxs(txs, u), _TxMeta(meta, u)
             events = list(heapq.merge(self.update_events, events, key=itemgetter(2)))
-            meta = {**u.meta, **meta}
             dropped = sorted(u.dropped + dropped, key=itemgetter(0))
         return RunTrace(
             scenario=self.config.name, seed=self.world.seed, measure=self.measure,

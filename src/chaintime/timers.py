@@ -62,7 +62,8 @@ class CycleAbsTimer:
     repetitions: int | None
 
     def __post_init__(self):
-        if self.period_months <= 0 and self.period_ms <= 0:
+        months, ms = self.period_months, self.period_ms
+        if min(months, ms) < 0 or not (months or ms):  # its dues only move forward
             raise ValueError("cycle period must be positive")
         if self.repetitions is not None and self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")

@@ -10,8 +10,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from chaintime.cli import EXIT_OK, EXIT_SCENARIO, main
 from chaintime.experiment import RECORD_HEADER, REPORT_HEADER, write_records
+from chaintime.measures import MeasureKind
 from chaintime.scenario import (
+    INVOICE_START_DUE,
+    MS_PER_DAY,
     SCENARIO_PRESETS,
+    build_config,
     config_to_dict,
     deferred_fifo_scenario,
     deferred_overtake_scenario,
@@ -29,12 +33,25 @@ class TestRun:
         assert lines[0] == RECORD_HEADER
         assert any(",Mismatch" in line for line in lines)
 
-    def test_trace_export(self, tmp_path):
+    @pytest.mark.parametrize("preset, measure, genesis", [
+        ("deferred-fifo", "block_timestamp", 0),
+        # invoice-demo from two days before the invoice window: 115k blocks,
+        # thousands of them holding updates only
+        ("invoice-demo", "storage_oracle", INVOICE_START_DUE - 2 * MS_PER_DAY),
+    ])
+    def test_trace_export(self, tmp_path, preset, measure, genesis):
+        tree = config_to_dict(SCENARIO_PRESETS[preset]())
+        tree["network"]["genesis_timestamp_ms"] = genesis
+        scenario = tmp_path / "scenario.yaml"
+        scenario.write_text(yaml.safe_dump(tree))
         trace_out = tmp_path / "trace.txt"
-        code = main(["run", "--scenario", "deferred-fifo", "--out", "-",
-                     "--trace-out", str(trace_out)])
+        code = main(["run", "--scenario", str(scenario), "--seed", "1", "--measure", measure,
+                     "--out", str(tmp_path / "records.csv"), "--trace-out", str(trace_out)])
         assert code == EXIT_OK
-        assert trace_out.read_text().startswith("block,0,0,0")
+        expected = io.StringIO()
+        run(build_config(tree), 1, MeasureKind(measure)).export_trace(expected)
+        assert trace_out.read_bytes() == expected.getvalue().encode()
+        assert trace_out.read_bytes().count(b"\ntx,") > (100 if preset == "invoice-demo" else 1)
 
     def test_unknown_scenario_is_input_error(self, capsys):
         assert main(["run", "--scenario", "missing.yaml"]) == EXIT_SCENARIO

@@ -1,11 +1,18 @@
 """Scenario schema validation, presets, and config round-tripping."""
 
 import copy
+import os
+import subprocess
+import sys
+import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given, strategies as st
 
+import chaintime
 from chaintime.dists import constant, normal, uniform
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import (
@@ -331,6 +338,60 @@ def test_malformed_tree_reports_field_path(tree, path):
     with pytest.raises(SchemaError) as exc_info:
         build_config(tree)
     assert exc_info.value.path == path
+
+
+def test_a_long_cycle_limit_validates_quickly():
+    # validate computes an absolute cycle's last due only, not all 79,048
+    tree = preset_tree("invoice-demo")
+    tree["cycle_limit"] = 79_048
+    start = time.perf_counter()
+    build_config(tree)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("spec, limit, passes", [
+    ("R3/9999-10-01/P1M", 64, False),
+    ("R4/9999-10-01/P1M", 64, True),
+    ("R/9999-10-01/P1M", 3, False),
+    ("R/9999-10-01/P1M", 4, True),
+    ("R/9000-01-01/P1Y", 999, False),
+    ("R/9000-01-01/P1Y", 1_001, True),
+])
+def test_a_cycle_whose_last_due_passes_year_9999_is_refused(spec, limit, passes):
+    tree = preset_tree("deferred-fifo")
+    tree["process"]["elements"][0]["spec"] = spec
+    tree["cycle_limit"] = limit
+    if not passes:
+        build_config(tree)
+        return
+    with pytest.raises(SchemaError) as exc_info:
+        build_config(tree)
+    assert exc_info.value.path == "process.elements[0].spec"
+
+
+@pytest.mark.parametrize("tree, path", [
+    # 2**61 ms of 10 s blocks is far past sim.MAX_BLOCKS
+    malformed("deferred-fifo", ["horizon_ms"], 2**61, "horizon_ms"),
+])
+def test_a_chain_past_the_block_cap_is_refused_in_bounded_memory(tmp_path, tree, path):
+    # the cap stops the schedule long before 512 MiB of address space, the
+    # child's own limit, would run out (it did, with exit 2, before the cap)
+    scenario = tmp_path / "long.yaml"
+    scenario.write_text(yaml.safe_dump(tree))
+    limited = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        "from chaintime.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    paths = (str(Path(chaintime.__file__).parents[1]), os.environ.get("PYTHONPATH"))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    done = subprocess.run(
+        [sys.executable, "-c", limited, "run", "--scenario", str(scenario)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"error: {path}: the chain would pass ")
 
 
 # -- properties --------------------------------------------------------------

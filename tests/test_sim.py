@@ -22,7 +22,8 @@ from chaintime.scenario import (
     deferred_overtake_scenario,
     invoice_demo_scenario,
 )
-from chaintime.sim import block_schedule, run
+from chaintime import sim
+from chaintime.sim import _SCHEDULE_CHUNK as CHUNK, block_schedule, run
 
 
 def plain_config(**kwargs) -> ScenarioConfig:
@@ -96,6 +97,17 @@ class TestBlockSchedule:
         assert np.array_equal(starts, timestamps)
         # nothing writes either column, so they are one array
         assert np.shares_memory(starts, timestamps)
+
+    def test_a_chain_holds_at_most_max_blocks(self, monkeypatch):
+        # 10 s blocks from 0: a horizon of (n - 1) * 10 s makes n blocks
+        monkeypatch.setattr(sim, "MAX_BLOCKS", 2 * CHUNK)
+        config = deferred_fifo_scenario()
+        starts, _, _ = block_schedule(replace(config, horizon_ms=(2 * CHUNK - 1) * 10_000), 0)
+        assert len(starts) == 2 * CHUNK
+        for blocks in (2 * CHUNK + 1, 3 * CHUNK + 5):
+            with pytest.raises(SchemaError) as exc_info:
+                block_schedule(replace(config, horizon_ms=(blocks - 1) * 10_000), 0)
+            assert exc_info.value.path == "horizon_ms"
 
     def test_drift_keeps_timestamps_strictly_increasing(self):
         config = plain_config(

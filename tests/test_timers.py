@@ -111,6 +111,13 @@ class TestDueTimes:
         spec = parse_timer("R2/2020-01-01/P1M")
         assert due_times(spec, 1_580_000_000_000, limit=5) == due_times(spec, 0, limit=5)
 
+    @pytest.mark.parametrize("months, ms", [(-1, 1), (1, -1), (0, 0), (-1, 0)])
+    def test_absolute_cycle_step_cannot_be_negative(self, months, ms):
+        # a negative part would let dues move back in time, and the year
+        # check in ScenarioConfig.validate reads the last due alone
+        with pytest.raises(ValueError, match="cycle period must be positive"):
+            CycleAbsTimer(start_ms=0, period_months=months, period_ms=ms, repetitions=None)
+
     def test_limit_must_be_positive(self):
         with pytest.raises(ValueError):
             due_times(DateTimer(instant_ms=0), 0, limit=0)
