@@ -44,6 +44,7 @@ def _check_bounds(config, *names: str) -> None:
 # blocks per write of the trace export, about 130 kB of text
 _EXPORT_CHUNK = 1 << 12
 _BLOCK_LINE = "block,%d,%d,%d\n"
+_TX_LINE = "tx,%s,%s,%s,%s\n"  # id, created_at, sender, op
 
 
 class NonMonotonicTimestamp(ValueError):
@@ -124,4 +125,4 @@ class Chain:
 
 
 def tx_line(tx: Transaction) -> str:
-    return f"tx,{tx.id},{tx.created_at},{tx.sender},{tx.op}\n"
+    return _TX_LINE % (tx.id, tx.created_at, tx.sender, tx.op)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import io
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import yaml
 
@@ -95,7 +95,7 @@ def _cmd_sweep(args) -> int:
     config = _resolve_scenario(args.scenario)
     seeds = range(args.seed, args.seed + args.seeds)
     measure = _measure_arg(args.measure)
-    report = sweep(config, seeds, measures=(measure,) if measure else None)
+    report = sweep(replace(config, measures=(measure,)) if measure else config, seeds)
     _write_out(args.out, emit_report(report, args.format))
     return EXIT_OK
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
 
 from .measures import MeasureKind
@@ -77,16 +77,11 @@ class MetricsReport:
 
 
 def sweep(
-    config: ScenarioConfig,
-    seeds: Iterable[int],
-    measures: Iterable[MeasureKind] | None = None,
-    per_run: Callable[[RunTrace], None] | None = None,
+    config: ScenarioConfig, seeds: Iterable[int], per_run: Callable[[RunTrace], None] | None = None
 ) -> MetricsReport:
-    """Run every (seed, measure) combination, aggregating as it goes; the
-    runs of one seed share its world. measures replaces config.measures and
-    is checked the same way: a repeated measure, or none, is a SchemaError."""
-    if measures is not None:
-        config = replace(config, measures=tuple(measures))
+    """Run every (seed, config.measures) combination, aggregating as it goes;
+    the runs of one seed share its world. To sweep other measures, pass
+    dataclasses.replace(config, measures=...)."""
     seed_list = tuple(seeds)
     report = MetricsReport(scenario=config.name, seeds=seed_list)
     for seed in seed_list:

@@ -35,6 +35,8 @@ MS_PER_DAY = 86_400_000
 DEFAULT_BLOCK_TIME = normal(15_190, 2_710, 4_460, 30_310)
 DEFAULT_MINING_TIME = uniform(500, 2_500)
 DEFAULT_INCLUSION_DELAY = uniform(500, 6_000)
+# dues kept per cycle at most: above the 119,988 months from year 1 to 9999
+MAX_CYCLE_LIMIT = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +148,8 @@ class ScenarioConfig:
         for i, measure in enumerate(self.measures):
             if measure in self.measures[:i]:
                 raise SchemaError(f"measures[{i}]", f"measure {measure.value!r} is listed twice")
-        if self.cycle_limit < 1:
-            raise SchemaError("cycle_limit", "must be >= 1")
+        if not 1 <= self.cycle_limit <= MAX_CYCLE_LIMIT:
+            raise SchemaError("cycle_limit", f"must lie in 1..{MAX_CYCLE_LIMIT:,}")
 
     def validate(self) -> None:
         if self.process is not None:

@@ -23,9 +23,9 @@ to announce.
 Every update, claim and callback is one frozen ``Transaction`` that
 carries the instant it is visible and its block (None if dropped); an
 update's is built from the columns only when it is looked up, once per
-world. In a run with updates, ``RunTrace.tx_meta`` (by id) and the chain's
-``txs`` (by block) are read-only mappings that lay the run's own objects
-over the update columns.
+world. ``RunTrace.tx_meta`` (by id) and the chain's ``txs`` (by block) are
+read-only mappings that lay the run's own objects over the update columns,
+which have no rows in a run that drives no push provider.
 Claims and callbacks are made by one ``_send``, which numbers them per
 sender. Each goes to the first block mined at or after it is visible whose
 start the loop has not passed at seal rank, whatever that block holds, and
@@ -50,7 +50,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .chain import _EXPORT_CHUNK, Chain, SchemaError, SimTime, Transaction, tx_line
+from .chain import _EXPORT_CHUNK, _TX_LINE, Chain, SchemaError, SimTime, Transaction, tx_line
 from .measures import (
     ChainParams,
     MeasureKind,
@@ -76,6 +76,8 @@ _SCHEDULE_CHUNK = 1 << 16
 # the most blocks a chain may have, 7.7 times invoice-demo's 2.18 million;
 # the schedule stops drawing there, so that its memory stays bounded
 MAX_BLOCKS = 1 << 24
+# the most push updates a seed may have, 5.5 times criterion 10's 761k
+MAX_UPDATES = 1 << 22
 
 
 @dataclass
@@ -146,6 +148,12 @@ def block_schedule(
     return starts, timestamps, mining
 
 
+def _first_block(starts: np.ndarray, instants):
+    """The first block mined at or after each instant, never genesis (which
+    carries no transactions); len(starts) past the end of the chain."""
+    return np.searchsorted(starts[1:], instants, side="left") + 1
+
+
 class _Updates:
     """The push providers' update transactions of one seed, as columns.
 
@@ -160,6 +168,13 @@ class _Updates:
 
     def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
         pushes = config.push_oracles
+        # count the ticks before drawing them, outages aside, as for the blocks
+        ticks = (range(p.active_from_ms, config.horizon_ms + 1, p.cadence_ms) for p in pushes)
+        for i, total in enumerate(itertools.accumulate(map(len, ticks))):
+            if total > MAX_UPDATES:
+                raise SchemaError(
+                    f"oracles.push[{i}].cadence_ms", f"the updates would pass {MAX_UPDATES:,}"
+                )
         self.senders = [f"oracle:{push.provider}" for push in pushes]
         ticks = [so_update_times(push, config.horizon_ms) for push in pushes]
         counts = [len(t) for t in ticks]
@@ -171,12 +186,11 @@ class _Updates:
         offsets = np.cumsum(counts) - counts  # each provider's first update
         self.spans = dict(zip(self.senders, zip(offsets.tolist(), counts)))
         number = np.arange(len(provider)) - offsets[provider]
-        tick = np.concatenate(ticks)
-        visible = tick + np.maximum(np.concatenate(delays), 0)
-        # Genesis carries no transactions. Otherwise the first block mined at
-        # or after the update is visible is never sealed yet: it starts at or
-        # after the tick, and a tick ranks before a seal of its instant.
-        block = np.maximum(np.searchsorted(starts, visible, side="left"), 1)
+        tick, delay = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (ticks, delays))
+        visible = tick + np.maximum(delay, 0)
+        # the first block mined at or after an update is visible is never
+        # sealed yet: it starts at or after the tick, which ranks before a seal
+        block = _first_block(starts, visible)
         value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
         order = np.lexsort((provider, tick, visible, block))
         self.row_of = np.argsort(order)  # by provider, then number
@@ -184,10 +198,7 @@ class _Updates:
             column[order] for column in (tick, visible, block, provider, number, value)
         )
         self.kept = kept = int(np.searchsorted(self.block, len(starts)))
-        self.dropped = [
-            ((int(self.tick[row]), UPDATE_RANK, int(self.provider[row])), self.tx_id(row))
-            for row in range(kept, len(order))
-        ]
+        self.dropped = [(self.key(row), self.tx_id(row)) for row in range(kept, len(order))]
         block, provider, value = self.block[:kept], self.provider[:kept], self.value[:kept]
         self.events = list(zip(
             [pushes[p].provider for p in provider.tolist()], itertools.repeat("update"),
@@ -203,6 +214,11 @@ class _Updates:
     def tx_id(self, row: int) -> str:
         return f"{self.senders[self.provider[row]]}-{self.number[row]}"
 
+    def key(self, row: int) -> tuple[int, int, int]:
+        """The row's submission key: an update is submitted at its tick with
+        the update rank, after the providers before its own."""
+        return int(self.tick[row]), UPDATE_RANK, int(self.provider[row])
+
     def tx(self, row: int) -> Transaction:
         """The row's update, built on its first lookup."""
         tx = self.built.get(row)
@@ -216,14 +232,18 @@ class _Updates:
 
     def rows(self, number) -> range:
         """The rows of a block's included updates."""
-        if not isinstance(number, (int, np.integer)):
+        if not (self.kept and isinstance(number, (int, np.integer))):
             return range(0)
         return range(*np.searchsorted(self.block[:self.kept], (number, number + 1)).tolist())
 
     def line(self, row: int) -> str:
         """The row's tx line in the trace, from the columns."""
         sender = self.senders[self.provider[row]]
-        return f"tx,{sender}-{self.number[row]},{self.tick[row]},{sender},__oracle_update__\n"
+        return _TX_LINE % (self.tx_id(row), self.tick[row], sender, "__oracle_update__")
+
+
+# the update table of a run that drives no push provider
+_NO_UPDATES = _Updates(ScenarioConfig(horizon_ms=1), 0, np.zeros(1, np.int64))
 
 
 class _BlockTxs(Mapping):
@@ -325,17 +345,16 @@ class _Runner:
         )
         # only the request/response measure makes requests
         self.pull_config = config.pull_oracles[0] if config.pull_oracles else None
-        self.updates: _Updates | None = None
-        self.cell = None
-        if config.push_oracles and (
+        driven = config.push_oracles and (
             config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
-        ):
-            self.updates = u = world.updates
-            # the run's copies, in which _place settles the order of a block
-            self.update_events = list(u.events)
-            self.cell_columns = tuple(column.copy() for column in u.cell)
-            # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
-            self.cell = OracleCell(config.push_oracles[0].provider)
+        )
+        self.updates = u = world.updates if driven else _NO_UPDATES
+        # the run's copies, in which _place settles the order of a block
+        self.update_events = list(u.events)
+        self.cell_columns = tuple(column.copy() for column in u.cell)
+        # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
+        self.cell = OracleCell(config.push_oracles[0].provider) if driven else None
+        if driven:
             self.cell.write(*self.cell_columns)
         self.inclusion_delays = {
             p.name: p.inclusion_delay for p in config.participants
@@ -380,10 +399,10 @@ class _Runner:
         starts = self.world.starts
         dist = self.inclusion_delays.get(sender, self.config.network.inclusion_delay)
         visible = now + max(0, dist.sample_one(self._stream(f"delay/{sender}")))
-        # Genesis carries no transactions. A block is sealed once the loop has
-        # passed its start at seal rank, whatever it holds: one starting at the
-        # loop's instant, as the transaction is visible no earlier.
-        idx = max(int(np.searchsorted(starts, visible, side="left")), 1)
+        # A block is sealed once the loop has passed its start at seal rank,
+        # whatever it holds: one starting at the loop's instant, as the
+        # transaction is visible no earlier.
+        idx = int(_first_block(starts, visible))
         if idx < len(starts) and (int(starts[idx]), K_BLOCK_SEAL) < self.reached:
             idx += 1
         block = idx if idx < len(starts) else None
@@ -414,15 +433,6 @@ class _Runner:
         order = self._stream("miner/order").permutation(len(entries))
         return [entries[int(i)] for i in order]
 
-    def _update_entries(self, number: int) -> list[tuple]:
-        """The block's updates as pending entries; an update is submitted at
-        its tick with the update rank, after the providers before its own."""
-        u = self.updates
-        return [
-            ((int(u.tick[row]), UPDATE_RANK, int(u.provider[row])), u.tx(row), None, row)
-            for row in u.rows(number)
-        ]
-
     def _place(self, number: int, entries: list[tuple]) -> None:
         """Keep the block's order, and where its updates sit in it: for the
         update events, and in the storage cell, before any claim reads it."""
@@ -440,10 +450,9 @@ class _Runner:
         values[at:at + len(own)] = [u.value[row] for _, row in own]
 
     def _seal_block(self, now: SimTime, number: int) -> None:
-        entries = self.pending_by_block.pop(number)
-        if self.updates is not None:
-            entries += self._update_entries(number)
-        entries = self._order_block(entries)
+        u = self.updates
+        updates = [(u.key(row), u.tx(row), None, row) for row in u.rows(number)]
+        entries = self._order_block(self.pending_by_block.pop(number) + updates)
         self._place(number, entries)
         request_ids: list[int] = []
         enabled: list[str] = []
@@ -561,7 +570,7 @@ class _Runner:
                     )
         if self.instance is not None:
             self._notify(int(self.world.starts[0]), self.instance.enabled_elements())
-        if self.updates is not None and self.config.network.miner_ordering == "adversarial_reorder":
+        if self.config.network.miner_ordering == "adversarial_reorder":
             # a block of two or more updates draws its miner/order permutation
             # when it seals, in block order; one of a single update draws nothing
             for number in self.updates.multi:
@@ -580,19 +589,16 @@ class _Runner:
         if self.instance is not None:
             self.instance.finalize()
             records = list(self.instance.records)
-        txs, events, meta = self.txs_by_block, self.oracle_events, self.tx_meta
-        dropped, u = self.dropped, self.updates
-        if u is not None:
-            # an update event belongs to its block's seal, so it comes before a
-            # request or callback of its instant; dropped go by submission
-            txs, meta = _BlockTxs(txs, u), _TxMeta(meta, u)
-            events = list(heapq.merge(self.update_events, events, key=itemgetter(2)))
-            dropped = sorted(u.dropped + dropped, key=itemgetter(0))
+        u = self.updates
+        # an update event belongs to its block's seal, so it comes before a
+        # request or callback of its instant; dropped go by submission
+        events = list(heapq.merge(self.update_events, self.oracle_events, key=itemgetter(2)))
+        dropped = sorted(u.dropped + self.dropped, key=itemgetter(0))
         return RunTrace(
             scenario=self.config.name, seed=self.world.seed, measure=self.measure,
-            chain=replace(self.world.chain, txs=txs), real_starts=self.world.starts,
-            records=records, oracle_events=events, tx_meta=meta,
-            dropped=[tx_id for _, tx_id in dropped],
+            chain=replace(self.world.chain, txs=_BlockTxs(self.txs_by_block, u)),
+            real_starts=self.world.starts, records=records, oracle_events=events,
+            tx_meta=_TxMeta(self.tx_meta, u), dropped=[tx_id for _, tx_id in dropped],
         )
 
 

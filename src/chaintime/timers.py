@@ -86,19 +86,20 @@ class CycleRelTimer:
 TimerSpec = DateTimer | DurationTimer | CycleAbsTimer | CycleRelTimer
 
 
+# fullmatch, as $ also matches before a final "\n"; re.ASCII, or \d takes any digit
 _DATETIME_RE = re.compile(
-    r"^(\d{4})-(\d{2})-(\d{2})"
-    r"(?:T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?Z)?$"
+    r"(\d{4})-(\d{2})-(\d{2})(?:T(\d{2}):(\d{2}):(\d{2})(?:\.(\d{1,3}))?Z)?", re.ASCII
 )
 
 _PERIOD_RE = re.compile(
-    r"^P(?:(\d+)Y)?(?:(\d+)M)?(?:(\d+)D)?"
-    r"(?:T(?:(\d+)H)?(?:(\d+)M)?(?:(\d+)(?:\.(\d{1,3}))?S)?)?$"
+    r"P(?:(\d+)Y)?(?:(\d+)M)?(?:(\d+)D)?"
+    r"(?:T(?:(\d+)H)?(?:(\d+)M)?(?:(\d+)(?:\.(\d{1,3}))?S)?)?",
+    re.ASCII,
 )
 
 
 def _parse_datetime(text: str, offset: int = 0) -> int:
-    m = _DATETIME_RE.match(text)
+    m = _DATETIME_RE.fullmatch(text)
     if m is None:
         raise TimerParseError(text, offset, "not a YYYY-MM-DD[Thh:mm:ssZ] datetime")
     year, month, day = int(m.group(1)), int(m.group(2)), int(m.group(3))
@@ -115,7 +116,7 @@ def _parse_datetime(text: str, offset: int = 0) -> int:
 
 def _parse_period(text: str, offset: int, allow_months: bool) -> tuple[int, int]:
     """Parse a P.../PT... period into (calendar months, fixed milliseconds)."""
-    m = _PERIOD_RE.match(text)
+    m = _PERIOD_RE.fullmatch(text)
     if m is None or all(g is None for g in m.groups()):
         raise TimerParseError(text, offset, "not a P.../PT... period")
     years = int(m.group(1) or 0)
@@ -146,7 +147,7 @@ def parse_timer(text: str) -> TimerSpec:
     if text[0] == "R":
         parts = text.split("/")
         head = parts[0][1:]
-        if head and not head.isdigit():
+        if head and not (head.isascii() and head.isdigit()):
             raise TimerParseError(text, 1, "repetition count must be an integer")
         repetitions = int(head) if head else None
         if repetitions is not None and repetitions < 1:

@@ -59,7 +59,9 @@ class TestFromSchedule:
             return from_schedule(cls, timestamps, mining_durations)
 
         monkeypatch.setattr(Chain, "from_schedule", classmethod(counted))
-        report = sweep(invoice_demo_scenario(), [0], measures=list(MeasureKind))
+        config = invoice_demo_scenario()
+        assert config.measures == tuple(MeasureKind)
+        report = sweep(config, [0])
         assert report.runs == 5
         assert len(checked) == 1
 

@@ -285,7 +285,9 @@ class TestParseTimer:
     @pytest.mark.parametrize(
         "text",
         ["banana", "R/9999-12-31/P1M", "R/2020-01-01/P99999999999Y", "R/PT0S",
-         "R/2020-01-01/PT0S"],
+         "R/2020-01-01/PT0S",
+         # ASCII digits only, and no final newline
+         "R\u00b2/PT1S", "P\u0661D", "R\u0661/PT1S", "2020-01-0\u0661", "P1D\n", "R/PT1S\n"],
     )
     def test_invalid_timer_exits_one(self, capsys, text):
         assert main(["parse-timer", text]) == EXIT_SCENARIO

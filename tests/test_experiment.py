@@ -1,6 +1,8 @@
 """Sweep aggregation and report emission."""
 
+import inspect
 import io
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,7 +21,12 @@ from chaintime.experiment import (
 )
 from chaintime.measures import MeasureKind
 from chaintime.process import GuardRecord, Outcome
-from chaintime.scenario import SchemaError, deferred_fifo_scenario, deferred_overtake_scenario
+from chaintime.scenario import (
+    SchemaError,
+    deferred_fifo_scenario,
+    deferred_overtake_scenario,
+    invoice_demo_scenario,
+)
 from chaintime.sim import run
 
 
@@ -43,20 +50,24 @@ class TestSweep:
         sweep(deferred_fifo_scenario(), (0, 1), per_run=lambda t: seen.append(t.seed))
         assert seen == [0, 1]
 
-    def test_measures_argument_restricts(self):
-        config = deferred_overtake_scenario()
-        report = sweep(config, (0,), measures=(MeasureKind.BLOCK_TIMESTAMP,))
+    def test_config_measures_restrict(self):
+        config = replace(invoice_demo_scenario(), measures=(MeasureKind.BLOCK_TIMESTAMP,))
+        report = sweep(config, (0,))
+        assert report.cells and report.runs == 1
         assert all(measure is MeasureKind.BLOCK_TIMESTAMP for measure, _ in report.cells)
+
+    def test_sweep_has_one_measures_setter(self):
+        assert "measures" not in inspect.signature(sweep).parameters
 
     @pytest.mark.parametrize(
         "measures, path",
-        [([MeasureKind.BLOCK_TIMESTAMP, MeasureKind.BLOCK_TIMESTAMP], "measures[1]"),
-         ([], "measures")],
+        [((MeasureKind.BLOCK_TIMESTAMP, MeasureKind.BLOCK_TIMESTAMP), "measures[1]"),
+         ((), "measures")],
     )
-    def test_measures_argument_is_checked_like_the_config(self, measures, path):
+    def test_replaced_measures_are_checked_like_the_config(self, measures, path):
         # a repeated measure would count every cell twice
         with pytest.raises(SchemaError) as exc_info:
-            sweep(deferred_fifo_scenario(), (0, 1), measures=measures)
+            replace(deferred_fifo_scenario(), measures=measures)
         assert exc_info.value.path == path
 
 

@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 
 from chaintime import chain as chain_module, sim
 from chaintime.chain import Chain, Transaction
-from chaintime.dists import uniform
-from chaintime.measures import MeasureKind, PushOracleConfig
+from chaintime.dists import constant, uniform
+from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.scenario import (
     INVOICE_START_DUE,
     MS_PER_DAY,
@@ -106,7 +106,10 @@ def test_sparse_chain_exports_as_the_line_loop(shape, chunk):
 @st.composite
 def push_runs(draw):
     """A short deferred-overtake run with one or two push providers, whose
-    updates fill most blocks, some alone and some beside a claim."""
+    updates fill most blocks, some alone and some beside a claim, and a pull
+    provider. Under the request/response measure, with no mining time, no
+    inclusion delay and a latency of whole blocks, a callback is created at
+    a block's start after that block sealed."""
     base = deferred_overtake_scenario()
     pushes = tuple(
         PushOracleConfig(
@@ -121,16 +124,24 @@ def push_runs(draw):
         base,
         network=replace(
             base.network,
-            inclusion_delay=uniform(0, draw(st.integers(0, 25_000))),
+            mining_time=constant(draw(st.sampled_from([0, 1_000]))),
+            inclusion_delay=uniform(0, draw(st.just(0) | st.integers(0, 25_000))),
             miner_ordering=draw(st.sampled_from(
                 ["fifo_by_arrival", "priority_then_arrival", "adversarial_reorder"]
             )),
         ),
         push_oracles=pushes,
+        pull_oracles=(PullOracleConfig(
+            provider="clock",
+            latency_ms=draw(st.sampled_from([0, 10_000, 20_000]) | st.integers(0, 30_000)),
+        ),),
         simulate_unused_oracles=True,
         horizon_ms=draw(st.integers(12_000, 400_000)),
     )
-    measure = draw(st.sampled_from([MeasureKind.STORAGE_ORACLE, MeasureKind.BLOCK_TIMESTAMP]))
+    measure = draw(st.sampled_from([
+        MeasureKind.STORAGE_ORACLE, MeasureKind.BLOCK_TIMESTAMP,
+        MeasureKind.REQUEST_RESPONSE_ORACLE,
+    ]))
     return run(config, draw(st.integers(0, 50)), measure)
 
 
@@ -167,9 +178,56 @@ def test_run_mappings_behave_as_dicts(trace):
         for bogus in (f"{provider}-{count}", f"{provider}-01", f"{provider}--1", f"{provider}-"):
             assert bogus not in meta and meta.get(bogus) is None
     assert meta.get(5) is None and "oracle:feed" not in meta and "mno-99" not in meta
-    if not isinstance(meta, dict):  # a run without updates keeps its plain dicts
+    for mapping in (txs, meta):
         with pytest.raises(TypeError):
-            meta["x"] = None
+            mapping["x"] = None
+
+
+@pytest.mark.parametrize("scenario, measure", [
+    (deferred_overtake_scenario, None), (invoice_demo_scenario, MeasureKind.BLOCK_TIMESTAMP),
+], ids=["no provider", "not driven"])
+def test_a_run_without_updates_has_the_same_mappings(scenario, measure):
+    trace = run(scenario(), 0, measure)
+    assert type(trace.tx_meta) is sim._TxMeta and type(trace.chain.txs) is sim._BlockTxs
+    assert not any(tx.op == UPDATE for tx in trace.tx_meta.values())
+
+
+def first_block_at_or_after(starts, instant) -> int:
+    """The placement rule, restated: genesis never, len(starts) past the end."""
+    return max(int(np.searchsorted(starts, instant, side="left")), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(push_runs())
+def test_every_transaction_sits_in_the_first_block_mined_after_it_is_visible(trace):
+    """Update rows, claims and callbacks alike. The one exception is the seal
+    rule: a callback created at that block's start, with no inclusion delay,
+    comes after the block sealed and goes to the next one."""
+    starts = trace.real_starts
+    for tx in trace.tx_meta.values():
+        number = first_block_at_or_after(starts, tx.visible_at)
+        if number < len(starts) and tx.op == "__callback__" and (
+            tx.created_at == tx.visible_at == starts[number]
+        ):
+            number += 1
+        assert tx.block == (number if number < len(starts) else None), tx
+
+
+def test_a_callback_at_a_block_start_goes_to_the_next_block():
+    config = replace(
+        deferred_overtake_scenario(),
+        network=replace(
+            deferred_overtake_scenario().network,
+            mining_time=constant(0), inclusion_delay=constant(0),
+        ),
+        pull_oracles=(PullOracleConfig(provider="clock", latency_ms=10_000),),
+    )
+    trace = run(config, 0, MeasureKind.REQUEST_RESPONSE_ORACLE)
+    callbacks = [tx for tx in trace.tx_meta.values() if tx.op == "__callback__"]
+    assert callbacks
+    for tx in callbacks:
+        number = first_block_at_or_after(trace.real_starts, tx.visible_at)
+        assert trace.real_starts[number] == tx.created_at and tx.block == number + 1
 
 
 def counting(monkeypatch) -> list[Transaction]:

@@ -24,6 +24,7 @@ from chaintime.process import (
     TimerCatch,
 )
 from chaintime.scenario import (
+    MAX_CYCLE_LIMIT,
     SCENARIO_PRESETS,
     FaultConfig,
     NetworkConfig,
@@ -256,6 +257,13 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
                   "participants[0].script[0].at_ms"),
         malformed("deferred-overtake", ["process", "elements", 0, "spec"], "soon",
                   "process.elements[0].spec"),
+        # timer digits are ASCII, and a spec is the whole string
+        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u00b2/PT1S",
+                  "process.elements[0].spec"),
+        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u0661/PT1S",
+                  "process.elements[0].spec"),
+        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R/PT1S\n",
+                  "process.elements[0].spec"),
         malformed("deferred-overtake", ["process", "elements", 1, "id"], "race,gw",
                   "process.elements[1].id"),
         # an absolute cycle whose dues step past 9999-12-31
@@ -323,6 +331,9 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
         malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 2**45,
                   "oracles.push[0].cadence_ms"),
         malformed("deferred-fifo", ["horizon_ms"], 2**63, "horizon_ms"),
+        # a cycle keeps one due per iteration up to cycle_limit
+        malformed("deferred-fifo", ["cycle_limit"], 100_000_000, "cycle_limit"),
+        malformed("deferred-fifo", ["cycle_limit"], MAX_CYCLE_LIMIT + 1, "cycle_limit"),
         # a process is a mapping; ProcessModel.validate's errors are at `process`
         malformed("deferred-fifo", ["process"], "invoice-demo", "process"),
         malformed("deferred-fifo", ["process", "start"], "nowhere", "process"),
@@ -349,6 +360,19 @@ def test_a_long_cycle_limit_validates_quickly():
     assert time.perf_counter() - start < 0.1
 
 
+def test_the_cycle_limit_cap_admits_every_monthly_cycle_to_year_9999():
+    # from January of year 1, a monthly cycle's 119,988th due is in December 9999
+    tree = preset_tree("deferred-fifo")
+    tree["process"]["elements"][0]["spec"] = "R/0001-01-01/P1M"
+    tree["cycle_limit"] = 9_999 * 12
+    assert build_config(tree).cycle_limit < MAX_CYCLE_LIMIT
+    # at the cap, the year check refuses it first
+    tree["cycle_limit"] = MAX_CYCLE_LIMIT
+    with pytest.raises(SchemaError) as exc_info:
+        build_config(tree)
+    assert exc_info.value.path == "process.elements[0].spec"
+
+
 @pytest.mark.parametrize("spec, limit, passes", [
     ("R3/9999-10-01/P1M", 64, False),
     ("R4/9999-10-01/P1M", 64, True),
@@ -369,13 +393,9 @@ def test_a_cycle_whose_last_due_passes_year_9999_is_refused(spec, limit, passes)
     assert exc_info.value.path == "process.elements[0].spec"
 
 
-@pytest.mark.parametrize("tree, path", [
-    # 2**61 ms of 10 s blocks is far past sim.MAX_BLOCKS
-    malformed("deferred-fifo", ["horizon_ms"], 2**61, "horizon_ms"),
-])
-def test_a_chain_past_the_block_cap_is_refused_in_bounded_memory(tmp_path, tree, path):
-    # the cap stops the schedule long before 512 MiB of address space, the
-    # child's own limit, would run out (it did, with exit 2, before the cap)
+def run_in_512_mib(tmp_path, tree) -> subprocess.CompletedProcess:
+    """`chaintime run` of the tree in a child whose own address space is
+    limited to 512 MiB."""
     scenario = tmp_path / "long.yaml"
     scenario.write_text(yaml.safe_dump(tree))
     limited = (
@@ -386,12 +406,34 @@ def test_a_chain_past_the_block_cap_is_refused_in_bounded_memory(tmp_path, tree,
     )
     paths = (str(Path(chaintime.__file__).parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", limited, "run", "--scenario", str(scenario)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+@pytest.mark.parametrize("tree, path", [
+    # 2**61 ms of 10 s blocks is far past sim.MAX_BLOCKS
+    malformed("deferred-fifo", ["horizon_ms"], 2**61, "horizon_ms"),
+])
+def test_a_chain_past_the_block_cap_is_refused_in_bounded_memory(tmp_path, tree, path):
+    # the cap stops the schedule long before 512 MiB of address space, the
+    # child's own limit, would run out (it did, with exit 2, before the cap)
+    done = run_in_512_mib(tmp_path, tree)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"error: {path}: the chain would pass ")
+
+
+def test_updates_past_their_cap_are_refused_in_bounded_memory(tmp_path):
+    # 10**11 ticks of 1 ms over 10**7 blocks, which the block cap allows:
+    # counted, not drawn (drawing them ran out of memory, with exit 2)
+    tree = preset_tree("deferred-fifo") | {
+        "horizon_ms": 10**11, "measures": ["storage_oracle"],
+        "oracles": {"push": [{"provider": "feed", "cadence_ms": 1}]},
+    }
+    done = run_in_512_mib(tmp_path, tree)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("error: oracles.push[0].cadence_ms: the updates would pass ")
 
 
 # -- properties --------------------------------------------------------------

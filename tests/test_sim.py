@@ -109,6 +109,20 @@ class TestBlockSchedule:
                 block_schedule(replace(config, horizon_ms=(blocks - 1) * 10_000), 0)
             assert exc_info.value.path == "horizon_ms"
 
+    def test_a_seed_holds_at_most_max_updates(self, monkeypatch):
+        # the cap counts ticks before they are drawn, outages aside: 11 from 0
+        # to 100 s, and 6 from 50 s of which the outage drops 60 s and 70 s
+        feed = PushOracleConfig(provider="feed", cadence_ms=10_000)
+        late = replace(feed, provider="late", active_from_ms=50_000, outages=((60_000, 80_000),))
+        config = replace(deferred_fifo_scenario(), horizon_ms=100_000, push_oracles=(feed, late))
+        monkeypatch.setattr(sim, "MAX_UPDATES", 17)
+        assert len(sim.SeedWorld(config, 0).updates.tick) == 15
+        for cap, path in ((16, "oracles.push[1].cadence_ms"), (10, "oracles.push[0].cadence_ms")):
+            monkeypatch.setattr(sim, "MAX_UPDATES", cap)
+            with pytest.raises(SchemaError) as exc_info:
+                sim.SeedWorld(config, 0).updates
+            assert exc_info.value.path == path
+
     def test_drift_keeps_timestamps_strictly_increasing(self):
         config = plain_config(
             faults=FaultConfig(
