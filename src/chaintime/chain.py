@@ -16,21 +16,22 @@ import numpy as np
 SimTime = int
 # A name that ends up in the comma-separated, line-delimited trace and record
 # streams (scenario, participant, provider, element): non-empty, with no ','
-# and no line break. Scenario loading checks every field annotated with it.
+# and no line break. The config type that holds one checks it with _check_name.
 _Ident = NewType("Ident", str)
 
 
 class SchemaError(ValueError):
     """Scenario validation failure, carrying the offending field path.
 
-    A config object's own checks name the field relative to the object;
-    build_config prefixes the object's path in the scenario tree.
+    A config object's own checks name the field relative to the object, or
+    the object itself with an empty path; build_config prefixes the object's
+    path in the scenario tree.
     """
 
     def __init__(self, path: str, reason: str):
         self.path = path
         self.reason = reason
-        super().__init__(f"{path}: {reason}")
+        super().__init__(f"{path}: {reason}" if path else reason)
 
 
 def _check_bounds(config, *names: str) -> None:
@@ -39,6 +40,11 @@ def _check_bounds(config, *names: str) -> None:
     for name in names:
         if abs(getattr(config, name)) >> 45:
             raise SchemaError(name, "must be below 2**45 in magnitude")
+
+
+def _check_name(path: str, name: str) -> None:
+    if not name or any(c in name for c in ",\r\n"):
+        raise SchemaError(path, f"expected a name without ',' or line breaks, got {name!r}")
 
 
 # blocks per write of the trace export, about 130 kB of text

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _check_bounds
+from .chain import SchemaError, _check_bounds
 
 
 @dataclass(frozen=True)
@@ -26,17 +26,17 @@ class Distribution:
 
     def __post_init__(self):
         if self.kind not in ("constant", "uniform", "normal"):
-            raise ValueError(f"unknown distribution kind {self.kind!r}")
+            raise SchemaError("kind", f"unknown distribution kind {self.kind!r}")
         _check_bounds(self, "value_ms", "min_ms", "max_ms", "mean_ms", "stddev_ms")
         if self.kind == "constant" and self.value_ms < 0:
-            raise ValueError("constant value must be non-negative")
+            raise SchemaError("value_ms", "must be non-negative")
         if self.kind == "uniform" and not 0 <= self.min_ms <= self.max_ms:
-            raise ValueError("uniform needs 0 <= min <= max")
+            raise SchemaError("min_ms", "uniform needs 0 <= min <= max")
         if self.kind == "normal":
             if self.stddev_ms < 0:
-                raise ValueError("stddev must be non-negative")
+                raise SchemaError("stddev_ms", "must be non-negative")
             if not 0 < self.min_ms <= self.max_ms:
-                raise ValueError("normal needs clamp bounds with min > 0")
+                raise SchemaError("min_ms", "normal needs clamp bounds with 0 < min <= max")
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "constant":

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .chain import SimTime, Transaction, _Ident, _check_bounds
+from .chain import SchemaError, SimTime, Transaction, _check_bounds, _check_name, _Ident
 
 
 class MeasureKind(str, Enum):
@@ -132,12 +132,12 @@ class PushOracleConfig:
     outages: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _check_name("provider", self.provider)
         if self.cadence_ms <= 0:
-            raise ValueError("cadence must be positive")
-        if self.staleness_ms < 0:
-            raise ValueError("staleness must be non-negative")
-        if self.active_from_ms < 0:
-            raise ValueError("active_from must be non-negative")
+            raise SchemaError("cadence_ms", "must be positive")
+        for name in ("staleness_ms", "active_from_ms"):
+            if getattr(self, name) < 0:
+                raise SchemaError(name, "must be non-negative")
         _check_bounds(self, "cadence_ms", "staleness_ms")
         _check_outages(self.outages)
 
@@ -151,15 +151,16 @@ class PullOracleConfig:
     outages: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
+        _check_name("provider", self.provider)
         if self.latency_ms < 0:
-            raise ValueError("latency must be non-negative")
+            raise SchemaError("latency_ms", "must be non-negative")
         _check_outages(self.outages)
 
 
 def _check_outages(outages: tuple[tuple[int, int], ...]) -> None:
-    for start, end in outages:
+    for i, (start, end) in enumerate(outages):
         if start >= end:
-            raise ValueError(f"outage [{start}, {end}] must start before it ends")
+            raise SchemaError(f"outages[{i}]", f"[{start}, {end}] must start before it ends")
 
 
 def in_outage(outages: tuple[tuple[int, int], ...], now: SimTime) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
-from .chain import SimTime, Transaction, _Ident
+from .chain import SchemaError, SimTime, Transaction, _check_name, _Ident
 from .measures import _SYNC_READS, MeasureKind, MissingParameter, TxContext, UninitializedOracle
 from .timers import (
     CycleAbsTimer,
@@ -41,10 +41,6 @@ ABSOLUTE = "absolute"
 RELATIVE = "relative"
 CYCLE = "cycle"
 DEFERRED_CHOICE = "deferred_choice"
-
-
-class ModelError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -109,54 +105,46 @@ Element = StartTimer | Task | TimerCatch | MessageCatch | EventGateway
 @dataclass(frozen=True)
 class ProcessModel:
     """Elements plus a successor map; branch elements flow onward from the
-    gateway they belong to. A flow target of None ends the process."""
+    gateway they belong to. A flow target of None ends the process. A model
+    checks its rules when it is built, each a SchemaError at its field."""
 
     elements: Mapping[_Ident, Element]
     flows: Mapping[_Ident, _Ident | None]
     start: _Ident
 
-    def validate(self) -> None:
-        if self.start not in self.elements:
-            raise ModelError(f"start element {self.start!r} does not exist")
-        if not isinstance(self.elements[self.start], StartTimer):
-            raise ModelError("start element must be a StartTimer")
-        branch_owner: dict[str, str] = {}
-        for el_id, el in self.elements.items():
-            if el.id != el_id:
-                raise ModelError(f"element key {el_id!r} does not match id {el.id!r}")
-            if isinstance(el, EventGateway):
-                if len(el.branches) < 2:
-                    raise ModelError(f"gateway {el_id!r} needs >= 2 branches")
-                for branch in el.branches:
-                    if branch not in self.elements:
-                        raise ModelError(f"gateway branch {branch!r} does not exist")
-                    if not isinstance(self.elements[branch], (TimerCatch, MessageCatch)):
-                        raise ModelError(f"branch {branch!r} must be a timer or message catch")
-                    if branch in branch_owner:
-                        raise ModelError(f"branch {branch!r} attached to two gateways")
-                    branch_owner[branch] = el_id
+    def __post_init__(self):
+        attached: set[str] = set()  # branches of the gateways so far
+        for i, (key, element) in enumerate(self.elements.items()):
+            _check_name(f"elements[{i}].id", element.id)
+            if element.id != key:
+                raise SchemaError(f"elements[{i}].id", f"element key {key!r} is not its id")
+            if not isinstance(element, EventGateway):
+                continue
+            if len(element.branches) < 2:
+                raise SchemaError(f"elements[{i}].branches", "a gateway needs >= 2 branches")
+            for j, branch in enumerate(element.branches):
+                path = f"elements[{i}].branches[{j}]"
+                if not isinstance(self.elements.get(branch), (TimerCatch, MessageCatch)):
+                    raise SchemaError(path, f"{branch!r} is not a timer or message catch")
+                if branch in attached:
+                    raise SchemaError(path, f"{branch!r} is a branch already")
+                attached.add(branch)
+        if not isinstance(self.elements.get(self.start), StartTimer):
+            raise SchemaError("start", f"start element {self.start!r} is not a start timer")
         for source, target in self.flows.items():
-            if source not in self.elements:
-                raise ModelError(f"flow source {source!r} does not exist")
-            if target is not None and target not in self.elements:
-                raise ModelError(f"flow target {target!r} does not exist")
-        # reachability from start
-        seen: set[str] = set()
-        frontier = [self.start]
+            if source not in self.elements or target not in (None, *self.elements):
+                raise SchemaError(f"flows.{source}", f"{source!r} -> {target!r}: no such element")
+        # every element is reached from the start through flows and branches
+        reached, frontier = set(), [self.start]
         while frontier:
             current = frontier.pop()
-            if current in seen:
-                continue
-            seen.add(current)
-            el = self.elements[current]
-            if isinstance(el, EventGateway):
-                frontier.extend(el.branches)
-            target = self.flows.get(current)
-            if target:
-                frontier.append(target)
-        unreachable = set(self.elements) - seen
-        if unreachable:
-            raise ModelError(f"unreachable elements: {sorted(unreachable)}")
+            if current is not None and current not in reached:
+                reached.add(current)
+                frontier.append(self.flows.get(current))
+                frontier += getattr(self.elements[current], "branches", ())
+        for i, element_id in enumerate(self.elements):
+            if element_id not in reached:
+                raise SchemaError(f"elements[{i}]", f"element {element_id!r} is unreachable")
 
 
 def _dues_from(spec: TimerSpec, anchor_ms: SimTime, limit: int) -> tuple[SimTime, ...]:
@@ -303,7 +291,6 @@ class ProcessInstance:
         activation_floor_ms: SimTime = 0,
         cycle_limit: int = 64,
     ):
-        model.validate()
         self.model = model
         self.measure_kind = measure_kind
         self.cycle_limit = cycle_limit
@@ -551,7 +538,7 @@ class ProcessInstance:
         dues = _dues_from(element.spec, anchor.truth_ms, self.cycle_limit)
         if _constraint_type(element) != CYCLE:
             if isinstance(element.spec, CycleAbsTimer) and dues[0] < anchor.truth_ms:
-                raise ModelError("no start due time at or after the activation floor")
+                raise ValueError("no start due time at or after the activation floor")
             dues = dues[:1]
         return _EnabledEntry(anchor, round_, dues)
 

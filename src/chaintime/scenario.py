@@ -16,7 +16,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 
 import yaml
 
-from .chain import SchemaError, _Ident, _check_bounds
+from .chain import SchemaError, _check_bounds, _check_name, _Ident
 from .dists import Distribution, constant, normal, uniform
 from .measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from .process import (
@@ -101,7 +101,8 @@ class ScriptEntry:
             (self.at_ms is not None, self.on_enabled_delay_ms is not None, self.on_due)
         )
         if modes != 1:
-            raise ValueError("exactly one of at_ms / on_enabled_delay_ms / on_due required")
+            raise SchemaError("", "exactly one of at_ms / on_enabled_delay_ms / on_due required")
+        _check_name("element", self.element)
         for name in ("at_ms", "on_enabled_delay_ms", "priority"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -118,6 +119,9 @@ class Participant:
     lie_ms: int = 0
     inclusion_delay: Distribution | None = None
     script: tuple[ScriptEntry, ...] = ()
+
+    def __post_init__(self):
+        _check_name("name", self.name)
 
 
 @dataclass(frozen=True)
@@ -137,6 +141,7 @@ class ScenarioConfig:
     simulate_unused_oracles: bool = False
 
     def __post_init__(self):
+        _check_name("name", self.name)
         if not self.network.genesis_timestamp_ms < self.horizon_ms < 1 << 62:
             raise SchemaError("horizon_ms", "must lie after the genesis timestamp and below 2**62")
         if self.activation_floor_ms is None:
@@ -153,15 +158,19 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         if self.process is not None:
-            self.process.validate()
             for i, element in enumerate(self.process.elements.values()):
                 if isinstance(spec := getattr(element, "spec", None), CycleAbsTimer):
-                    # its year moves one way with the index: only the last due can pass 9999
+                    # its dues move one way with the index: only the last can pass 9999
                     last = min(spec.repetitions or self.cycle_limit, self.cycle_limit) - 1
+                    path = f"process.elements[{i}].spec"
                     try:
-                        add_months(spec.start_ms, last * spec.period_months)
+                        last_due = add_months(spec.start_ms, last * spec.period_months)
                     except ValueError as exc:
-                        raise SchemaError(f"process.elements[{i}].spec", str(exc)) from None
+                        raise SchemaError(path, str(exc)) from None
+                    last_due += last * spec.period_ms
+                    # the start timer is enabled at the floor and needs a due from there on
+                    if element.id == self.process.start and last_due < self.activation_floor_ms:
+                        raise SchemaError(path, "every due lies before activation_floor_ms")
         for p, participant in enumerate(self.participants):
             for s, entry in enumerate(participant.script):
                 path = f"participants[{p}].script[{s}]"
@@ -255,7 +264,7 @@ _SCALARS = {bool: "true or false", int: "an integer", str: "a string"}
 
 
 def _join(path: str, *keys: Any) -> str:
-    return ".".join([path, *map(str, keys)] if path else map(str, keys))
+    return ".".join(filter(None, (path, *map(str, keys))))
 
 
 def _yaml_key(cls: type, name: str) -> tuple[str, ...]:
@@ -287,10 +296,8 @@ def _pick(table: Mapping[str, Any], value: Any, path: str, what: str) -> Any:
 def _build(tp: Any, value: Any, path: str) -> Any:
     """One YAML node built as type hint `tp`, or a SchemaError at its path."""
     origin, args = get_origin(tp), get_args(tp)
-    if tp is _Ident:
-        ok = isinstance(value, str) and value != "" and not any(c in value for c in ",\r\n")
-        _expect(ok, value, path, "a name without ',' or line breaks")
-        return value
+    if tp is _Ident:  # a string here; the type that holds it checks the name
+        tp = str
     if tp == TimerSpec:
         _expect(isinstance(value, str), value, path, "a timer string")
         try:
@@ -355,10 +362,8 @@ def _build_fields(cls: type, value: Any, path: str, required: tuple[str, ...] = 
         config = cls(**built)
         if hasattr(config, "validate"):
             config.validate()
-    except SchemaError as exc:
+    except SchemaError as exc:  # an empty path names the object itself
         raise SchemaError(_join(path, *_yaml_key(cls, exc.path)), exc.reason) from None
-    except ValueError as exc:
-        raise SchemaError(path or "<root>", str(exc)) from None
     return config
 
 

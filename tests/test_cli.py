@@ -86,6 +86,16 @@ class TestRun:
         assert "error: process.elements[1].id: " in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("spec", ["R2/1969-12-31T23:59:58Z/PT1S", "R5/0001-01-01/PT1S"])
+    def test_start_cycle_ending_before_the_floor_is_input_error(self, tmp_path, capsys, spec):
+        # every due of the start timer lies before the floor (exit 2 before the rule)
+        tree = config_to_dict(deferred_fifo_scenario())
+        tree["process"]["elements"][0]["spec"] = spec
+        path = tmp_path / "early.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert "error: process.elements[0].spec: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("element", ["__callback__", "__oracle_update__"])
     def test_element_named_like_an_oracle_op_runs(self, tmp_path, element):
         # a task writes no guard record of its own; the timer it enables does

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from chaintime.chain import Transaction
+from chaintime.chain import SchemaError, Transaction
 from chaintime.measures import ChainParams, MeasureKind, TxContext
 from chaintime.process import (
     ABSOLUTE,
@@ -12,7 +12,6 @@ from chaintime.process import (
     RELATIVE,
     EventGateway,
     MessageCatch,
-    ModelError,
     Outcome,
     ProcessInstance,
     ProcessModel,
@@ -343,10 +342,11 @@ class TestDueSchedule:
         assert claim_each_due(inst, "tick") == [0, 1, 2]
         assert inst.done
 
-    def test_start_cycle_without_due_after_the_floor_is_a_model_error(self):
+    def test_start_cycle_without_due_after_the_floor_is_a_value_error(self):
+        # a scenario refuses this floor; an instance built directly raises
         start = StartTimer(id="start", spec=parse_timer("R3/1970-01-01T00:00:01Z/PT1S"))
         model = ProcessModel(elements={"start": start}, flows={"start": None}, start="start")
-        with pytest.raises(ModelError):
+        with pytest.raises(ValueError, match="activation floor"):
             inst = ProcessInstance(model, MeasureKind.PARAMETER, activation_floor_ms=10_000)
             inst.element_due_times("start")
 
@@ -502,33 +502,42 @@ class TestRequestResponseAnchors:
 
 
 class TestModelValidation:
+    """A ProcessModel checks its rules when it is built, each at its field."""
+
     def test_gateway_needs_two_branches(self):
         elements = {
             "start": StartTimer(id="start", spec=parse_timer("P1D")),
             "g": EventGateway(id="g", branches=("w",)),
             "w": TimerCatch(id="w", spec=parse_timer("P1D")),
         }
-        model = ProcessModel(elements=elements, flows={"start": "g", "w": None}, start="start")
-        with pytest.raises(ModelError):
-            model.validate()
+        with pytest.raises(SchemaError) as exc_info:
+            ProcessModel(elements=elements, flows={"start": "g", "w": None}, start="start")
+        assert exc_info.value.path == "elements[1].branches"
 
     def test_unreachable_elements_rejected(self):
         elements = {
             "start": StartTimer(id="start", spec=parse_timer("P1D")),
             "orphan": Task(id="orphan", name="x", performer="p"),
         }
-        model = ProcessModel(elements=elements, flows={"start": None}, start="start")
-        with pytest.raises(ModelError):
-            model.validate()
+        with pytest.raises(SchemaError) as exc_info:
+            ProcessModel(elements=elements, flows={"start": None}, start="start")
+        assert exc_info.value.path == "elements[1]"
 
     def test_element_key_must_be_its_id(self):
         elements = {"start": StartTimer(id="begin", spec=parse_timer("P1D"))}
-        model = ProcessModel(elements=elements, flows={"start": None}, start="start")
-        with pytest.raises(ModelError, match="does not match id"):
-            model.validate()
+        with pytest.raises(SchemaError, match="is not its id") as exc_info:
+            ProcessModel(elements=elements, flows={"start": None}, start="start")
+        assert exc_info.value.path == "elements[0].id"
 
     def test_start_must_be_timer(self):
         elements = {"t": Task(id="t", name="x", performer="p")}
-        model = ProcessModel(elements=elements, flows={"t": None}, start="t")
-        with pytest.raises(ModelError):
-            model.validate()
+        with pytest.raises(SchemaError) as exc_info:
+            ProcessModel(elements=elements, flows={"t": None}, start="t")
+        assert exc_info.value.path == "start"
+
+    @pytest.mark.parametrize("name", ["", "a,b", "a\nb", "a\rb"])
+    def test_element_id_is_a_name(self, name):
+        elements = {name: StartTimer(id=name, spec=parse_timer("P1D"))}
+        with pytest.raises(SchemaError) as exc_info:
+            ProcessModel(elements=elements, flows={name: None}, start=name)
+        assert exc_info.value.path == "elements[0].id"

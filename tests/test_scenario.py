@@ -2,18 +2,22 @@
 
 import copy
 import os
+import re
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
 from hypothesis import given, strategies as st
 
 import chaintime
-from chaintime.dists import constant, normal, uniform
+from chaintime.chain import _Ident
+from chaintime.dists import Distribution, constant, normal, uniform
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import (
     EventGateway,
@@ -34,11 +38,13 @@ from chaintime.scenario import (
     ScriptEntry,
     build_config,
     config_to_dict,
+    deferred_fifo_scenario,
     dump_config_yaml,
     invoice_demo_scenario,
     load_scenario,
 )
-from chaintime.timers import parse_timer
+from chaintime.sim import run
+from chaintime.timers import CycleAbsTimer, due_times, parse_timer
 
 
 def minimal_tree() -> dict:
@@ -295,7 +301,7 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
                   "network.genesis_timestamp_ms"),
         malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]"),
         malformed("invoice-demo", ["oracles", "push", 0, "active_from_ms"], -5_000,
-                  "oracles.push[0]"),
+                  "oracles.push[0].active_from_ms"),
         malformed("deferred-fifo", ["measures"], ["block_timestamp", "block_timestamp"],
                   "measures[1]"),
         # script entries that could never fire
@@ -334,20 +340,70 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
         # a cycle keeps one due per iteration up to cycle_limit
         malformed("deferred-fifo", ["cycle_limit"], 100_000_000, "cycle_limit"),
         malformed("deferred-fifo", ["cycle_limit"], MAX_CYCLE_LIMIT + 1, "cycle_limit"),
-        # a process is a mapping; ProcessModel.validate's errors are at `process`
+        # a process is a mapping, and each of ProcessModel's rules is at its field
         malformed("deferred-fifo", ["process"], "invoice-demo", "process"),
-        malformed("deferred-fifo", ["process", "start"], "nowhere", "process"),
-        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "ghost", "process"),
+        malformed("deferred-fifo", ["process", "start"], "nowhere", "process.start"),
+        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "ghost",
+                  "process.elements[1].branches[1]"),
         malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "start_timer",
-                  "process"),
-        malformed("deferred-fifo", ["process", "elements"], TWO_GATEWAYS, "process"),
-        malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process"),
-        malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process"),
+                  "process.elements[1].branches[1]"),
+        malformed("deferred-fifo", ["process", "elements", 1, "branches"], ["notice"],
+                  "process.elements[1].branches"),
+        malformed("deferred-fifo", ["process", "elements"], TWO_GATEWAYS,
+                  "process.elements[4].branches[0]"),
+        malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process.flows.ghost"),
+        malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process.flows.notice"),
+        malformed("deferred-fifo", ["process", "flows", "start_timer"], None,
+                  "process.elements[1]"),
+        # the start timer needs a due at or after the activation floor
+        malformed("deferred-fifo", ["process", "elements", 0, "spec"],
+                  "R2/1969-12-31T23:59:58Z/PT1S", "process.elements[0].spec"),
+        malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R5/0001-01-01/PT1S",
+                  "process.elements[0].spec"),
+        # range checks of the oracles and distributions, at their field
+        malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 0,
+                  "oracles.push[0].cadence_ms"),
+        malformed("invoice-demo", ["oracles", "pull", 0, "latency_ms"], -1,
+                  "oracles.pull[0].latency_ms"),
+        malformed("invoice-demo", ["oracles", "pull", 0, "outages"], [[0, 5], [9, 9]],
+                  "oracles.pull[0].outages[1]"),
+        malformed("deferred-fifo", ["network", "block_time", "value_ms"], -1,
+                  "network.block_time.value_ms"),
+        malformed("invoice-demo", ["network", "mining_time", "min_ms"], 3_000,
+                  "network.mining_time.min_ms"),
+        malformed("invoice-demo", ["network", "block_time", "stddev_ms"], -1,
+                  "network.block_time.stddev_ms"),
+        # a script entry fires in exactly one mode
+        malformed("deferred-fifo", ["participants", 0, "script", 0, "on_due"], True,
+                  "participants[0].script[0]"),
     ],
 )
 def test_malformed_tree_reports_field_path(tree, path):
     with pytest.raises(SchemaError) as exc_info:
         build_config(tree)
+    assert exc_info.value.path == path
+
+
+def test_a_model_is_checked_once_when_built(monkeypatch):
+    tree, checked = preset_tree("deferred-fifo"), []
+    check = ProcessModel.__post_init__
+    monkeypatch.setattr(ProcessModel, "__post_init__", lambda model: checked.append(check(model)))
+    config = build_config(tree)
+    assert len(checked) == 1
+    run(config, 0)
+    assert len(checked) == 1
+
+
+@pytest.mark.parametrize("build, path", [
+    (lambda: replace(deferred_fifo_scenario(), name="a,b"), "name"),
+    (lambda: Participant(name="mno\n"), "name"),
+    (lambda: ScriptEntry(element="", at_ms=0), "element"),
+    (lambda: PushOracleConfig(provider="time,feed"), "provider"),
+    (lambda: PullOracleConfig(provider="time\rserver"), "provider"),
+])
+def test_names_are_checked_in_python_built_configs(build, path):
+    with pytest.raises(SchemaError, match="without ',' or line breaks") as exc_info:
+        build()
     assert exc_info.value.path == path
 
 
@@ -510,6 +566,12 @@ def scenario_configs(draw):
         max_size=1,
     ))
     process = draw(st.none() | process_models())
+    # the start timer needs a due at or after the activation floor
+    cycle_limit = draw(st.integers(1, 100))
+    last_due = 10**13
+    if process is not None and isinstance(spec := process.elements[process.start].spec,
+                                          CycleAbsTimer):
+        last_due = due_times(spec, 0, cycle_limit)[-1]
     measures = [
         m for m in draw(st.lists(st.sampled_from(MeasureKind), min_size=1, unique=True))
         if (m is not MeasureKind.STORAGE_ORACLE or push)
@@ -535,7 +597,7 @@ def scenario_configs(draw):
         push_oracles=tuple(push),
         pull_oracles=tuple(pull),
         process=process,
-        activation_floor_ms=draw(instants),
+        activation_floor_ms=draw(st.integers(0, last_due)),
         measures=tuple(measures) or (MeasureKind.PARAMETER,),
         participants=tuple(draw(st.lists(st.builds(
             Participant, name=idents.filter(lambda s: not s.startswith("oracle:")),
@@ -544,7 +606,7 @@ def scenario_configs(draw):
             script=st.lists(script_entries(process), max_size=3).map(tuple),
         ), max_size=2, unique_by=lambda p: p.name))),
         horizon_ms=genesis + draw(st.integers(1, 10**12)),
-        cycle_limit=draw(st.integers(1, 100)),
+        cycle_limit=cycle_limit,
         simulate_unused_oracles=draw(st.booleans()),
     )
 
@@ -552,6 +614,62 @@ def scenario_configs(draw):
 @given(scenario_configs())
 def test_generated_config_roundtrips(config):
     assert build_config(config_to_dict(config)) == config
+
+
+ODD_INTS = st.sampled_from([-1, 0, 1, 2**45, 2**63]) | st.integers(-3, 3)
+# the distribution kinds are names too
+ODD_NAMES = st.sampled_from(["constant", "uniform", "normal", "", "a,b", "a\nb", "a\rb"])
+
+
+def odd_values(tp):
+    """Odd values for a field of type hint `tp`; None keeps the field's default."""
+    if get_origin(tp) is UnionType:  # X | None
+        inner = odd_values(get_args(tp)[0])
+        return None if inner is None else st.none() | inner
+    return {int: ODD_INTS, str: ODD_NAMES, _Ident: ODD_NAMES, bool: st.booleans()}.get(tp)
+
+
+@st.composite
+def odd_models(draw):
+    ids = st.sampled_from(["s", "g", "w", "m", "", "a,b"])
+    elements = {}
+    for _ in range(draw(st.integers(0, 4))):
+        id_ = draw(ids)
+        elements[draw(st.just(id_) | ids)] = draw(st.sampled_from([
+            StartTimer(id=id_, spec=parse_timer("P1D")),
+            Task(id=id_, name="n", performer="p"),
+            TimerCatch(id=id_, spec=parse_timer("P1D")),
+            MessageCatch(id=id_, message="m"),
+            EventGateway(id=id_, branches=tuple(draw(st.lists(ids, max_size=3)))),
+        ]))
+    flows = draw(st.dictionaries(ids, st.none() | ids, max_size=4))
+    return ProcessModel, dict(elements=elements, flows=flows, start=draw(ids))
+
+
+CONFIG_TYPES = [Distribution, NetworkConfig, FaultConfig, ScriptEntry, Participant,
+                PushOracleConfig, PullOracleConfig, ScenarioConfig]
+
+
+@st.composite
+def odd_builds(draw):
+    """A scenario type and odd keyword values for its scalar fields."""
+    cls = draw(st.sampled_from(CONFIG_TYPES))
+    hints = get_type_hints(cls)
+    return cls, {
+        f.name: draw(values) for f in fields(cls)
+        if (values := odd_values(hints[f.name])) is not None
+    }
+
+
+@given(odd_builds() | odd_models())
+def test_a_bad_value_is_a_schema_error_at_its_field(build):
+    cls, kwargs = build
+    try:
+        cls(**kwargs)
+    except SchemaError as exc:
+        # a field's path, or a script entry's own for its modes rule
+        head = re.match(r"\w*", exc.path).group()
+        assert head in {f.name for f in fields(cls)} or (cls, head) == (ScriptEntry, "")
 
 
 def node_paths(tree, prefix=()):
