@@ -9,6 +9,7 @@ kept sparsely per block, since most simulated blocks are empty.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import IO, Mapping, NewType
 
 import numpy as np
@@ -49,8 +50,34 @@ def _check_name(path: str, name: str) -> None:
 
 # blocks per write of the trace export, about 130 kB of text
 _EXPORT_CHUNK = 1 << 12
-_BLOCK_LINE = "block,%d,%d,%d\n"
 _TX_LINE = "tx,%s,%s,%s,%s\n"  # id, created_at, sender, op
+# _quads() maps four digits to a uint32 quad of ASCII: zero-padded (+0), NUL for
+# leading zeros (+10,000) and so but "0" for 0, for a number's last group (+20,000).
+_GROUP = 10_000
+
+
+@cache  # built on the first export, so that importing costs nothing
+def _quads() -> np.ndarray:
+    places = np.arange(_GROUP)[:, None] // [1000, 100, 10, 1]
+    digits = places % 10 + 48
+    tables = [digits, np.where(places > 0, digits, 0), np.where(places > [0, 0, 0, -1], digits, 0)]
+    return np.array(tables, np.uint8).view(np.uint32).ravel()
+
+
+def _block_lines(lo: int, timestamps: np.ndarray, mining: np.ndarray) -> str:
+    """Block lines from block lo on, of non-negative columns: quad rows, NULs dropped."""
+    columns = (np.arange(lo, lo + len(timestamps)), timestamps, mining)
+    widths = [(len(str(column.max())) + 3) // 4 for column in columns]  # in groups
+    rows = np.full((len(timestamps), 5 + sum(widths)), ord(","), np.uint32)
+    rows[:, :2], rows[:, -1], end = np.frombuffer(b"block,\0\0", np.uint32), ord("\n"), 2
+    for column, width in zip(columns, widths):
+        rest, table = column, 2 * _GROUP
+        for cell in range(end + width - 1, end - 1, -1):
+            rest, group = np.divmod(rest, _GROUP)
+            rows[:, cell] = _quads()[group + (rest == 0) * table]
+            table = _GROUP
+        end += width + 1
+    return rows.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class NonMonotonicTimestamp(ValueError):
@@ -98,6 +125,8 @@ class Chain:
         mining_durations = np.asarray(mining_durations, dtype=np.int64)
         if timestamps.shape != mining_durations.shape:
             raise ValueError("timestamp and mining arrays must align")
+        if len(timestamps) and timestamps[0] < 0:
+            raise ValueError("timestamps must be non-negative")
         if len(timestamps) and np.any(np.diff(timestamps) <= 0):
             raise NonMonotonicTimestamp("bulk schedule is not strictly increasing")
         if np.any(mining_durations < 0):
@@ -110,24 +139,26 @@ class Chain:
     def export_trace(self, stream: IO[str]) -> None:
         """Write the line-delimited trace: one block line, then its tx lines.
 
-        One write per _EXPORT_CHUNK blocks keeps memory flat; the block lines
-        between two non-empty blocks are one format. A ``txs`` with a
-        ``lines(number)`` method gives the tx lines of its blocks itself.
+        One write per _EXPORT_CHUNK blocks keeps memory flat; a chunk's block
+        lines are one vectorised format, cut after each non-empty block for the
+        tx lines that a ``txs`` with a ``lines(numbers)`` method gives itself.
         """
         txs = self.txs
-        lines = getattr(txs, "lines", None) or (lambda number: "".join(map(tx_line, txs[number])))
+        lines = getattr(txs, "lines", None) or (
+            lambda numbers: ["".join(map(tx_line, txs[number])) for number in numbers])
         numbers = np.array(sorted(txs), dtype=np.int64)
         for lo in range(0, len(self), _EXPORT_CHUNK):
             hi = min(lo + _EXPORT_CHUNK, len(self))
-            columns = (np.arange(lo, hi), self.timestamps[lo:hi], self.mining_durations[lo:hi])
-            flat, parts, done = np.stack(columns, axis=1).ravel().tolist(), [], lo
+            text = _block_lines(lo, self.timestamps[lo:hi], self.mining_durations[lo:hi])
             first, last = np.searchsorted(numbers, (lo, hi))
-            for number in numbers[first:last].tolist():
-                stretch = flat[3 * (done - lo):3 * (number + 1 - lo)]
-                parts += (_BLOCK_LINE * (number + 1 - done) % tuple(stretch), lines(number))
-                done = number + 1
-            parts.append(_BLOCK_LINE * (hi - done) % tuple(flat[3 * (done - lo):]))
-            stream.write("".join(parts))
+            if first == last:
+                stream.write(text)
+                continue
+            blocks = numbers[first:last]
+            ends = np.flatnonzero(np.frombuffer(text.encode(), np.uint8) == ord("\n"))
+            cuts = [0, *(ends[blocks - lo] + 1).tolist()]
+            pieces = zip(cuts, cuts[1:], lines(blocks.tolist()))
+            stream.write("".join([*(text[a:b] + tx for a, b, tx in pieces), text[cuts[-1]:]]))
 
 
 def tx_line(tx: Transaction) -> str:

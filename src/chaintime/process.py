@@ -134,6 +134,8 @@ class ProcessModel:
         for source, target in self.flows.items():
             if source not in self.elements or target not in (None, *self.elements):
                 raise SchemaError(f"flows.{source}", f"{source!r} -> {target!r}: no such element")
+            if target == self.start:  # a BPMN start event takes no incoming flow
+                raise SchemaError(f"flows.{source}", f"{source!r} -> {target!r}: into the start")
         # every element is reached from the start through flows and branches
         reached, frontier = set(), [self.start]
         while frontier:

@@ -236,11 +236,6 @@ class _Updates:
             return range(0)
         return range(*np.searchsorted(self.block[:self.kept], (number, number + 1)).tolist())
 
-    def line(self, row: int) -> str:
-        """The row's tx line in the trace, from the columns."""
-        sender = self.senders[self.provider[row]]
-        return _TX_LINE % (self.tx_id(row), self.tick[row], sender, "__oracle_update__")
-
 
 # the update table of a run that drives no push provider
 _NO_UPDATES = _Updates(ScenarioConfig(horizon_ms=1), 0, np.zeros(1, np.int64))
@@ -267,11 +262,22 @@ class _BlockTxs(Mapping):
     def __len__(self) -> int:
         return len(self.u.numbers) + sum(not self.u.rows(number) for number in self.sealed)
 
-    def lines(self, number: int) -> str:
-        """The block's tx lines in the trace; for the export."""
-        if number in self.sealed:
-            return "".join(map(tx_line, self.sealed[number]))
-        return "".join(map(self.u.line, self.u.rows(number)))
+    def lines(self, numbers: list[int]) -> list[str]:
+        """The tx lines of each of these blocks (one or more, ascending) for the export:
+        a sealed block's from its transactions, the others' from the update rows."""
+        u = self.u
+        starts, stops = np.searchsorted(u.block[:u.kept], [numbers, np.add(numbers, 1)]).tolist()
+        first, last = starts[0], stops[-1]
+        senders = [u.senders[p] for p in u.provider[first:last].tolist()]
+        ids = map("%s-%d".__mod__, zip(senders, u.number[first:last].tolist()))
+        ops = itertools.repeat("__oracle_update__")
+        fields = zip(ids, u.tick[first:last].tolist(), senders, ops)
+        rows = (_TX_LINE * (last - first) % tuple(itertools.chain(*fields))).split("\n")
+        return [
+            "".join(map(tx_line, self.sealed[number])) if number in self.sealed
+            else "\n".join(rows[start - first:stop - first]) + "\n"
+            for number, start, stop in zip(numbers, starts, stops)
+        ]
 
 
 class _TxMeta(Mapping):
@@ -589,11 +595,12 @@ class _Runner:
         if self.instance is not None:
             self.instance.finalize()
             records = list(self.instance.records)
-        u = self.updates
-        # an update event belongs to its block's seal, so it comes before a
-        # request or callback of its instant; dropped go by submission
-        events = list(heapq.merge(self.update_events, self.oracle_events, key=itemgetter(2)))
-        dropped = sorted(u.dropped + self.dropped, key=itemgetter(0))
+        u, events, dropped = self.updates, self.oracle_events, self.dropped
+        if len(u.tick):  # else both are in order: the run's own go by submission
+            # an update event belongs to its block's seal, so it comes before a
+            # request or callback of its instant
+            events = list(heapq.merge(self.update_events, events, key=itemgetter(2)))
+            dropped = sorted(u.dropped + dropped, key=itemgetter(0))
         return RunTrace(
             scenario=self.config.name, seed=self.world.seed, measure=self.measure,
             chain=replace(self.world.chain, txs=_BlockTxs(self.txs_by_block, u)),

@@ -31,6 +31,11 @@ class TestAppend:
         with pytest.raises(ValueError):
             Chain.from_schedule(np.array([0, 10]), np.array([0, -1]))
 
+    def test_negative_first_timestamp_rejected(self):
+        # the trace export formats non-negative numbers only
+        with pytest.raises(ValueError, match="non-negative"):
+            Chain.from_schedule(np.array([-1, 10]), np.array([0, 0]))
+
 
 class TestFromSchedule:
     def test_matches_incremental_construction(self):

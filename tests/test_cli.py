@@ -96,6 +96,17 @@ class TestRun:
         assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
         assert "error: process.elements[0].spec: " in capsys.readouterr().err
 
+    def test_flow_into_the_start_timer_is_input_error(self, tmp_path, capsys):
+        # re-enabled after its dues passed, the start timer had no due (exit 2 before the rule)
+        tree = config_to_dict(deferred_fifo_scenario())
+        tree["process"]["elements"][0]["spec"] = "R2/1970-01-01T00:00:10Z/PT1S"
+        tree["process"]["flows"]["late_timer"] = "start_timer"
+        tree["participants"] = [p for p in tree["participants"] if p["name"] != "customer"]
+        path = tmp_path / "loop.yaml"
+        path.write_text(yaml.safe_dump(tree))
+        assert main(["run", "--scenario", str(path)]) == EXIT_SCENARIO
+        assert "error: process.flows.late_timer: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("element", ["__callback__", "__oracle_update__"])
     def test_element_named_like_an_oracle_op_runs(self, tmp_path, element):
         # a task writes no guard record of its own; the timer it enables does

@@ -3,8 +3,11 @@ read-only transaction mappings of a run that it formats from.
 
 ``reference_export`` is the export as one write per line: a block line, then
 one line per transaction of ``chain.txs.get(block, ())``, then one line per
-oracle event. The chunk constant is patched down to a few blocks so that
-every case crosses chunk edges.
+oracle event, each an f-string. The export formats a chunk's block lines
+from digit tables, four digits at a time, so block numbers, timestamps and
+mining durations are drawn at digit-count edges, and block numbers cross
+9,999 to 10,000 inside a chunk. The chunk constant is patched down to a few
+blocks so that every case crosses chunk edges.
 """
 
 import copy
@@ -99,6 +102,39 @@ def test_chunk_edges(length, tx_blocks):
 def test_sparse_chain_exports_as_the_line_loop(shape, chunk):
     length, tx_blocks = shape
     chain = chain_with(length, tx_blocks if length else [])
+    with small_chunks(chunk):
+        assert exported(chain) == reference_export(chain)
+
+
+def digit_edges(bits: int):
+    """Values below 2**bits, often at a digit-count edge: 0, 9, 10, 9,999,
+    10,000, 10**k - 1, 10**k, and 2**bits - 1."""
+    edges = {0, 2**bits - 1} | {10**k + d for k in range(1, 19) for d in (-1, 0)}
+    return st.sampled_from(sorted(v for v in edges if v < 2**bits)) | st.integers(0, 2**bits - 1)
+
+
+@given(
+    st.lists(digit_edges(62), min_size=1, max_size=30, unique=True).flatmap(
+        lambda stamps: st.tuples(
+            st.just(sorted(stamps)),
+            st.lists(digit_edges(45), min_size=len(stamps), max_size=len(stamps)),
+            st.lists(st.integers(0, len(stamps) - 1), unique=True),
+        )
+    ),
+    st.sampled_from([1, 3, 7, 4_096]),
+)
+def test_block_columns_at_digit_edges_export_as_the_line_loop(columns, chunk):
+    # a chunk mixes numbers of every width: each takes its own digit groups
+    timestamps, mining, tx_blocks = columns
+    chain = Chain.from_schedule(np.array(timestamps), np.array(mining))
+    chain = replace(chain, txs=chain_with(len(chain), tx_blocks).txs)
+    with small_chunks(chunk):
+        assert exported(chain) == reference_export(chain)
+
+
+@pytest.mark.parametrize("chunk", [7, 4_096])
+def test_block_numbers_cross_a_digit_group_inside_a_chunk(chunk):
+    chain = chain_with(10_001, [9_998, 9_999, 10_000])
     with small_chunks(chunk):
         assert exported(chain) == reference_export(chain)
 

@@ -353,6 +353,11 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
                   "process.elements[4].branches[0]"),
         malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process.flows.ghost"),
         malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process.flows.notice"),
+        # a start event takes no incoming flow, not even from itself
+        malformed("deferred-fifo", ["process", "flows", "late_timer"], "start_timer",
+                  "process.flows.late_timer"),
+        malformed("deferred-fifo", ["process", "flows", "start_timer"], "start_timer",
+                  "process.flows.start_timer"),
         malformed("deferred-fifo", ["process", "flows", "start_timer"], None,
                   "process.elements[1]"),
         # the start timer needs a due at or after the activation floor
