@@ -143,6 +143,8 @@ class Chain:
         lines are one vectorised format, cut after each non-empty block for the
         tx lines that a ``txs`` with a ``lines(numbers)`` method gives itself.
         """
+        if min(self.timestamps.min(initial=0), self.mining_durations.min(initial=0)) < 0:
+            raise ValueError("block columns must be non-negative")
         txs = self.txs
         lines = getattr(txs, "lines", None) or (
             lambda numbers: ["".join(map(tx_line, txs[number])) for number in numbers])

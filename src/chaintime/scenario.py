@@ -28,9 +28,9 @@ from .process import (
     Task,
     TimerCatch,
 )
-from .timers import CycleAbsTimer, TimerParseError, TimerSpec, add_months, format_timer, parse_timer
-
-MS_PER_DAY = 86_400_000
+from .timers import (
+    MS_PER_DAY, CycleAbsTimer, TimerParseError, TimerSpec, add_months, format_timer, parse_timer,
+)
 
 DEFAULT_BLOCK_TIME = normal(15_190, 2_710, 4_460, 30_310)
 DEFAULT_MINING_TIME = uniform(500, 2_500)
@@ -155,8 +155,6 @@ class ScenarioConfig:
                 raise SchemaError(f"measures[{i}]", f"measure {measure.value!r} is listed twice")
         if not 1 <= self.cycle_limit <= MAX_CYCLE_LIMIT:
             raise SchemaError("cycle_limit", f"must lie in 1..{MAX_CYCLE_LIMIT:,}")
-
-    def validate(self) -> None:
         if self.process is not None:
             for i, element in enumerate(self.process.elements.values()):
                 if isinstance(spec := getattr(element, "spec", None), CycleAbsTimer):
@@ -192,8 +190,6 @@ class ScenarioConfig:
                     raise SchemaError(
                         f"{path}.on_due", "only a start_timer or timer_catch has due times"
                     )
-        for measure in self.measures:
-            _check_provider(self, measure)
         if len(self.pull_oracles) > 1:
             raise SchemaError(
                 "oracles.pull[1]",
@@ -211,15 +207,18 @@ class ScenarioConfig:
             if sender in seen:
                 raise SchemaError(path, f"sender name {sender!r} is already taken")
             seen.add(sender)
+        self.validate()
 
-
-def _check_provider(config: ScenarioConfig, measure: MeasureKind) -> None:
-    """An oracle measure needs its provider, whether it is listed in
-    config.measures or chosen for one run."""
-    if measure is MeasureKind.STORAGE_ORACLE and not config.push_oracles:
-        raise SchemaError("oracles.push", "storage_oracle measure needs a push provider")
-    if measure is MeasureKind.REQUEST_RESPONSE_ORACLE and not config.pull_oracles:
-        raise SchemaError("oracles.pull", "request_response_oracle measure needs a pull provider")
+    def validate(self, *measures: MeasureKind) -> None:
+        """Check that this config can run each measure, by default its own
+        measures: an oracle measure needs its provider."""
+        for measure in measures or self.measures:
+            if measure is MeasureKind.STORAGE_ORACLE and not self.push_oracles:
+                raise SchemaError("oracles.push", "storage_oracle measure needs a push provider")
+            if measure is MeasureKind.REQUEST_RESPONSE_ORACLE and not self.pull_oracles:
+                raise SchemaError(
+                    "oracles.pull", "request_response_oracle measure needs a pull provider"
+                )
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +359,6 @@ def _build_fields(cls: type, value: Any, path: str, required: tuple[str, ...] = 
             raise SchemaError(field_path, "required")
     try:
         config = cls(**built)
-        if hasattr(config, "validate"):
-            config.validate()
     except SchemaError as exc:  # an empty path names the object itself
         raise SchemaError(_join(path, *_yaml_key(cls, exc.path)), exc.reason) from None
     return config
@@ -424,7 +421,7 @@ def _dump_fields(cls: type, config: Any, names: tuple[str, ...] = ()) -> dict:
 
 
 def build_config(tree: Mapping[str, Any]) -> ScenarioConfig:
-    """Construct and validate a ScenarioConfig from a plain dict tree."""
+    """The ScenarioConfig of a plain dict tree; a broken rule is a SchemaError at its path."""
     return _build(ScenarioConfig, tree, "")
 
 
@@ -454,7 +451,7 @@ class _UniqueKeyLoader(yaml.SafeLoader):
 
 
 def load_scenario(path: str) -> ScenarioConfig:
-    """Load, merge (preset), and validate a scenario file."""
+    """A scenario file's config, built by build_config once merged over its preset, if any."""
     with open(path, "r", encoding="utf-8") as fh:
         tree = yaml.load(fh, Loader=_UniqueKeyLoader)
     if tree is None:

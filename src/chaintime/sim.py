@@ -61,7 +61,7 @@ from .measures import (
 )
 from .process import ApplyResult, ProcessInstance
 from .rng import substream
-from .scenario import Participant, ScenarioConfig, ScriptEntry, _check_provider
+from .scenario import Participant, ScenarioConfig, ScriptEntry
 
 # event kind ranks; ties at one instant resolve in this order
 K_TX_CREATED = 0
@@ -336,8 +336,7 @@ class _Runner:
     def __init__(
         self, config: ScenarioConfig, seed: int, measure: MeasureKind, world: SeedWorld | None
     ):
-        config.validate()
-        _check_provider(config, measure)
+        config.validate(measure)
         if world is None:
             world = SeedWorld(config, seed)
         elif world.key != _world_key(config, seed):

@@ -139,6 +139,30 @@ def test_block_numbers_cross_a_digit_group_inside_a_chunk(chunk):
         assert exported(chain) == reference_export(chain)
 
 
+class RecordingSink(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("timestamps, mining", [
+    # the digit tables would write these as block,0,9995,0 and block,1,3,7655
+    ([-5, 3], [0, -12345]),
+    ([-5, 3], [0, 12345]),
+    ([5, 3], [0, -12345]),
+])
+def test_a_negative_block_column_is_refused_before_any_write(timestamps, mining):
+    # a Chain built directly skips from_schedule's checks
+    chain, sink = Chain(np.array(timestamps), np.array(mining), {}), RecordingSink()
+    with pytest.raises(ValueError, match="non-negative"):
+        chain.export_trace(sink)
+    assert sink.writes == 0
+
+
 @st.composite
 def push_runs(draw):
     """A short deferred-overtake run with one or two push providers, whose

@@ -36,9 +36,13 @@ from chaintime.scenario import (
     ScenarioConfig,
     SchemaError,
     ScriptEntry,
+    _build,
+    _hints,
+    _yaml_key,
     build_config,
     config_to_dict,
     deferred_fifo_scenario,
+    deferred_overtake_scenario,
     dump_config_yaml,
     invoice_demo_scenario,
     load_scenario,
@@ -140,6 +144,18 @@ class TestPresets:
         config = SCENARIO_PRESETS[name]()
         config.validate()
 
+    @pytest.mark.parametrize(
+        "measure, path",
+        [(MeasureKind.STORAGE_ORACLE, "oracles.push"),
+         (MeasureKind.REQUEST_RESPONSE_ORACLE, "oracles.pull")],
+    )
+    def test_validate_checks_the_provider_of_each_given_measure(self, measure, path):
+        config = deferred_overtake_scenario()
+        config.validate(MeasureKind.BLOCK_TIMESTAMP, MeasureKind.PARAMETER)
+        with pytest.raises(SchemaError) as exc_info:
+            config.validate(MeasureKind.BLOCK_TIMESTAMP, measure)
+        assert exc_info.value.path == path
+
     def test_invoice_demo_shape(self):
         config = invoice_demo_scenario()
         assert config.process is not None
@@ -164,7 +180,7 @@ class TestPresets:
         config = invoice_demo_scenario()
         second = PullOracleConfig(provider="backup", latency_ms=5_000)
         with pytest.raises(SchemaError) as exc_info:
-            replace(config, pull_oracles=(*config.pull_oracles, second)).validate()
+            replace(config, pull_oracles=(*config.pull_oracles, second))
         assert exc_info.value.path == "oracles.pull[1]"
 
 
@@ -218,7 +234,11 @@ def preset_tree(name: str) -> dict:
     return config_to_dict(SCENARIO_PRESETS[name]())
 
 
-def malformed(preset: str, keys: list, value, path: str):
+# a row whose rule spans several parts of a config, so that no part refuses it alone
+CROSS_PART = pytest.mark.cross_part
+
+
+def malformed(preset: str, keys: list, value, path: str, cross_part: bool = False):
     """A preset tree with the node at `keys` replaced, and the path that
     build_config must report for it."""
     tree = preset_tree(preset)
@@ -226,7 +246,7 @@ def malformed(preset: str, keys: list, value, path: str):
     for key in keys[:-1]:
         node = node[key]
     node[keys[-1]] = value
-    return pytest.param(tree, path, id=f"{path}={value!r}")
+    return pytest.param(tree, path, id=f"{path}={value!r}", marks=CROSS_PART if cross_part else ())
 
 
 def processless(entry: dict, path: str):
@@ -235,7 +255,7 @@ def processless(entry: dict, path: str):
     tree = preset_tree("deferred-overtake")
     del tree["process"]
     tree["participants"][0]["script"][0] = entry
-    return pytest.param(tree, path, id=f"no process: {path}")
+    return pytest.param(tree, path, id=f"no process: {path}", marks=CROSS_PART)
 
 
 SECOND_PULL = [{"provider": "a", "latency_ms": 1}, {"provider": "b", "latency_ms": 2}]
@@ -246,146 +266,174 @@ TWO_GATEWAYS = preset_tree("deferred-fifo")["process"]["elements"] + [
 ]
 
 
-@pytest.mark.parametrize(
-    "tree, path",
-    [
-        malformed("deferred-overtake", ["participants", 1, "script", 0, "at_ms"], "soon",
-                  "participants[1].script[0].at_ms"),
-        malformed("invoice-demo", ["participants", 0, "lie_ms"], "x", "participants[0].lie_ms"),
-        malformed("invoice-demo", ["faults", "miner_drift", "enabled"], "false",
-                  "faults.miner_drift.enabled"),
-        malformed("invoice-demo", ["participants", 0, "script", 0, "on_due"], "no",
-                  "participants[0].script[0].on_due"),
-        malformed("deferred-overtake", ["process", "flows"], [1], "process.flows"),
-        malformed("deferred-overtake", ["participants", 0, "script", 0, "priority"], -1,
-                  "participants[0].script[0].priority"),
-        malformed("deferred-overtake", ["participants", 0, "script", 0, "at_ms"], -1,
-                  "participants[0].script[0].at_ms"),
-        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "soon",
-                  "process.elements[0].spec"),
-        # timer digits are ASCII, and a spec is the whole string
-        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u00b2/PT1S",
-                  "process.elements[0].spec"),
-        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u0661/PT1S",
-                  "process.elements[0].spec"),
-        malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R/PT1S\n",
-                  "process.elements[0].spec"),
-        malformed("deferred-overtake", ["process", "elements", 1, "id"], "race,gw",
-                  "process.elements[1].id"),
-        # an absolute cycle whose dues step past 9999-12-31
-        malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R/9999-12-01/P1M",
-                  "process.elements[0].spec"),
-        malformed("deferred-fifo", ["process", "elements", 0, "spec"],
-                  "R/2020-01-01/P99999999999Y", "process.elements[0].spec"),
-        malformed("invoice-demo", ["participants", 0, "script", 0, "retry_ms"], "x",
-                  "participants[0].script[0].retry_ms"),
-        malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], "x",
-                  "faults.miner_drift.min_ms"),
-        malformed("invoice-demo", ["oracles", "push", 0, "outages"], [[True, 5]],
-                  "oracles.push[0].outages[0][0]"),
-        malformed("deferred-overtake", ["name"], 5, "name"),
-        # identifiers: non-empty, no ',' and no line break
-        malformed("deferred-overtake", ["name"], "", "name"),
-        malformed("deferred-overtake", ["process", "elements", 1, "branches", 0], "late,timer",
-                  "process.elements[1].branches[0]"),
-        malformed("deferred-overtake", ["process", "flows", "start_timer"], "race\ngateway",
-                  "process.flows.start_timer"),
-        malformed("deferred-overtake", ["participants", 0, "name"], "m,no",
-                  "participants[0].name"),
-        malformed("invoice-demo", ["oracles", "push", 0, "provider"], "time\nfeed",
-                  "oracles.push[0].provider"),
-        # range checks of the config objects, at the path of their field
-        malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], 20_000,
-                  "faults.miner_drift.min_ms"),
-        malformed("deferred-overtake", ["network", "genesis_timestamp_ms"], -1,
-                  "network.genesis_timestamp_ms"),
-        malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]"),
-        malformed("invoice-demo", ["oracles", "push", 0, "active_from_ms"], -5_000,
-                  "oracles.push[0].active_from_ms"),
-        malformed("deferred-fifo", ["measures"], ["block_timestamp", "block_timestamp"],
-                  "measures[1]"),
-        # script entries that could never fire
-        malformed("invoice-demo", ["participants", 0, "script", 1],
-                  {"element": "send_invoice", "on_due": True},
-                  "participants[0].script[1].on_due"),
-        malformed("invoice-demo", ["participants", 0, "script", 1, "element"], "invoice_gateway",
-                  "participants[0].script[1].element"),
-        processless({"element": "a", "on_enabled_delay_ms": 0},
-                    "participants[0].script[0].on_enabled_delay_ms"),
-        processless({"element": "b", "on_due": True}, "participants[0].script[0].on_due"),
-        # every sender name is taken once: participants, then oracle:<provider>
-        malformed("invoice-demo", ["participants", 1, "name"], "mno", "participants[1].name"),
-        malformed("invoice-demo", ["oracles", "push"], TWIN_PUSH, "oracles.push[1].provider"),
-        malformed("invoice-demo", ["participants", 1, "name"], "oracle:timefeed",
-                  "oracles.push[0].provider"),
-        malformed("invoice-demo", ["oracles", "pull", 0, "provider"], "timefeed",
-                  "oracles.pull[0].provider"),
-        # durations below 2**45 ms and instants below 2**62 ms, so that int64
-        # sums in the simulator cannot overflow
-        malformed("deferred-fifo", ["network", "block_time"], CONSTANT_2_63,
-                  "network.block_time.value_ms"),
-        malformed("deferred-fifo", ["network", "inclusion_delay"], CONSTANT_2_63,
-                  "network.inclusion_delay.value_ms"),
-        malformed("invoice-demo", ["network", "mining_time", "max_ms"], 2**63,
-                  "network.mining_time.max_ms"),
-        malformed("invoice-demo", ["faults", "miner_drift", "max_ms"], 2**63,
-                  "faults.miner_drift.max_ms"),
-        malformed("invoice-demo", ["participants", 0, "script", 0, "jitter", "max_ms"], 2**63,
-                  "participants[0].script[0].jitter.max_ms"),
-        malformed("invoice-demo", ["oracles", "push", 0, "staleness_ms"], 2**63,
-                  "oracles.push[0].staleness_ms"),
-        malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 2**45,
-                  "oracles.push[0].cadence_ms"),
-        malformed("deferred-fifo", ["horizon_ms"], 2**63, "horizon_ms"),
-        # a cycle keeps one due per iteration up to cycle_limit
-        malformed("deferred-fifo", ["cycle_limit"], 100_000_000, "cycle_limit"),
-        malformed("deferred-fifo", ["cycle_limit"], MAX_CYCLE_LIMIT + 1, "cycle_limit"),
-        # a process is a mapping, and each of ProcessModel's rules is at its field
-        malformed("deferred-fifo", ["process"], "invoice-demo", "process"),
-        malformed("deferred-fifo", ["process", "start"], "nowhere", "process.start"),
-        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "ghost",
-                  "process.elements[1].branches[1]"),
-        malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "start_timer",
-                  "process.elements[1].branches[1]"),
-        malformed("deferred-fifo", ["process", "elements", 1, "branches"], ["notice"],
-                  "process.elements[1].branches"),
-        malformed("deferred-fifo", ["process", "elements"], TWO_GATEWAYS,
-                  "process.elements[4].branches[0]"),
-        malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process.flows.ghost"),
-        malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process.flows.notice"),
-        # a start event takes no incoming flow, not even from itself
-        malformed("deferred-fifo", ["process", "flows", "late_timer"], "start_timer",
-                  "process.flows.late_timer"),
-        malformed("deferred-fifo", ["process", "flows", "start_timer"], "start_timer",
-                  "process.flows.start_timer"),
-        malformed("deferred-fifo", ["process", "flows", "start_timer"], None,
-                  "process.elements[1]"),
-        # the start timer needs a due at or after the activation floor
-        malformed("deferred-fifo", ["process", "elements", 0, "spec"],
-                  "R2/1969-12-31T23:59:58Z/PT1S", "process.elements[0].spec"),
-        malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R5/0001-01-01/PT1S",
-                  "process.elements[0].spec"),
-        # range checks of the oracles and distributions, at their field
-        malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 0,
-                  "oracles.push[0].cadence_ms"),
-        malformed("invoice-demo", ["oracles", "pull", 0, "latency_ms"], -1,
-                  "oracles.pull[0].latency_ms"),
-        malformed("invoice-demo", ["oracles", "pull", 0, "outages"], [[0, 5], [9, 9]],
-                  "oracles.pull[0].outages[1]"),
-        malformed("deferred-fifo", ["network", "block_time", "value_ms"], -1,
-                  "network.block_time.value_ms"),
-        malformed("invoice-demo", ["network", "mining_time", "min_ms"], 3_000,
-                  "network.mining_time.min_ms"),
-        malformed("invoice-demo", ["network", "block_time", "stddev_ms"], -1,
-                  "network.block_time.stddev_ms"),
-        # a script entry fires in exactly one mode
-        malformed("deferred-fifo", ["participants", 0, "script", 0, "on_due"], True,
-                  "participants[0].script[0]"),
-    ],
-)
+MALFORMED_TREES = [
+    malformed("deferred-overtake", ["participants", 1, "script", 0, "at_ms"], "soon",
+              "participants[1].script[0].at_ms"),
+    malformed("invoice-demo", ["participants", 0, "lie_ms"], "x", "participants[0].lie_ms"),
+    malformed("invoice-demo", ["faults", "miner_drift", "enabled"], "false",
+              "faults.miner_drift.enabled"),
+    malformed("invoice-demo", ["participants", 0, "script", 0, "on_due"], "no",
+              "participants[0].script[0].on_due"),
+    malformed("deferred-overtake", ["process", "flows"], [1], "process.flows"),
+    malformed("deferred-overtake", ["participants", 0, "script", 0, "priority"], -1,
+              "participants[0].script[0].priority"),
+    malformed("deferred-overtake", ["participants", 0, "script", 0, "at_ms"], -1,
+              "participants[0].script[0].at_ms"),
+    malformed("deferred-overtake", ["process", "elements", 0, "spec"], "soon",
+              "process.elements[0].spec"),
+    # timer digits are ASCII, and a spec is the whole string
+    malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u00b2/PT1S",
+              "process.elements[0].spec"),
+    malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R\u0661/PT1S",
+              "process.elements[0].spec"),
+    malformed("deferred-overtake", ["process", "elements", 0, "spec"], "R/PT1S\n",
+              "process.elements[0].spec"),
+    malformed("deferred-overtake", ["process", "elements", 1, "id"], "race,gw",
+              "process.elements[1].id"),
+    # an absolute cycle whose dues step past 9999-12-31
+    malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R/9999-12-01/P1M",
+              "process.elements[0].spec", cross_part=True),
+    malformed("deferred-fifo", ["process", "elements", 0, "spec"],
+              "R/2020-01-01/P99999999999Y", "process.elements[0].spec", cross_part=True),
+    malformed("invoice-demo", ["participants", 0, "script", 0, "retry_ms"], "x",
+              "participants[0].script[0].retry_ms"),
+    malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], "x",
+              "faults.miner_drift.min_ms"),
+    malformed("invoice-demo", ["oracles", "push", 0, "outages"], [[True, 5]],
+              "oracles.push[0].outages[0][0]"),
+    malformed("deferred-overtake", ["name"], 5, "name"),
+    # identifiers: non-empty, no ',' and no line break
+    malformed("deferred-overtake", ["name"], "", "name"),
+    malformed("deferred-overtake", ["process", "elements", 1, "branches", 0], "late,timer",
+              "process.elements[1].branches[0]"),
+    malformed("deferred-overtake", ["process", "flows", "start_timer"], "race\ngateway",
+              "process.flows.start_timer"),
+    malformed("deferred-overtake", ["participants", 0, "name"], "m,no",
+              "participants[0].name"),
+    malformed("invoice-demo", ["oracles", "push", 0, "provider"], "time\nfeed",
+              "oracles.push[0].provider"),
+    # range checks of the config objects, at the path of their field
+    malformed("invoice-demo", ["faults", "miner_drift", "min_ms"], 20_000,
+              "faults.miner_drift.min_ms"),
+    malformed("deferred-overtake", ["network", "genesis_timestamp_ms"], -1,
+              "network.genesis_timestamp_ms"),
+    malformed("invoice-demo", ["oracles", "pull"], SECOND_PULL, "oracles.pull[1]",
+              cross_part=True),
+    malformed("invoice-demo", ["oracles", "push", 0, "active_from_ms"], -5_000,
+              "oracles.push[0].active_from_ms"),
+    malformed("deferred-fifo", ["measures"], ["block_timestamp", "block_timestamp"],
+              "measures[1]"),
+    # script entries that could never fire
+    malformed("invoice-demo", ["participants", 0, "script", 1],
+              {"element": "send_invoice", "on_due": True},
+              "participants[0].script[1].on_due", cross_part=True),
+    malformed("invoice-demo", ["participants", 0, "script", 1, "element"], "invoice_gateway",
+              "participants[0].script[1].element", cross_part=True),
+    processless({"element": "a", "on_enabled_delay_ms": 0},
+                "participants[0].script[0].on_enabled_delay_ms"),
+    processless({"element": "b", "on_due": True}, "participants[0].script[0].on_due"),
+    # every sender name is taken once: participants, then oracle:<provider>
+    malformed("invoice-demo", ["participants", 1, "name"], "mno", "participants[1].name",
+              cross_part=True),
+    malformed("invoice-demo", ["oracles", "push"], TWIN_PUSH, "oracles.push[1].provider",
+              cross_part=True),
+    malformed("invoice-demo", ["participants", 1, "name"], "oracle:timefeed",
+              "oracles.push[0].provider", cross_part=True),
+    malformed("invoice-demo", ["oracles", "pull", 0, "provider"], "timefeed",
+              "oracles.pull[0].provider", cross_part=True),
+    # durations below 2**45 ms and instants below 2**62 ms, so that int64
+    # sums in the simulator cannot overflow
+    malformed("deferred-fifo", ["network", "block_time"], CONSTANT_2_63,
+              "network.block_time.value_ms"),
+    malformed("deferred-fifo", ["network", "inclusion_delay"], CONSTANT_2_63,
+              "network.inclusion_delay.value_ms"),
+    malformed("invoice-demo", ["network", "mining_time", "max_ms"], 2**63,
+              "network.mining_time.max_ms"),
+    malformed("invoice-demo", ["faults", "miner_drift", "max_ms"], 2**63,
+              "faults.miner_drift.max_ms"),
+    malformed("invoice-demo", ["participants", 0, "script", 0, "jitter", "max_ms"], 2**63,
+              "participants[0].script[0].jitter.max_ms"),
+    malformed("invoice-demo", ["oracles", "push", 0, "staleness_ms"], 2**63,
+              "oracles.push[0].staleness_ms"),
+    malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 2**45,
+              "oracles.push[0].cadence_ms"),
+    malformed("deferred-fifo", ["horizon_ms"], 2**63, "horizon_ms"),
+    # a cycle keeps one due per iteration up to cycle_limit
+    malformed("deferred-fifo", ["cycle_limit"], 100_000_000, "cycle_limit"),
+    malformed("deferred-fifo", ["cycle_limit"], MAX_CYCLE_LIMIT + 1, "cycle_limit"),
+    # a process is a mapping, and each of ProcessModel's rules is at its field
+    malformed("deferred-fifo", ["process"], "invoice-demo", "process"),
+    malformed("deferred-fifo", ["process", "start"], "nowhere", "process.start"),
+    malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "ghost",
+              "process.elements[1].branches[1]"),
+    malformed("deferred-fifo", ["process", "elements", 1, "branches", 1], "start_timer",
+              "process.elements[1].branches[1]"),
+    malformed("deferred-fifo", ["process", "elements", 1, "branches"], ["notice"],
+              "process.elements[1].branches"),
+    malformed("deferred-fifo", ["process", "elements"], TWO_GATEWAYS,
+              "process.elements[4].branches[0]"),
+    malformed("deferred-fifo", ["process", "flows", "ghost"], None, "process.flows.ghost"),
+    malformed("deferred-fifo", ["process", "flows", "notice"], "ghost", "process.flows.notice"),
+    # a start event takes no incoming flow, not even from itself
+    malformed("deferred-fifo", ["process", "flows", "late_timer"], "start_timer",
+              "process.flows.late_timer"),
+    malformed("deferred-fifo", ["process", "flows", "start_timer"], "start_timer",
+              "process.flows.start_timer"),
+    malformed("deferred-fifo", ["process", "flows", "start_timer"], None,
+              "process.elements[1]"),
+    # the start timer needs a due at or after the activation floor
+    malformed("deferred-fifo", ["process", "elements", 0, "spec"],
+              "R2/1969-12-31T23:59:58Z/PT1S", "process.elements[0].spec", cross_part=True),
+    malformed("deferred-fifo", ["process", "elements", 0, "spec"], "R5/0001-01-01/PT1S",
+              "process.elements[0].spec", cross_part=True),
+    # range checks of the oracles and distributions, at their field
+    malformed("invoice-demo", ["oracles", "push", 0, "cadence_ms"], 0,
+              "oracles.push[0].cadence_ms"),
+    malformed("invoice-demo", ["oracles", "pull", 0, "latency_ms"], -1,
+              "oracles.pull[0].latency_ms"),
+    malformed("invoice-demo", ["oracles", "pull", 0, "outages"], [[0, 5], [9, 9]],
+              "oracles.pull[0].outages[1]"),
+    malformed("deferred-fifo", ["network", "block_time", "value_ms"], -1,
+              "network.block_time.value_ms"),
+    malformed("invoice-demo", ["network", "mining_time", "min_ms"], 3_000,
+              "network.mining_time.min_ms"),
+    malformed("invoice-demo", ["network", "block_time", "stddev_ms"], -1,
+              "network.block_time.stddev_ms"),
+    # a script entry fires in exactly one mode
+    malformed("deferred-fifo", ["participants", 0, "script", 0, "on_due"], True,
+              "participants[0].script[0]"),
+]
+
+
+@pytest.mark.parametrize("tree, path", MALFORMED_TREES)
 def test_malformed_tree_reports_field_path(tree, path):
     with pytest.raises(SchemaError) as exc_info:
         build_config(tree)
+    assert exc_info.value.path == path
+
+
+def replaced(tree: dict) -> ScenarioConfig:
+    """The preset that `tree` was made from (its name) after one
+    dataclasses.replace of each top-level part that `tree` changes, each
+    part built from `tree` on its own."""
+    preset, changed = SCENARIO_PRESETS[tree["name"]](), {}
+    for f in fields(ScenarioConfig):
+        *group, key = _yaml_key(ScenarioConfig, f.name)
+        node = tree.get(group[0], {}) if group else tree
+        part = _build(_hints(ScenarioConfig)[f.name], node.get(key), ".".join((*group, key)))
+        if part != getattr(preset, f.name):
+            changed[f.name] = part
+    assert changed
+    return replace(preset, **changed)
+
+
+@pytest.mark.parametrize(
+    "tree, path", [row for row in MALFORMED_TREES if CROSS_PART in row.marks]
+)
+def test_a_replaced_part_is_checked_at_build(tree, path):
+    # a config built in Python meets the rules that span its parts when it is built
+    with pytest.raises(SchemaError) as exc_info:
+        replaced(tree)
     assert exc_info.value.path == path
 
 
@@ -393,6 +441,17 @@ def test_a_model_is_checked_once_when_built(monkeypatch):
     tree, checked = preset_tree("deferred-fifo"), []
     check = ProcessModel.__post_init__
     monkeypatch.setattr(ProcessModel, "__post_init__", lambda model: checked.append(check(model)))
+    config = build_config(tree)
+    assert len(checked) == 1
+    run(config, 0)
+    assert len(checked) == 1
+
+
+def test_a_config_is_checked_once_when_built(monkeypatch):
+    # a run checks only that the config has its measure's provider
+    tree, checked = preset_tree("deferred-fifo"), []
+    check = ScenarioConfig.__post_init__
+    monkeypatch.setattr(ScenarioConfig, "__post_init__", lambda c: checked.append(check(c)))
     config = build_config(tree)
     assert len(checked) == 1
     run(config, 0)
@@ -413,7 +472,7 @@ def test_names_are_checked_in_python_built_configs(build, path):
 
 
 def test_a_long_cycle_limit_validates_quickly():
-    # validate computes an absolute cycle's last due only, not all 79,048
+    # a built config computes an absolute cycle's last due only, not all 79,048
     tree = preset_tree("invoice-demo")
     tree["cycle_limit"] = 79_048
     start = time.perf_counter()

@@ -195,10 +195,12 @@ class TestRunMechanics:
     def test_storage_oracle_reads_the_first_push_provider(self):
         fresh = PushOracleConfig(provider="fresh", cadence_ms=1_000)
         stale = PushOracleConfig(provider="stale", cadence_ms=1_000, staleness_ms=50_000)
-        base = replace(deferred_overtake_scenario(), measures=(MeasureKind.STORAGE_ORACLE,))
+        base = deferred_overtake_scenario()
 
         def lags(push_oracles):
-            trace = run(replace(base, push_oracles=push_oracles), seed=0)
+            # one replace: storage_oracle without a push provider is refused at build
+            measures = (MeasureKind.STORAGE_ORACLE,)
+            trace = run(replace(base, measures=measures, push_oracles=push_oracles), seed=0)
             read = [r for r in trace.records if r.raw_measured_ms is not None]
             assert read
             return [trace.tx_meta[r.tx_id].created_at - r.raw_measured_ms for r in read]

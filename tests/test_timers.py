@@ -114,7 +114,7 @@ class TestDueTimes:
     @pytest.mark.parametrize("months, ms", [(-1, 1), (1, -1), (0, 0), (-1, 0)])
     def test_absolute_cycle_step_cannot_be_negative(self, months, ms):
         # a negative part would let dues move back in time, and the year
-        # check in ScenarioConfig.validate reads the last due alone
+        # check in ScenarioConfig.__post_init__ reads the last due alone
         with pytest.raises(ValueError, match="cycle period must be positive"):
             CycleAbsTimer(start_ms=0, period_months=months, period_ms=ms, repetitions=None)
 
