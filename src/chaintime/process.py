@@ -24,6 +24,7 @@ from .timers import (
     DurationTimer,
     TimerSpec,
     due_times,
+    iter_due_times,
 )
 
 
@@ -533,14 +534,18 @@ class ProcessInstance:
 
     def _entry(self, element_id, anchor, round_=None) -> _EnabledEntry:
         """Enable one element; a timer's due schedule is computed here, once.
-        Only a cycle keeps more than its first due."""
+        Only a cycle keeps, or computes, more than its first due."""
         element = self.model.elements[element_id]
         if not isinstance(element, (StartTimer, TimerCatch)):
             return _EnabledEntry(anchor, round_)
-        dues = _dues_from(element.spec, anchor.truth_ms, self.cycle_limit)
-        if _constraint_type(element) != CYCLE:
-            if isinstance(element.spec, CycleAbsTimer) and dues[0] < anchor.truth_ms:
+        spec, at = element.spec, anchor.truth_ms
+        if _constraint_type(element) == CYCLE:
+            return _EnabledEntry(anchor, round_, _dues_from(spec, at, self.cycle_limit))
+        for due in iter_due_times(spec, at, self.cycle_limit):  # as _dues_from, to the first
+            if due >= at:
+                break
+        else:  # all passed: a date keeps its due, a cycle has none
+            if isinstance(spec, CycleAbsTimer):
                 raise ValueError("no start due time at or after the activation floor")
-            dues = dues[:1]
-        return _EnabledEntry(anchor, round_, dues)
+        return _EnabledEntry(anchor, round_, (due,))
 

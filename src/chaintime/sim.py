@@ -23,9 +23,9 @@ to announce.
 Every update, claim and callback is one frozen ``Transaction`` that
 carries the instant it is visible and its block (None if dropped); an
 update's is built from the columns only when it is looked up, once per
-world. ``RunTrace.tx_meta`` (by id) and the chain's ``txs`` (by block) are
-read-only mappings that lay the run's own objects over the update columns,
-which have no rows in a run that drives no push provider.
+world. ``RunTrace.tx_meta`` (by id), the chain's ``txs`` (by block) and the
+oracle events are read-only views that lay the run's own objects over the
+update columns, which have no rows in a run that drives no push provider.
 Claims and callbacks are made by one ``_send``, which numbers them per
 sender. Each goes to the first block mined at or after it is visible whose
 start the loop has not passed at seal rank, whatever that block holds, and
@@ -33,9 +33,9 @@ carries the call that executes it when the block seals. A block that holds
 updates too merges them in then, in the miner's order, which fixes where
 they sit in the storage cell of ``oracles.push[0]``, the one the
 storage-oracle measure reads; under adversarial_reorder a block of two or
-more updates is sealed by an event of its own. Draws come from named
-substreams made on first use: ``delay/<sender>``, ``participant/<name>``
-and ``miner/order``.
+more updates is sealed by an event of its own and may reorder its rows.
+Draws come from named substreams made on first use: ``delay/<sender>``,
+``participant/<name>`` and ``miner/order``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import defaultdict
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import itemgetter
@@ -91,7 +91,7 @@ class RunTrace:
     chain: Chain
     real_starts: np.ndarray
     records: list
-    oracle_events: list[tuple[str, str, SimTime, int]]
+    oracle_events: Sequence[tuple[str, str, SimTime, int]]
     tx_meta: Mapping[str, Transaction]  # every transaction created, dropped ones too
     dropped: list[str]
 
@@ -162,8 +162,8 @@ class _Updates:
     block, then by their order among the block's updates when no other
     transaction joins them: (visible, tick, provider), the order of every
     miner policy but adversarial_reorder's. The first ``kept`` rows are the
-    included ones; ``events`` and ``cell`` (oracles.push[0]'s block, position
-    and value columns) follow them.
+    included ones; ``cell`` (oracles.push[0]'s block, position and value
+    columns) follows them.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
@@ -175,7 +175,8 @@ class _Updates:
                 raise SchemaError(
                     f"oracles.push[{i}].cadence_ms", f"the updates would pass {MAX_UPDATES:,}"
                 )
-        self.senders = [f"oracle:{push.provider}" for push in pushes]
+        self.providers = [push.provider for push in pushes]
+        self.senders = [f"oracle:{provider}" for provider in self.providers]
         ticks = [so_update_times(push, config.horizon_ms) for push in pushes]
         counts = [len(t) for t in ticks]
         delays = [
@@ -193,20 +194,18 @@ class _Updates:
         block = _first_block(starts, visible)
         value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
         order = np.lexsort((provider, tick, visible, block))
-        self.row_of = np.argsort(order)  # by provider, then number
+        self.row_of = np.empty_like(order)  # by provider, then number: order's inverse
+        self.row_of[order] = np.arange(len(order))
         self.tick, self.visible, self.block, self.provider, self.number, self.value = (
             column[order] for column in (tick, visible, block, provider, number, value)
         )
         self.kept = kept = int(np.searchsorted(self.block, len(starts)))
         self.dropped = [(self.key(row), self.tx_id(row)) for row in range(kept, len(order))]
         block, provider, value = self.block[:kept], self.provider[:kept], self.value[:kept]
-        self.events = list(zip(
-            [pushes[p].provider for p in provider.tolist()], itertools.repeat("update"),
-            starts[block].tolist(), value.tolist(),
-        ))
-        self.numbers, sizes = np.unique(block, return_counts=True)  # blocks holding updates
+        # the blocks holding updates, the first row of each, and its count
+        self.numbers, firsts, sizes = np.unique(block, return_index=True, return_counts=True)
         self.multi = self.numbers[sizes > 1].tolist()  # blocks of two or more
-        position = np.arange(kept) - np.searchsorted(block, block, side="left")
+        position = np.arange(kept) - np.repeat(firsts, sizes)
         first = provider == 0
         self.cell = (block[first], position[first], value[first])
         self.built: dict[int, Transaction] = {}
@@ -306,6 +305,49 @@ class _TxMeta(Mapping):
         return len(self.own) + len(self.u.tick)
 
 
+class _OracleEvents(Sequence):
+    """A run's oracle events, read-only: the included updates, each (provider,
+    "update", its block's start, value) in the order the run placed them, and
+    its own pull events merged in by instant, after the updates of the blocks
+    sealed by then. It indexes, slices, iterates and compares as that list."""
+
+    def __init__(self, own: list, updates: _Updates, starts: np.ndarray, row_order):
+        self.own, self.u, self.starts, self.row_order = own, updates, starts, row_order
+
+    @cached_property
+    def _at(self) -> np.ndarray:  # each own event's index
+        started = np.searchsorted(self.starts, [event[2] for event in self.own], side="right")
+        return np.searchsorted(self.u.block[:self.u.kept], started) + np.arange(len(self.own))
+
+    def _span(self, lo: int, hi: int) -> list[tuple]:  # 0 <= lo < hi <= len(self)
+        u, (a, b) = self.u, np.searchsorted(self._at, (lo, hi)).tolist()
+        rows = slice(lo - a, hi - b) if self.row_order is None else self.row_order[lo - a:hi - b]
+        events = list(zip(
+            map(u.providers.__getitem__, u.provider[rows].tolist()), itertools.repeat("update"),
+            self.starts[u.block[rows]].tolist(), u.value[rows].tolist(),
+        ))
+        for at, event in zip(self._at[a:b].tolist(), self.own[a:b]):
+            events.insert(at - lo, event)
+        return events
+
+    def __getitem__(self, index):
+        span = range(len(self))[index]  # an int, or a range for a slice
+        if not isinstance(span, range):
+            return self._span(span, span + 1)[0]
+        lo = min(span, default=0)
+        return self._span(lo, max(span) + 1)[span.start - lo::span.step] if span else []
+
+    def __iter__(self):
+        for lo in range(0, len(self), _EXPORT_CHUNK):
+            yield from self._span(lo, min(lo + _EXPORT_CHUNK, len(self)))
+
+    def __len__(self) -> int:
+        return self.u.kept + len(self.own)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == other if isinstance(other, (list, _OracleEvents)) else NotImplemented
+
+
 class SeedWorld:
     """What every measure's run of one seed shares: the real block starts,
     the chain of empty blocks, the chain parameters and, built on first use,
@@ -354,8 +396,9 @@ class _Runner:
             config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
         )
         self.updates = u = world.updates if driven else _NO_UPDATES
-        # the run's copies, in which _place settles the order of a block
-        self.update_events = list(u.events)
+        # the included rows in the order _place put them, made when it first
+        # moves one; the cell's copy, in which it settles a block's positions
+        self.row_order: np.ndarray | None = None
         self.cell_columns = tuple(column.copy() for column in u.cell)
         # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
         self.cell = OracleCell(config.push_oracles[0].provider) if driven else None
@@ -439,15 +482,19 @@ class _Runner:
         return [entries[int(i)] for i in order]
 
     def _place(self, number: int, entries: list[tuple]) -> None:
-        """Keep the block's order, and where its updates sit in it: for the
-        update events, and in the storage cell, before any claim reads it."""
+        """Keep the block's order, and where its updates sit in it: in the row
+        order of the oracle events if it moved one, and in the storage cell,
+        before any claim reads it."""
         self.txs_by_block[number] = tuple(entry[1] for entry in entries)
         placed = [(position, e[3]) for position, e in enumerate(entries) if e[2] is None]
         if not placed:
             return
         u = self.updates
-        first = int(np.searchsorted(u.block, number))
-        self.update_events[first:first + len(placed)] = [u.events[row] for _, row in placed]
+        rows = [row for _, row in placed]
+        if rows != sorted(rows):  # only adversarial_reorder moves an update
+            if self.row_order is None:
+                self.row_order = np.arange(u.kept)
+            self.row_order[min(rows):min(rows) + len(rows)] = rows
         own = [(position, row) for position, row in placed if u.provider[row] == 0]
         blocks, positions, values = self.cell_columns
         at = int(np.searchsorted(blocks, number))
@@ -594,12 +641,10 @@ class _Runner:
         if self.instance is not None:
             self.instance.finalize()
             records = list(self.instance.records)
-        u, events, dropped = self.updates, self.oracle_events, self.dropped
-        if len(u.tick):  # else both are in order: the run's own go by submission
-            # an update event belongs to its block's seal, so it comes before a
-            # request or callback of its instant
-            events = list(heapq.merge(self.update_events, events, key=itemgetter(2)))
+        u, dropped = self.updates, self.dropped
+        if len(u.tick):  # else it is in order: the run's own go by submission
             dropped = sorted(u.dropped + dropped, key=itemgetter(0))
+        events = _OracleEvents(self.oracle_events, u, self.world.starts, self.row_order)
         return RunTrace(
             scenario=self.config.name, seed=self.world.seed, measure=self.measure,
             chain=replace(self.world.chain, txs=_BlockTxs(self.txs_by_block, u)),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import calendar
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -198,23 +199,27 @@ def due_times(spec: TimerSpec, enablement: int, limit: int) -> list[int]:
     step from their start instant independent of enablement. ``limit`` bounds
     the output for unbounded cycles.
     """
+    return list(iter_due_times(spec, enablement, limit))
+
+
+def iter_due_times(spec: TimerSpec, enablement: int, limit: int) -> Iterator[int]:
+    """due_times one at a time, each computed when it is asked for."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if isinstance(spec, DateTimer):
-        return [spec.instant_ms]
-    if isinstance(spec, DurationTimer):
-        return [enablement + spec.length_ms]
-    if isinstance(spec, CycleRelTimer):
+        yield spec.instant_ms
+    elif isinstance(spec, DurationTimer):
+        yield enablement + spec.length_ms
+    elif isinstance(spec, CycleRelTimer):
         count = limit if spec.repetitions is None else min(spec.repetitions, limit)
-        return [enablement + k * spec.period_ms for k in range(1, count + 1)]
-    if isinstance(spec, CycleAbsTimer):
+        period = spec.period_ms
+        yield from range(enablement + period, enablement + (count + 1) * period, period)
+    elif isinstance(spec, CycleAbsTimer):
         count = limit if spec.repetitions is None else min(spec.repetitions, limit)
-        out = []
         for k in range(count):
-            due = add_months(spec.start_ms, k * spec.period_months)
-            out.append(due + k * spec.period_ms)
-        return out
-    raise TypeError(f"not a TimerSpec: {spec!r}")
+            yield add_months(spec.start_ms, k * spec.period_months) + k * spec.period_ms
+    else:
+        raise TypeError(f"not a TimerSpec: {spec!r}")
 
 
 def _format_instant(instant_ms: int) -> str:

@@ -11,10 +11,12 @@ blocks so that every case crosses chunk edges.
 """
 
 import copy
+import heapq
 import io
 import pickle
 from contextlib import contextmanager
 from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.scenario import (
     INVOICE_START_DUE,
     MS_PER_DAY,
+    deferred_fifo_scenario,
     deferred_overtake_scenario,
     invoice_demo_scenario,
 )
@@ -164,12 +167,12 @@ def test_a_negative_block_column_is_refused_before_any_write(timestamps, mining)
 
 
 @st.composite
-def push_runs(draw):
-    """A short deferred-overtake run with one or two push providers, whose
-    updates fill most blocks, some alone and some beside a claim, and a pull
-    provider. Under the request/response measure, with no mining time, no
-    inclusion delay and a latency of whole blocks, a callback is created at
-    a block's start after that block sealed."""
+def push_cases(draw):
+    """(config, seed, measure) of a short deferred-overtake run with one or
+    two push providers, whose updates fill most blocks, some alone and some
+    beside a claim, and a pull provider. Under the request/response measure,
+    with no mining time, no inclusion delay and a latency of whole blocks, a
+    callback is created at a block's start after that block sealed."""
     base = deferred_overtake_scenario()
     pushes = tuple(
         PushOracleConfig(
@@ -202,7 +205,11 @@ def push_runs(draw):
         MeasureKind.STORAGE_ORACLE, MeasureKind.BLOCK_TIMESTAMP,
         MeasureKind.REQUEST_RESPONSE_ORACLE,
     ]))
-    return run(config, draw(st.integers(0, 50)), measure)
+    return config, draw(st.integers(0, 50)), measure
+
+
+def push_runs():
+    return push_cases().map(lambda case: run(*case))
 
 
 @settings(max_examples=60, deadline=None)
@@ -341,3 +348,111 @@ def test_runs_of_one_world_share_each_update(monkeypatch):
     assert updates and len({tx.id for tx in updates}) == len(updates)
     for tx in updates:
         assert first.tx_meta[tx.id] is second.tx_meta[tx.id] is tx
+
+
+def reference_events(config, trace) -> list[tuple]:
+    """The oracle events as the list the simulator once built: every placed
+    update, block by block in the miner's order, heapq.merged by instant with
+    the run's own requests and callbacks, updates first at equal instants."""
+    staleness = {f"oracle:{push.provider}": push.staleness_ms for push in config.push_oracles}
+    updates = [
+        (tx.sender.removeprefix("oracle:"), "update", int(trace.real_starts[number]),
+         tx.created_at - staleness[tx.sender])
+        for number in sorted(trace.chain.txs) for tx in trace.chain.txs[number] if tx.op == UPDATE
+    ]
+    own = trace.oracle_events.own
+    assert {kind for _, kind, _, _ in own} <= {"request", "callback"}
+    return list(heapq.merge(updates, own, key=itemgetter(2)))
+
+
+def assert_behaves_as_list(events, expected: list, probes=()) -> None:
+    assert events == expected and expected == events and not events != expected
+    assert len(events) == len(expected) and list(events) == expected
+    assert events != expected + [("x", "update", 0, 0)] and events != tuple(expected)
+    n = len(expected)
+    for index in (0, n - 1, -1, -n, n // 2, *probes):
+        if -n <= index < n:
+            assert events[index] == expected[index]
+    for index in (n, -n - 1):
+        with pytest.raises(IndexError):
+            events[index]
+    for cut in (slice(None), slice(1, -1), slice(-3, None), slice(None, None, -1),
+                slice(n, 0, -2), slice(2, n, 3), slice(5, 2)):
+        assert events[cut] == expected[cut]
+
+
+@settings(max_examples=80, deadline=None)
+@given(push_cases(), st.integers(1, 7), st.lists(st.integers(-400, 400), max_size=4))
+def test_oracle_events_equal_the_merged_list(case, chunk, probes):
+    trace = run(*case)
+    expected = reference_events(case[0], trace)
+    with small_chunks(chunk):
+        assert_behaves_as_list(trace.oracle_events, expected, tuple(probes))
+        assert exported(trace) == reference_export(trace.chain, expected)
+    assert pickle.loads(pickle.dumps(trace)).oracle_events == copy.deepcopy(expected)
+
+
+def overlapping_config(**network):
+    """Constant 10 s blocks visible at their start with no inclusion delay, a
+    feed ticking at every block start, and a pull oracle answering in one
+    block: a request and a callback fall at an update's instant."""
+    base = deferred_fifo_scenario()
+    return replace(
+        base,
+        network=replace(base.network, **network),
+        push_oracles=(PushOracleConfig(provider="feed", cadence_ms=10_000),
+                      PushOracleConfig(provider="echo", cadence_ms=5_000, staleness_ms=7)),
+        pull_oracles=(PullOracleConfig(provider="server", latency_ms=10_000),),
+        simulate_unused_oracles=True,
+    )
+
+
+@pytest.mark.parametrize("ordering", [
+    "fifo_by_arrival", "priority_then_arrival", "adversarial_reorder",
+])
+def test_updates_come_before_a_pull_event_of_their_instant(ordering):
+    config = overlapping_config(miner_ordering=ordering)
+    trace = run(config, 3, MeasureKind.REQUEST_RESPONSE_ORACLE)
+    events = trace.oracle_events
+    expected = reference_events(config, trace)
+    assert_behaves_as_list(events, expected)
+    with small_chunks(3):
+        assert exported(trace) == reference_export(trace.chain, expected)
+    kinds = [(kind, at) for _, kind, at, _ in events]
+    for pull in ("request", "callback"):
+        at = next(at for kind, at in kinds if kind == pull)
+        same = [kind for kind, instant in kinds if instant == at]
+        assert same.index(pull) == same.count("update") > 0
+    # only a miner that moves an update gives the run its own row order
+    moved = trace.oracle_events.row_order
+    assert (moved is not None) == (ordering == "adversarial_reorder")
+    if moved is not None:
+        assert (moved != np.arange(len(moved))).any()
+
+
+def test_a_world_whose_updates_are_all_dropped_logs_only_its_own_events():
+    # the one tick, at 55 s, is visible after the last block of the horizon
+    config = replace(
+        overlapping_config(), horizon_ms=59_000,
+        push_oracles=(PushOracleConfig(provider="feed", cadence_ms=60_000,
+                                       active_from_ms=55_000),),
+    )
+    trace = run(config, 0, MeasureKind.REQUEST_RESPONSE_ORACLE)
+    updates = trace.oracle_events.u
+    assert updates.kept == 0 and len(updates.tick) == 1
+    assert trace.dropped[-1:] == ["oracle:feed-0"]
+    own = trace.oracle_events.own
+    assert own and {kind for _, kind, _, _ in own} == {"request", "callback"}
+    assert_behaves_as_list(trace.oracle_events, list(own))
+    assert exported(trace) == reference_export(trace.chain, own)
+
+
+@pytest.mark.parametrize("scenario, measure", [
+    (deferred_overtake_scenario, None), (invoice_demo_scenario, MeasureKind.BLOCK_TIMESTAMP),
+], ids=["no provider", "not driven"])
+def test_a_run_without_update_rows_has_no_oracle_event(scenario, measure):
+    events = run(scenario(), 0, measure).oracle_events
+    assert events == [] and [] == events and len(events) == 0 and list(events) == []
+    assert events[:] == [] and events[::-1] == []
+    with pytest.raises(IndexError):
+        events[0]

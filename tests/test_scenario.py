@@ -47,7 +47,7 @@ from chaintime.scenario import (
     invoice_demo_scenario,
     load_scenario,
 )
-from chaintime.sim import run
+from chaintime.sim import MAX_UPDATES, run
 from chaintime.timers import CycleAbsTimer, due_times, parse_timer
 
 
@@ -513,14 +513,14 @@ def test_a_cycle_whose_last_due_passes_year_9999_is_refused(spec, limit, passes)
     assert exc_info.value.path == "process.elements[0].spec"
 
 
-def run_in_512_mib(tmp_path, tree) -> subprocess.CompletedProcess:
+def run_in_limited_memory(tmp_path, tree, mib: int = 512) -> subprocess.CompletedProcess:
     """`chaintime run` of the tree in a child whose own address space is
-    limited to 512 MiB."""
+    limited to this many MiB."""
     scenario = tmp_path / "long.yaml"
     scenario.write_text(yaml.safe_dump(tree))
     limited = (
         "import resource, sys\n"
-        "resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({mib} << 20, {mib} << 20))\n"
         "from chaintime.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n"
     )
@@ -539,7 +539,7 @@ def run_in_512_mib(tmp_path, tree) -> subprocess.CompletedProcess:
 def test_a_chain_past_the_block_cap_is_refused_in_bounded_memory(tmp_path, tree, path):
     # the cap stops the schedule long before 512 MiB of address space, the
     # child's own limit, would run out (it did, with exit 2, before the cap)
-    done = run_in_512_mib(tmp_path, tree)
+    done = run_in_limited_memory(tmp_path, tree)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith(f"error: {path}: the chain would pass ")
 
@@ -551,9 +551,22 @@ def test_updates_past_their_cap_are_refused_in_bounded_memory(tmp_path):
         "horizon_ms": 10**11, "measures": ["storage_oracle"],
         "oracles": {"push": [{"provider": "feed", "cadence_ms": 1}]},
     }
-    done = run_in_512_mib(tmp_path, tree)
+    done = run_in_limited_memory(tmp_path, tree)
     assert done.returncode == 1, done.stderr
     assert done.stderr.startswith("error: oracles.push[0].cadence_ms: the updates would pass ")
+
+
+def test_a_storage_oracle_run_at_the_update_cap_fits_in_1_gib(tmp_path):
+    # a 1 s feed with sim.MAX_UPDATES ticks, every one read through the
+    # storage cell; on a 2-core x86-64 Linux host with numpy 2.4 the run
+    # needed about 770 MiB of address space, and 1,376 MiB when every
+    # included update was also kept as a tuple of its oracle event
+    tree = preset_tree("deferred-fifo") | {
+        "horizon_ms": (MAX_UPDATES - 1) * 1_000, "measures": ["storage_oracle"],
+        "oracles": {"push": [{"provider": "feed", "cadence_ms": 1_000}]},
+    }
+    done = run_in_limited_memory(tmp_path, tree, mib=1_024)
+    assert done.returncode == 0, done.stderr
 
 
 # -- properties --------------------------------------------------------------

@@ -1,8 +1,11 @@
 """Timer grammar, due-time resolution, and round-tripping."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from chaintime import timers
+from chaintime.measures import MeasureKind
+from chaintime.process import ProcessInstance, ProcessModel, StartTimer, _dues_from
 from chaintime.timers import (
     CycleAbsTimer,
     CycleRelTimer,
@@ -188,3 +191,36 @@ def test_format_parse_roundtrip(spec):
 )
 def test_add_months_is_monotone_in_months(instant, months):
     assert add_months(instant, months + 1) > add_months(instant, months)
+
+
+@settings(max_examples=300)
+@given(timer_specs(), st.integers(1, 200), st.data())
+def test_a_one_due_timer_keeps_the_first_due_of_its_schedule(spec, limit, data):
+    """A start timer keeps one due, whatever its spec, and computes none past
+    it; an absolute cycle whose dues all passed its floor is an error."""
+    near = st.sampled_from(due_times(spec, 0, limit)).flatmap(
+        lambda due: st.integers(max(due - 2, 0), due + 2)
+    )
+    anchor = data.draw(st.integers(0, 4_102_444_800_000) | near, label="anchor")
+    expected = _dues_from(spec, anchor, limit)[:1]
+    model = ProcessModel(
+        elements={"start": StartTimer(id="start", spec=spec)}, flows={"start": None},
+        start="start",
+    )
+
+    def build():
+        return ProcessInstance(
+            model, MeasureKind.PARAMETER, activation_floor_ms=anchor, cycle_limit=limit
+        )
+
+    dues = due_times(spec, anchor, limit)
+    stepped = next((i for i, due in enumerate(dues) if due >= anchor), len(dues) - 1) + 1
+    calls = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(timers, "add_months", lambda *args: calls.append(args) or add_months(*args))
+        if isinstance(spec, CycleAbsTimer) and expected[0] < anchor:
+            with pytest.raises(ValueError, match="activation floor"):
+                build()
+        else:
+            assert build().element_due_times("start") == list(expected)
+    assert len(calls) == (stepped if isinstance(spec, CycleAbsTimer) else 0)
