@@ -10,6 +10,7 @@ transaction, and the two oracle measures rely on third-party providers
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 
@@ -57,33 +58,32 @@ class TxContext:
 class OracleCell:
     """On-chain storage cell a push provider updates via transactions.
 
-    A run writes the provider's updates once, as columns in chain order:
-    block number, position in the block and value. A read sees the last
-    write strictly before the reader's own position, including earlier
-    writes in the same block. The cell keeps the columns it is given, not
-    copies, so that the simulator can fix a block's positions and values in
-    place when the block seals, before any read in it.
+    It reads shared block and value columns of the provider's updates, in
+    row order, and never changes them; a run writes each block it seals at
+    the updates' positions among its transactions. A read sees the last
+    update strictly before the reader's position: the last write before it
+    in its block, else the last update of the latest earlier block.
     """
 
-    def __init__(self, provider: str):
-        self.provider = provider
-        self._blocks = self._positions = self._values = np.empty(0, dtype=np.int64)
+    def __init__(self, provider: str, blocks: np.ndarray, values: np.ndarray):
+        self.provider, self._blocks, self._values = provider, blocks, values
+        self._written: dict[int, tuple] = {}
 
-    def write(self, blocks: np.ndarray, positions: np.ndarray, values: np.ndarray) -> None:
-        step, shift = np.diff(blocks), np.diff(positions)
-        if np.any((step < 0) | ((step == 0) & (shift <= 0))):
-            raise ValueError("oracle writes must arrive in chain order")
-        self._blocks, self._positions, self._values = blocks, positions, values
+    def write(self, block: int, positions: tuple[int, ...], values: tuple[int, ...]) -> None:
+        if any(a >= b for a, b in zip(positions, positions[1:])):
+            raise ValueError("oracle writes must arrive in position order")
+        self._written[block] = positions, values
 
     def read_before(self, position: tuple[int, int]) -> SimTime:
         block, index = position
-        lo, hi = np.searchsorted(self._blocks, (block, block + 1)).tolist()
-        idx = lo + int(np.searchsorted(self._positions[lo:hi], index))
-        if idx == 0:
-            raise UninitializedOracle(
-                f"no update by {self.provider!r} before position {position}"
-            )
-        return int(self._values[idx - 1])
+        positions, values = self._written.get(block, ((), ()))
+        if at := bisect_left(positions, index):
+            return values[at - 1]
+        at = int(np.searchsorted(self._blocks, block)) - 1
+        if at < 0:
+            raise UninitializedOracle(f"no update by {self.provider!r} before position {position}")
+        written = self._written.get(int(self._blocks[at]))
+        return written[1][-1] if written else int(self._values[at])
 
 
 def measure_bt(ctx: TxContext) -> SimTime:

@@ -30,10 +30,11 @@ Claims and callbacks are made by one ``_send``, which numbers them per
 sender. Each goes to the first block mined at or after it is visible whose
 start the loop has not passed at seal rank, whatever that block holds, and
 carries the call that executes it when the block seals. A block that holds
-updates too merges them in then, in the miner's order, which fixes where
-they sit in the storage cell of ``oracles.push[0]``, the one the
-storage-oracle measure reads; under adversarial_reorder a block of two or
-more updates is sealed by an event of its own and may reorder its rows.
+updates too merges them in then, in the miner's order, and the run writes
+those of ``oracles.push[0]`` (which storage_oracle reads) at their positions
+to its storage cell, which reads other blocks from the world's columns;
+under adversarial_reorder a block of two or more updates is sealed by an
+event of its own and may reorder its rows.
 Draws come from named substreams made on first use: ``delay/<sender>``,
 ``participant/<name>`` and ``miner/order``.
 """
@@ -162,8 +163,8 @@ class _Updates:
     block, then by their order among the block's updates when no other
     transaction joins them: (visible, tick, provider), the order of every
     miner policy but adversarial_reorder's. The first ``kept`` rows are the
-    included ones; ``cell`` (oracles.push[0]'s block, position and value
-    columns) follows them.
+    included ones; ``cell`` holds the block and value columns of those of
+    oracles.push[0]. Each unsorted column is freed once its sorted copy exists.
     """
 
     def __init__(self, config: ScenarioConfig, seed: int, starts: np.ndarray):
@@ -186,28 +187,29 @@ class _Updates:
         provider = np.repeat(np.arange(len(pushes)), counts)
         offsets = np.cumsum(counts) - counts  # each provider's first update
         self.spans = dict(zip(self.senders, zip(offsets.tolist(), counts)))
-        number = np.arange(len(provider)) - offsets[provider]
-        tick, delay = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (ticks, delays))
-        visible = tick + np.maximum(delay, 0)
+        tick, visible = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (ticks, delays))
+        del ticks, delays
+        np.maximum(visible, 0, out=visible)  # the delays, then the instants they are visible
+        visible += tick
         # the first block mined at or after an update is visible is never
         # sealed yet: it starts at or after the tick, which ranks before a seal
         block = _first_block(starts, visible)
-        value = tick - np.array([push.staleness_ms for push in pushes], dtype=np.int64)[provider]
         order = np.lexsort((provider, tick, visible, block))
         self.row_of = np.empty_like(order)  # by provider, then number: order's inverse
         self.row_of[order] = np.arange(len(order))
-        self.tick, self.visible, self.block, self.provider, self.number, self.value = (
-            column[order] for column in (tick, visible, block, provider, number, value)
+        unsorted = [tick, visible, block, provider]
+        del tick, visible, block, provider
+        self.tick, self.visible, self.block, self.provider = (
+            unsorted.pop(0)[order] for _ in range(4)
         )
+        self.number = order - offsets[self.provider]  # among the provider's updates
+        staleness = np.array([push.staleness_ms for push in pushes], dtype=np.int64)
+        self.value = self.tick - staleness[self.provider]
         self.kept = kept = int(np.searchsorted(self.block, len(starts)))
         self.dropped = [(self.key(row), self.tx_id(row)) for row in range(kept, len(order))]
-        block, provider, value = self.block[:kept], self.provider[:kept], self.value[:kept]
-        # the blocks holding updates, the first row of each, and its count
-        self.numbers, firsts, sizes = np.unique(block, return_index=True, return_counts=True)
+        self.numbers, sizes = np.unique(self.block[:kept], return_counts=True)
         self.multi = self.numbers[sizes > 1].tolist()  # blocks of two or more
-        position = np.arange(kept) - np.repeat(firsts, sizes)
-        first = provider == 0
-        self.cell = (block[first], position[first], value[first])
+        self.cell = tuple(c[:kept][self.provider[:kept] == 0] for c in (self.block, self.value))
         self.built: dict[int, Transaction] = {}
 
     def tx_id(self, row: int) -> str:
@@ -396,14 +398,10 @@ class _Runner:
             config.simulate_unused_oracles or measure is MeasureKind.STORAGE_ORACLE
         )
         self.updates = u = world.updates if driven else _NO_UPDATES
-        # the included rows in the order _place put them, made when it first
-        # moves one; the cell's copy, in which it settles a block's positions
+        # the included rows in the order _place put them, made when it first moves one
         self.row_order: np.ndarray | None = None
-        self.cell_columns = tuple(column.copy() for column in u.cell)
         # storage_oracle reads oracles.push[0]; a bystander provider keeps no cell
-        self.cell = OracleCell(config.push_oracles[0].provider) if driven else None
-        if driven:
-            self.cell.write(*self.cell_columns)
+        self.cell = OracleCell(config.push_oracles[0].provider, *u.cell) if driven else None
         self.inclusion_delays = {
             p.name: p.inclusion_delay for p in config.participants
             if p.inclusion_delay is not None
@@ -483,8 +481,8 @@ class _Runner:
 
     def _place(self, number: int, entries: list[tuple]) -> None:
         """Keep the block's order, and where its updates sit in it: in the row
-        order of the oracle events if it moved one, and in the storage cell,
-        before any claim reads it."""
+        order of the oracle events if it moved one, and, for oracles.push[0]'s,
+        as the storage cell's write of the block, before any claim reads it."""
         self.txs_by_block[number] = tuple(entry[1] for entry in entries)
         placed = [(position, e[3]) for position, e in enumerate(entries) if e[2] is None]
         if not placed:
@@ -495,11 +493,9 @@ class _Runner:
             if self.row_order is None:
                 self.row_order = np.arange(u.kept)
             self.row_order[min(rows):min(rows) + len(rows)] = rows
-        own = [(position, row) for position, row in placed if u.provider[row] == 0]
-        blocks, positions, values = self.cell_columns
-        at = int(np.searchsorted(blocks, number))
-        positions[at:at + len(own)] = [position for position, _ in own]
-        values[at:at + len(own)] = [u.value[row] for _, row in own]
+        own = [(position, int(u.value[row])) for position, row in placed if u.provider[row] == 0]
+        if own:
+            self.cell.write(number, *zip(*own))
 
     def _seal_block(self, now: SimTime, number: int) -> None:
         u = self.updates

@@ -20,7 +20,7 @@ from operator import itemgetter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chaintime import chain as chain_module, sim
 from chaintime.chain import Chain, Transaction
@@ -390,6 +390,38 @@ def test_oracle_events_equal_the_merged_list(case, chunk, probes):
         assert_behaves_as_list(trace.oracle_events, expected, tuple(probes))
         assert exported(trace) == reference_export(trace.chain, expected)
     assert pickle.loads(pickle.dumps(trace)).oracle_events == copy.deepcopy(expected)
+
+
+def reordered_before_a_claim():
+    """Seed 2 of a 3 s feed over 10 s blocks under adversarial_reorder: the
+    claim seals first in block 2, after block 1's four updates, reordered."""
+    base = deferred_overtake_scenario()
+    return replace(
+        base,
+        network=replace(
+            base.network, mining_time=constant(0), inclusion_delay=constant(0),
+            miner_ordering="adversarial_reorder",
+        ),
+        push_oracles=(PushOracleConfig(provider="feed", cadence_ms=3_000),),
+        horizon_ms=20_000,
+    ), 2, MeasureKind.STORAGE_ORACLE
+
+
+@settings(max_examples=300, deadline=None)
+@given(push_cases().map(lambda case: (*case[:2], MeasureKind.STORAGE_ORACLE)))
+@example(reordered_before_a_claim())
+def test_a_storage_read_is_the_last_update_placed_before_the_claim(case):
+    """The last update of oracles.push[0] in the blocks before the claim's,
+    in block order, then in its own block before it, under every ordering."""
+    config, trace = case[0], run(*case)
+    push, txs = config.push_oracles[0], trace.chain.txs
+    for record in (record for record in trace.records if record.tx_id is not None):
+        claim = trace.tx_meta[record.tx_id]
+        own = txs[claim.block]
+        placed = [tx for number in sorted(txs) if number < claim.block for tx in txs[number]]
+        placed += own[:[tx.id for tx in own].index(claim.id)]
+        updates = [tx for tx in placed if tx.sender == f"oracle:{push.provider}"]
+        assert record.raw_measured_ms == updates[-1].created_at - push.staleness_ms
 
 
 def overlapping_config(**network):

@@ -56,49 +56,59 @@ class TestSyncMeasures:
             measure_pa(make_ctx())
 
 
-def columns(*writes):
-    """OracleCell.write's (blocks, positions, values) from ((block, position), value) pairs."""
-    return [np.array(column, dtype=np.int64) for column in zip(*((b, p, v) for (b, p), v in writes))]
+def make_cell(*updates):
+    """An OracleCell over the block and value columns of (block, value) updates in row order."""
+    blocks, values = np.array(updates, dtype=np.int64).reshape(-1, 2).T
+    return OracleCell("p", blocks, values)
 
 
 class TestOracleCell:
     def test_read_sees_last_write_strictly_before(self):
-        cell = OracleCell("p")
-        cell.write(*columns(((3, 0), 111), ((5, 2), 222)))
+        cell = make_cell((3, 111), (5, 222))
+        cell.write(5, (2,), (222,))
         assert cell.read_before((5, 2)) == 111  # own position excluded
         assert cell.read_before((5, 3)) == 222
         assert cell.read_before((4, 0)) == 111
+        assert cell.read_before((6, 0)) == 222
 
-    def test_same_block_earlier_position_visible(self):
-        cell = OracleCell("p")
-        cell.write(*columns(((7, 1), 999)))
+    def test_a_read_before_any_write_is_uninitialized(self):
+        cell = make_cell((7, 999))
+        cell.write(7, (1,), (999,))
         assert cell.read_before((7, 2)) == 999
+        for position in ((7, 1), (7, 0), (2, 5)):
+            with pytest.raises(UninitializedOracle):
+                cell.read_before(position)
         with pytest.raises(UninitializedOracle):
-            cell.read_before((7, 1))
+            make_cell().read_before((1, 0))
 
     def test_writes_must_advance(self):
-        cell = OracleCell("p")
-        with pytest.raises(ValueError):
-            cell.write(*columns(((3, 0), 1), ((3, 0), 2)))
-        with pytest.raises(ValueError):
-            cell.write(*columns(((4, 0), 1), ((3, 5), 2)))
+        cell = make_cell((3, 1), (3, 2))
+        for positions in ((0, 0), (5, 2)):
+            with pytest.raises(ValueError):
+                cell.write(3, positions, (1, 2))
+        # a refused write records nothing: block 3 reads from the columns
+        assert cell.read_before((4, 0)) == 2
 
-    def test_a_fixed_position_is_read_in_place(self):
-        # the simulator settles a block's order when it seals, in the columns
-        blocks, positions, values = columns(((3, 0), 1), ((3, 1), 2))
-        cell = OracleCell("p")
-        cell.write(blocks, positions, values)
-        positions[:] = (1, 4)
+    def test_a_written_block_overrides_the_columns(self):
+        # the columns hold block 3's updates in row order; the run sealed it
+        # with a claim first and the miner swapped the updates
+        blocks, values = np.array([3, 3]), np.array([1, 2])
+        cell = OracleCell("p", blocks, values)
+        assert cell.read_before((4, 0)) == 2
+        cell.write(3, (1, 4), (2, 1))
         with pytest.raises(UninitializedOracle):
             cell.read_before((3, 1))
-        assert cell.read_before((3, 4)) == 1
-        assert cell.read_before((3, 5)) == 2
+        assert cell.read_before((3, 4)) == 2
+        assert cell.read_before((3, 5)) == 1
+        assert cell.read_before((4, 0)) == cell.read_before((9, 3)) == 1
+        # the columns are shared, never changed
+        assert blocks.tolist() == [3, 3] and values.tolist() == [1, 2]
 
     def test_measure_so_uses_reader_position(self):
-        cell = OracleCell("p")
-        cell.write(*columns(((9, 0), 1_199_000)))
-        ctx = make_ctx(block_number=10, position=4, cell=cell)
-        assert measure_so(ctx) == 1_199_000
+        cell = make_cell((9, 1_199_000), (10, 1_200_000))
+        cell.write(10, (4,), (1_200_000,))
+        assert measure_so(make_ctx(block_number=10, position=4, cell=cell)) == 1_199_000
+        assert measure_so(make_ctx(block_number=10, position=5, cell=cell)) == 1_200_000
 
     def test_measure_so_without_cell(self):
         with pytest.raises(UninitializedOracle):
