@@ -1,16 +1,25 @@
 """Sampling distributions for block, mining, and inclusion timings.
 
-All parameters and samples are integer milliseconds; samples are clamped
-to stay strictly positive unless a zero minimum is explicitly configured.
+All parameters and samples are integer milliseconds. A kind takes the
+parameters that PARAMS names and refuses any other that is not 0. Every
+sample is 0 or more: a constant draws its value_ms >= 0, and a uniform or a
+clipped normal draws from [min_ms, max_ms], where 0 <= min_ms or 0 < min_ms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .chain import SchemaError, _check_bounds
+
+# The parameters each distribution kind takes, all of them required.
+PARAMS = {
+    "constant": ("value_ms",),
+    "uniform": ("min_ms", "max_ms"),
+    "normal": ("mean_ms", "stddev_ms", "min_ms", "max_ms"),
+}
 
 
 @dataclass(frozen=True)
@@ -25,9 +34,12 @@ class Distribution:
     stddev_ms: int = 0
 
     def __post_init__(self):
-        if self.kind not in ("constant", "uniform", "normal"):
+        if not isinstance(self.kind, str) or self.kind not in PARAMS:
             raise SchemaError("kind", f"unknown distribution kind {self.kind!r}")
-        _check_bounds(self, "value_ms", "min_ms", "max_ms", "mean_ms", "stddev_ms")
+        for f in fields(self)[1:]:  # in field order, so the path is deterministic
+            if f.name not in PARAMS[self.kind] and getattr(self, f.name):
+                raise SchemaError(f.name, f"a {self.kind} distribution takes no {f.name}")
+        _check_bounds(self, *PARAMS[self.kind])
         if self.kind == "constant" and self.value_ms < 0:
             raise SchemaError("value_ms", "must be non-negative")
         if self.kind == "uniform" and not 0 <= self.min_ms <= self.max_ms:

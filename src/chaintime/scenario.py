@@ -17,7 +17,7 @@ from typing import Any, Union, get_args, get_origin, get_type_hints
 import yaml
 
 from .chain import SchemaError, _check_bounds, _check_name, _Ident
-from .dists import Distribution, constant, normal, uniform
+from .dists import PARAMS, Distribution, constant, normal, uniform
 from .measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from .process import (
     Element,
@@ -47,6 +47,11 @@ MAX_CYCLE_LIMIT = 1 << 17
 # the YAML type, its default the YAML default, and the field order is the
 # order of `chaintime print-config`.
 
+
+def _grouped(group: str, key: str, default: Any) -> Any:
+    return field(default=default, metadata={"yaml": (group, key)})
+
+
 @dataclass(frozen=True)
 class NetworkConfig:
     block_time: Distribution = DEFAULT_BLOCK_TIME
@@ -71,9 +76,9 @@ class NetworkConfig:
 
 @dataclass(frozen=True)
 class FaultConfig:
-    miner_drift_enabled: bool = False
-    miner_drift_min_ms: int = 0
-    miner_drift_max_ms: int = 15_000
+    miner_drift_enabled: bool = _grouped("miner_drift", "enabled", False)
+    miner_drift_min_ms: int = _grouped("miner_drift", "min_ms", 0)
+    miner_drift_max_ms: int = _grouped("miner_drift", "max_ms", 15_000)
 
     def __post_init__(self):
         _check_bounds(self, "miner_drift_min_ms", "miner_drift_max_ms")
@@ -129,8 +134,8 @@ class ScenarioConfig:
     name: _Ident = "scenario"
     network: NetworkConfig = NetworkConfig()
     faults: FaultConfig = FaultConfig()
-    push_oracles: tuple[PushOracleConfig, ...] = ()
-    pull_oracles: tuple[PullOracleConfig, ...] = ()
+    push_oracles: tuple[PushOracleConfig, ...] = _grouped("oracles", "push", ())
+    pull_oracles: tuple[PullOracleConfig, ...] = _grouped("oracles", "pull", ())
     process: ProcessModel | None = None
     activation_floor_ms: int | None = None  # None: the genesis timestamp
     measures: tuple[MeasureKind, ...] = (MeasureKind.PARAMETER,)
@@ -226,30 +231,10 @@ class ScenarioConfig:
 # ---------------------------------------------------------------------------
 #
 # build_config and config_to_dict walk the config dataclasses above (and the
-# distribution, oracle and process element ones they hold) by their fields
-# and type hints. The tables below are the only places where the YAML does
-# not mirror a dataclass.
-
-# Fields kept under a group key: {group: {key: field name}}.
-_GROUPS: dict[type, dict[str, dict[str, str]]] = {
-    ScenarioConfig: {"oracles": {"push": "push_oracles", "pull": "pull_oracles"}},
-    FaultConfig: {
-        "miner_drift": {
-            "enabled": "miner_drift_enabled",
-            "min_ms": "miner_drift_min_ms",
-            "max_ms": "miner_drift_max_ms",
-        },
-    },
-}
-
-# The parameters each distribution kind takes, all of them required.
-_DIST_KEYS = {
-    "constant": ("value_ms",),
-    "uniform": ("min_ms", "max_ms"),
-    "normal": ("mean_ms", "stddev_ms", "min_ms", "max_ms"),
-}
-
-# Process elements are listed as mappings tagged with their type.
+# distribution, oracle and process element ones they hold) by their fields,
+# type hints and the (group, key) in a grouped field's "yaml" metadata, and a
+# distribution by the parameters of its kind. Only process elements do not
+# mirror a dataclass: each is a mapping tagged with its type.
 _ELEMENT_TYPES = {
     "start_timer": StartTimer,
     "task": Task,
@@ -268,11 +253,8 @@ def _join(path: str, *keys: Any) -> str:
 
 def _yaml_key(cls: type, name: str) -> tuple[str, ...]:
     """A field's YAML key: its name, or (group, key) for a grouped field."""
-    for group, members in _GROUPS.get(cls, {}).items():
-        for key, member in members.items():
-            if member == name:
-                return group, key
-    return (name,)
+    f = cls.__dataclass_fields__.get(name)
+    return f.metadata.get("yaml", (name,)) if f else (name,)
 
 
 @cache
@@ -335,7 +317,7 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         }
     if tp is Distribution:
         _expect(isinstance(value, Mapping), value, path, "a mapping with a 'kind' key")
-        keys = _pick(_DIST_KEYS, value.get("kind"), _join(path, "kind"), "distribution kind")
+        keys = _pick(PARAMS, value.get("kind"), _join(path, "kind"), "distribution kind")
         return _build_fields(tp, value, path, required=("kind", *keys))
     return _build_fields(tp, value, path)
 
@@ -368,7 +350,7 @@ def _by_field(cls: type, tree: Mapping, names: tuple[str, ...], path: str) -> di
     """The values of a dataclass's YAML mapping by field name, its groups
     opened; an unknown key is an error at its path."""
     keys = {_yaml_key(cls, name): name for name in names}
-    groups = _GROUPS.get(cls, {})
+    groups = {key[0] for key in keys if len(key) == 2}
     out = {}
     for key, value in tree.items():
         if (key,) in keys:
@@ -405,7 +387,7 @@ def _dump(tp: Any, value: Any) -> Any:
     if origin is Mapping:
         return {k: _dump(args[1], v) for k, v in value.items()}
     if tp is Distribution:
-        return _dump_fields(tp, value, ("kind", *_DIST_KEYS[value.kind]))
+        return _dump_fields(tp, value, ("kind", *PARAMS[value.kind]))
     if is_dataclass(tp):
         return _dump_fields(tp, value)
     return value

@@ -129,7 +129,7 @@ def block_schedule(
     n = len(starts)
 
     rng_mining = substream(seed, "chain/mining")
-    mining = np.maximum(net.mining_time.sample(rng_mining, n), 0)
+    mining = net.mining_time.sample(rng_mining, n)
     mining[0] = 0
 
     if config.faults.miner_drift_enabled:
@@ -189,8 +189,7 @@ class _Updates:
         self.spans = dict(zip(self.senders, zip(offsets.tolist(), counts)))
         tick, visible = (np.concatenate([np.zeros(0, np.int64), *c]) for c in (ticks, delays))
         del ticks, delays
-        np.maximum(visible, 0, out=visible)  # the delays, then the instants they are visible
-        visible += tick
+        visible += tick  # the delays, then the instants they are visible
         # the first block mined at or after an update is visible is never
         # sealed yet: it starts at or after the tick, which ranks before a seal
         block = _first_block(starts, visible)
@@ -209,7 +208,8 @@ class _Updates:
         self.dropped = [(self.key(row), self.tx_id(row)) for row in range(kept, len(order))]
         self.numbers, sizes = np.unique(self.block[:kept], return_counts=True)
         self.multi = self.numbers[sizes > 1].tolist()  # blocks of two or more
-        self.cell = tuple(c[:kept][self.provider[:kept] == 0] for c in (self.block, self.value))
+        rows = slice(None) if len(pushes) == 1 else self.provider[:kept] == 0  # views if alone
+        self.cell = tuple(c[:kept][rows] for c in (self.block, self.value))
         self.built: dict[int, Transaction] = {}
 
     def tx_id(self, row: int) -> str:
@@ -444,7 +444,7 @@ class _Runner:
         n = next(self.sent[sender])
         starts = self.world.starts
         dist = self.inclusion_delays.get(sender, self.config.network.inclusion_delay)
-        visible = now + max(0, dist.sample_one(self._stream(f"delay/{sender}")))
+        visible = now + dist.sample_one(self._stream(f"delay/{sender}"))
         # A block is sealed once the loop has passed its start at seal rank,
         # whatever it holds: one starting at the loop's instant, as the
         # transaction is visible no earlier.

@@ -12,6 +12,7 @@ import hashlib
 import io
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chaintime.dists import constant
@@ -173,6 +174,18 @@ def test_runs_sharing_a_world_leave_it_as_built(ordering):
         trace = run(config, SEED, measure, world=world)
         expected = CASES[f"{ordering}/plain/{measure.value}"]
         assert outputs(trace) == dict(zip(FIELDS, expected))
+
+
+def test_the_storage_cell_of_a_lone_feed_is_a_view_of_the_update_columns():
+    lone = SeedWorld(invoice_demo_scenario(), SEED).updates
+    assert lone.kept and np.shares_memory(lone.cell[0], lone.block)
+    assert np.shares_memory(lone.cell[1], lone.value)
+    # beside a second feed, the cell keeps only oracles.push[0]'s rows
+    two = SeedWorld(two_feeds(), SEED).updates
+    rows = two.provider[:two.kept] == 0
+    assert rows.any() and not rows.all()
+    assert two.cell[0].tolist() == two.block[:two.kept][rows].tolist()
+    assert two.cell[1].tolist() == two.value[:two.kept][rows].tolist()
 
 
 def test_a_world_serves_only_its_seed_and_scenario():

@@ -1,6 +1,7 @@
 """Scenario schema validation, presets, and config round-tripping."""
 
 import copy
+import hashlib
 import os
 import re
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import given, strategies as st
 
 import chaintime
 from chaintime.chain import _Ident
-from chaintime.dists import Distribution, constant, normal, uniform
+from chaintime.dists import PARAMS, Distribution, constant, normal, uniform
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import (
     EventGateway,
@@ -168,6 +169,15 @@ class TestPresets:
         config = SCENARIO_PRESETS[name]()
         rebuilt = build_config(config_to_dict(config))
         assert rebuilt == config
+
+    @pytest.mark.parametrize("name, digest", [
+        ("deferred-fifo", "a39a7a413c678bf05d26a8857989486081d82aff2406e261568c699890bb21d6"),
+        ("deferred-overtake", "31b7c3bf71de8aaa605d920439b5c13e1149bb7dbc6f19f84569cdce7d90b946"),
+        ("invoice-demo", "e0751e1a99ccc5f388bd7b5af716cba707957ef15e1f1acd7cd284bfbcb77788"),
+    ])
+    def test_print_config_bytes_are_pinned(self, name, digest):
+        text = dump_config_yaml(SCENARIO_PRESETS[name]())
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", sorted(SCENARIO_PRESETS))
     def test_yaml_dump_is_loadable(self, tmp_path, name):
@@ -701,6 +711,35 @@ def scenario_configs(draw):
 
 @given(scenario_configs())
 def test_generated_config_roundtrips(config):
+    assert build_config(config_to_dict(config)) == config
+
+
+PARAM_NAMES = tuple(f.name for f in fields(Distribution) if f.name != "kind")
+
+
+@st.composite
+def raw_distributions(draw):
+    """Distribution keywords with all five parameters: those of its kind
+    valid, each other one 0 or not."""
+    dist = draw(dists)
+    stray = st.just(0) | st.integers(-10**6, 10**13)
+    return {"kind": dist.kind, **{
+        name: getattr(dist, name) if name in PARAMS[dist.kind] else draw(stray)
+        for name in PARAM_NAMES
+    }}
+
+
+@given(raw_distributions(), st.sampled_from(["block_time", "mining_time", "inclusion_delay"]))
+def test_a_distribution_refuses_a_stray_parameter_or_roundtrips(kwargs, slot):
+    strays = [name for name in PARAM_NAMES if name not in PARAMS[kwargs["kind"]] and kwargs[name]]
+    try:
+        dist = Distribution(**kwargs)
+    except SchemaError as exc:
+        assert exc.path == strays[0]  # the first in field order
+        return
+    assert not strays
+    base = deferred_fifo_scenario()
+    config = replace(base, network=replace(base.network, **{slot: dist}))
     assert build_config(config_to_dict(config)) == config
 
 
