@@ -127,7 +127,7 @@ class Chain:
             raise ValueError("timestamp and mining arrays must align")
         if len(timestamps) and timestamps[0] < 0:
             raise ValueError("timestamps must be non-negative")
-        if len(timestamps) and np.any(np.diff(timestamps) <= 0):
+        if np.any(timestamps[1:] <= timestamps[:-1]):
             raise NonMonotonicTimestamp("bulk schedule is not strictly increasing")
         if np.any(mining_durations < 0):
             raise ValueError("mining durations must be non-negative")

@@ -56,7 +56,7 @@ class Distribution:
         if self.kind == "uniform":
             return rng.integers(self.min_ms, self.max_ms + 1, size=size, dtype=np.int64)
         raw = rng.normal(self.mean_ms, self.stddev_ms, size=size)
-        return np.clip(np.rint(raw), self.min_ms, self.max_ms).astype(np.int64)
+        return np.clip(np.rint(raw, out=raw), self.min_ms, self.max_ms, out=raw).astype(np.int64)
 
     def sample_one(self, rng: np.random.Generator) -> int:
         return int(self.sample(rng, 1)[0])

@@ -35,8 +35,9 @@ those of ``oracles.push[0]`` (which storage_oracle reads) at their positions
 to its storage cell, which reads other blocks from the world's columns;
 under adversarial_reorder a block of two or more updates is sealed by an
 event of its own and may reorder its rows.
-Draws come from named substreams made on first use: ``delay/<sender>``,
-``participant/<name>`` and ``miner/order``.
+Draws come from named substreams, each made on first draw; a distribution
+that draws nothing makes none: ``chain/block_time``, ``chain/mining``,
+``chain/drift``, ``delay/<sender>``, ``participant/<name>``, ``miner/order``.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from .measures import (
 )
 from .process import ApplyResult, ProcessInstance
 from .rng import substream
-from .scenario import Participant, ScenarioConfig, ScriptEntry
+from .scenario import Distribution, Participant, ScenarioConfig, ScriptEntry
 
 # event kind ranks; ties at one instant resolve in this order
 K_TX_CREATED = 0
@@ -104,42 +105,55 @@ class RunTrace:
             stream.write("oracle,%s,%s,%s,%s\n" * len(chunk) % tuple(itertools.chain(*chunk)))
 
 
+class _Streams(dict):
+    """A seed's named substreams, each made on its first draw: a distribution
+    that draws nothing (a constant) makes none."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+
+    def __missing__(self, name: str) -> np.random.Generator:
+        return self.setdefault(name, substream(self.seed, name))
+
+    def draw(self, dist: Distribution, name: str, size: int | None = None):
+        """size samples of dist from the named substream, or one int if size is None."""
+        rng = None if dist.kind == "constant" else self[name]
+        return dist.sample_one(rng) if size is None else dist.sample(rng, size)
+
+
 def block_schedule(
     config: ScenarioConfig, seed: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(real mining starts, reported timestamps, mining durations).
 
-    Reported timestamps differ from the real starts only when miner clock
-    drift is enabled; a running clamp keeps them strictly increasing.
+    Gaps are drawn in chunks of 64, 128, ... up to _SCHEDULE_CHUNK, and only
+    the last is cut at the horizon. Drawing stops once more than MAX_BLOCKS
+    blocks exist; a chain of more than MAX_BLOCKS blocks is refused. Reported
+    timestamps differ from the real starts only when miner clock drift is
+    enabled; a running clamp keeps them strictly increasing.
     """
     net = config.network
-    rng_block = substream(seed, "chain/block_time")
-    genesis = net.genesis_timestamp_ms
-    chunks = [np.array([genesis], dtype=np.int64)]
-    last = genesis
-    while last <= config.horizon_ms:
-        if len(chunks) > MAX_BLOCKS // _SCHEDULE_CHUNK:
-            raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
-        gaps = np.maximum(net.block_time.sample(rng_block, _SCHEDULE_CHUNK), 1)
-        chunk = last + np.cumsum(gaps)
+    streams = _Streams(seed)
+    chunks = [np.array([net.genesis_timestamp_ms], dtype=np.int64)]
+    n, size = 1, 64
+    while chunks[-1][-1] <= config.horizon_ms and n <= MAX_BLOCKS:
+        chunk = streams.draw(net.block_time, "chain/block_time", size)
+        np.cumsum(np.maximum(chunk, 1, out=chunk), out=chunk)
+        chunk += chunks[-1][-1]
         chunks.append(chunk)
-        last = int(chunk[-1])
+        n, size = n + size, min(2 * size, _SCHEDULE_CHUNK)
+    chunks[-1] = chunks[-1][:np.searchsorted(chunks[-1], config.horizon_ms, side="right")]
+    n = sum(map(len, chunks))
+    if n > MAX_BLOCKS:
+        raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
     starts = np.concatenate(chunks)
-    starts = starts[starts <= config.horizon_ms]
-    n = len(starts)
 
-    rng_mining = substream(seed, "chain/mining")
-    mining = net.mining_time.sample(rng_mining, n)
+    mining = streams.draw(net.mining_time, "chain/mining", n)
     mining[0] = 0
 
     if config.faults.miner_drift_enabled:
-        rng_drift = substream(seed, "chain/drift")
-        drift = rng_drift.integers(
-            config.faults.miner_drift_min_ms,
-            config.faults.miner_drift_max_ms + 1,
-            size=n,
-            dtype=np.int64,
-        )
+        low, high = config.faults.miner_drift_min_ms, config.faults.miner_drift_max_ms
+        drift = streams["chain/drift"].integers(low, high + 1, size=n, dtype=np.int64)
         drift[0] = 0
         index = np.arange(n, dtype=np.int64)
         # running clamp: ts_i = max(ts_{i-1} + 1, starts_i + drift_i)
@@ -181,7 +195,7 @@ class _Updates:
         ticks = [so_update_times(push, config.horizon_ms) for push in pushes]
         counts = [len(t) for t in ticks]
         delays = [
-            config.network.inclusion_delay.sample(substream(seed, f"delay/{sender}"), count)
+            _Streams(seed).draw(config.network.inclusion_delay, f"delay/{sender}", count)
             for sender, count in zip(self.senders, counts)
         ]
         provider = np.repeat(np.arange(len(pushes)), counts)
@@ -206,8 +220,10 @@ class _Updates:
         self.value = self.tick - staleness[self.provider]
         self.kept = kept = int(np.searchsorted(self.block, len(starts)))
         self.dropped = [(self.key(row), self.tx_id(row)) for row in range(kept, len(order))]
-        self.numbers, sizes = np.unique(self.block[:kept], return_counts=True)
-        self.multi = self.numbers[sizes > 1].tolist()  # blocks of two or more
+        block = self.block[:kept]  # sorted: each block's rows are one run
+        firsts = np.flatnonzero(np.append(kept > 0, block[1:] != block[:-1]))
+        self.numbers = block[firsts]
+        self.multi = self.numbers[np.diff(firsts, append=kept) > 1].tolist()  # of 2 or more
         rows = slice(None) if len(pushes) == 1 else self.provider[:kept] == 0  # views if alone
         self.cell = tuple(c[:kept][rows] for c in (self.block, self.value))
         self.built: dict[int, Transaction] = {}
@@ -413,7 +429,7 @@ class _Runner:
         # submission key, which places it after every update tick before it
         self.reached = (-1, 0)
         self.sent = defaultdict(itertools.count)  # numbers the transactions of each sender
-        self.streams: dict[str, np.random.Generator] = {}
+        self.streams = _Streams(world.seed)
 
         # blocks seal in number order; a key of pending_by_block is a block whose
         # seal event is scheduled, its entries (submitted, tx, execute, args);
@@ -430,13 +446,6 @@ class _Runner:
     def _push(self, at: SimTime, kind: int, handler, *args) -> None:
         heapq.heappush(self.heap, (at, kind, next(self.seq), handler, args))
 
-    def _stream(self, name: str) -> np.random.Generator:
-        """The run's named substream, made on first use."""
-        rng = self.streams.get(name)
-        if rng is None:
-            rng = self.streams[name] = substream(self.world.seed, name)
-        return rng
-
     def _send(self, now: SimTime, sender: str, op: str, execute, *args, **fields) -> None:
         """Create the sender's next transaction and queue it in the first
         block mined after it becomes visible to the network and not sealed
@@ -444,7 +453,7 @@ class _Runner:
         n = next(self.sent[sender])
         starts = self.world.starts
         dist = self.inclusion_delays.get(sender, self.config.network.inclusion_delay)
-        visible = now + dist.sample_one(self._stream(f"delay/{sender}"))
+        visible = now + self.streams.draw(dist, f"delay/{sender}")
         # A block is sealed once the loop has passed its start at seal rank,
         # whatever it holds: one starting at the loop's instant, as the
         # transaction is visible no earlier.
@@ -476,7 +485,7 @@ class _Runner:
         if policy == "priority_then_arrival":
             return sorted(entries, key=lambda e: (-e[1].priority, e[1].visible_at, e[0]))
         entries = sorted(entries, key=itemgetter(0))
-        order = self._stream("miner/order").permutation(len(entries))
+        order = self.streams["miner/order"].permutation(len(entries))
         return [entries[int(i)] for i in order]
 
     def _place(self, number: int, entries: list[tuple]) -> None:
@@ -582,9 +591,9 @@ class _Runner:
         self, now: SimTime, participant: Participant, entry: ScriptEntry
     ) -> None:
         dues = self.instance.element_due_times(entry.element)
-        rng = self._stream(f"participant/{participant.name}")
+        stream = f"participant/{participant.name}"
         for iteration, due in enumerate(dues):
-            jitter = entry.jitter.sample_one(rng) if entry.jitter is not None else 0
+            jitter = 0 if entry.jitter is None else self.streams.draw(entry.jitter, stream)
             first = max(now, due + entry.jitter_offset_ms + jitter)
             self._push(
                 first, K_TX_CREATED,

@@ -18,15 +18,20 @@ KINDS = {
 }
 
 
+# sim.block_schedule's gap chunks: 64 doubling to 65,536, then 65,536 each
+SCHEDULE_CHUNKS = (*(64 << k for k in range(11)), 1 << 16)
+
+
 @pytest.mark.parametrize("kind", sorted(KINDS))
 def test_vector_draw_equals_single_draws(kind):
     dist = KINDS[kind]
-    singles_rng, vector_rng = substream(7, "delay/x"), substream(7, "delay/x")
-    singles = [dist.sample_one(singles_rng) for _ in range(5_000)]
-    chunks = [dist.sample(vector_rng, size) for size in (1_000, 3_000, 1_000)]
-    assert np.concatenate(chunks).tolist() == singles
-    # both generators are left in the same state
-    assert dist.sample_one(singles_rng) == dist.sample_one(vector_rng)
+    for sizes in ((1_000, 3_000, 1_000), SCHEDULE_CHUNKS):
+        singles_rng, vector_rng = substream(7, "delay/x"), substream(7, "delay/x")
+        singles = [dist.sample_one(singles_rng) for _ in range(sum(sizes))]
+        chunks = [dist.sample(vector_rng, size) for size in sizes]
+        assert np.concatenate(chunks).tolist() == singles
+        # both generators are left in the same state
+        assert dist.sample_one(singles_rng) == dist.sample_one(vector_rng)
 
 
 @pytest.mark.parametrize("n", [0, 1])

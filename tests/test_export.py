@@ -219,6 +219,35 @@ def test_run_exports_as_the_line_loop(trace, chunk):
         assert exported(trace) == reference_export(trace.chain, trace.oracle_events)
 
 
+def assert_blocks_are_unique_runs(updates) -> None:
+    """The blocks of included updates, and those of two or more, as np.unique gives them."""
+    numbers, sizes = np.unique(updates.block[:updates.kept], return_counts=True)
+    assert updates.numbers.dtype == numbers.dtype
+    assert updates.numbers.tolist() == numbers.tolist()
+    assert updates.multi == numbers[sizes > 1].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(push_cases())
+def test_update_blocks_are_the_runs_of_the_block_column(case):
+    config, seed, _ = case
+    assert_blocks_are_unique_runs(SeedWorld(config, seed).updates)
+
+
+def test_update_blocks_of_no_included_row_and_of_no_row():
+    # a feed whose one update is visible after the last block: rows, none kept
+    base = deferred_fifo_scenario()
+    late = PushOracleConfig(provider="late", cadence_ms=1_000, active_from_ms=base.horizon_ms)
+    config = replace(
+        base, push_oracles=(late,),
+        network=replace(base.network, inclusion_delay=constant(1_000)),
+    )
+    updates = SeedWorld(config, 0).updates
+    assert len(updates.tick) == 1 and updates.kept == 0
+    for table in (updates, SeedWorld(base, 0).updates, sim._NO_UPDATES):
+        assert_blocks_are_unique_runs(table)
+
+
 # runs that hold no push update: no provider, and one not driven
 without_updates = st.sampled_from([
     (deferred_overtake_scenario, None), (invoice_demo_scenario, MeasureKind.BLOCK_TIMESTAMP),

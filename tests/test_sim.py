@@ -1,14 +1,17 @@
 """Simulator: schedules, determinism, tx placement, and oracle mechanics."""
 
 import io
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chaintime.dists import constant, normal, uniform
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import Outcome
+from chaintime.rng import substream
 from chaintime.scenario import (
     INVOICE_START_DUE,
     MS_PER_DAY,
@@ -24,6 +27,9 @@ from chaintime.scenario import (
 )
 from chaintime import sim
 from chaintime.sim import _SCHEDULE_CHUNK as CHUNK, block_schedule, run
+
+# the gap chunk of reference_block_schedule
+REFERENCE_CHUNK = 1 << 16
 
 
 def plain_config(**kwargs) -> ScenarioConfig:
@@ -69,6 +75,98 @@ def placements(trace) -> dict[str, tuple[int, int]]:
     return where
 
 
+def reference_block_schedule(
+    config: ScenarioConfig, seed: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(real mining starts, reported timestamps, mining durations).
+
+    Reported timestamps differ from the real starts only when miner clock
+    drift is enabled; a running clamp keeps them strictly increasing.
+    """
+    # sim.block_schedule as it was before its chunks were sized to the chain,
+    # verbatim but for the names it reads: fixed 65,536-gap chunks, a mask over
+    # the whole chain, and a cap counted in chunks
+    MAX_BLOCKS, _SCHEDULE_CHUNK = sim.MAX_BLOCKS, REFERENCE_CHUNK  # noqa: N806
+    net = config.network
+    rng_block = substream(seed, "chain/block_time")
+    genesis = net.genesis_timestamp_ms
+    chunks = [np.array([genesis], dtype=np.int64)]
+    last = genesis
+    while last <= config.horizon_ms:
+        if len(chunks) > MAX_BLOCKS // _SCHEDULE_CHUNK:
+            raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
+        gaps = np.maximum(net.block_time.sample(rng_block, _SCHEDULE_CHUNK), 1)
+        chunk = last + np.cumsum(gaps)
+        chunks.append(chunk)
+        last = int(chunk[-1])
+    starts = np.concatenate(chunks)
+    starts = starts[starts <= config.horizon_ms]
+    n = len(starts)
+
+    rng_mining = substream(seed, "chain/mining")
+    mining = net.mining_time.sample(rng_mining, n)
+    mining[0] = 0
+
+    if config.faults.miner_drift_enabled:
+        rng_drift = substream(seed, "chain/drift")
+        drift = rng_drift.integers(
+            config.faults.miner_drift_min_ms,
+            config.faults.miner_drift_max_ms + 1,
+            size=n,
+            dtype=np.int64,
+        )
+        drift[0] = 0
+        index = np.arange(n, dtype=np.int64)
+        # running clamp: ts_i = max(ts_{i-1} + 1, starts_i + drift_i)
+        timestamps = np.maximum.accumulate(starts + drift - index) + index
+    else:
+        timestamps = starts
+    return starts, timestamps, mining
+
+
+def schedule_config(block_time, mining_time, faults, genesis=0) -> ScenarioConfig:
+    """A scenario of these timings; each test sets its horizon."""
+    network = NetworkConfig(
+        genesis_timestamp_ms=genesis, block_time=block_time, mining_time=mining_time
+    )
+    return ScenarioConfig(
+        name="schedule", network=network, faults=faults, horizon_ms=genesis + 1,
+        measures=(MeasureKind.BLOCK_TIMESTAMP,),
+    )
+
+
+def assert_schedule_is_the_reference(config: ScenarioConfig, seed: int) -> None:
+    columns = block_schedule(config, seed)
+    for column, expected in zip(columns, reference_block_schedule(config, seed), strict=True):
+        assert column.dtype == expected.dtype and np.array_equal(column, expected)
+
+
+def horizon_at(config: ScenarioConfig, seed: int, block: int, offset: int, max_gap: int) -> int:
+    """The start of a block of config's chain (the last if it has fewer)
+    plus offset, after the genesis; no gap is longer than max_gap."""
+    genesis = config.network.genesis_timestamp_ms
+    reach = replace(config, horizon_ms=genesis + (block + 1) * max_gap)
+    starts = reference_block_schedule(reach, seed)[0]
+    return max(genesis + 1, int(starts[min(block, len(starts) - 1)]) + offset)
+
+
+# the last block of each gap chunk, 64 * (2**k - 1) and then every CHUNK more,
+# and of each chunk before they were sized to the chain, every CHUNK
+CHUNK_ENDS = (64, 192, 448, 65_472, 131_008, 131_008 + CHUNK, CHUNK, 2 * CHUNK)
+NO_DRIFT = FaultConfig()
+DRIFT = FaultConfig(miner_drift_enabled=True, miner_drift_min_ms=0, miner_drift_max_ms=40)
+# distributions of all three kinds, with gaps short enough for 10**5 blocks
+short_dists = st.one_of(
+    st.builds(constant, st.just(0) | st.integers(0, 40)),
+    st.lists(st.integers(0, 40), min_size=2, max_size=2).map(sorted).map(lambda b: uniform(*b)),
+    st.tuples(st.integers(-20, 60), st.integers(0, 30), st.integers(1, 20), st.integers(0, 40))
+    .map(lambda t: normal(t[0], t[1], t[2], t[2] + t[3])),
+)
+drifts = st.just(NO_DRIFT) | st.lists(st.integers(0, 60), min_size=2, max_size=2).map(sorted).map(
+    lambda b: replace(DRIFT, miner_drift_min_ms=b[0], miner_drift_max_ms=b[1])
+)
+
+
 class TestBlockSchedule:
     def test_deterministic_per_seed(self):
         config = plain_config()
@@ -99,15 +197,17 @@ class TestBlockSchedule:
         assert np.shares_memory(starts, timestamps)
 
     def test_a_chain_holds_at_most_max_blocks(self, monkeypatch):
-        # 10 s blocks from 0: a horizon of (n - 1) * 10 s makes n blocks
-        monkeypatch.setattr(sim, "MAX_BLOCKS", 2 * CHUNK)
+        # 10 s blocks from 0: a horizon of (n - 1) * 10 s makes n blocks; a
+        # cap of 1,000 blocks falls inside a chunk, 2 * CHUNK after one
         config = deferred_fifo_scenario()
-        starts, _, _ = block_schedule(replace(config, horizon_ms=(2 * CHUNK - 1) * 10_000), 0)
-        assert len(starts) == 2 * CHUNK
-        for blocks in (2 * CHUNK + 1, 3 * CHUNK + 5):
-            with pytest.raises(SchemaError) as exc_info:
-                block_schedule(replace(config, horizon_ms=(blocks - 1) * 10_000), 0)
-            assert exc_info.value.path == "horizon_ms"
+        for cap in (2 * CHUNK, 1_000):
+            monkeypatch.setattr(sim, "MAX_BLOCKS", cap)
+            starts, _, _ = block_schedule(replace(config, horizon_ms=(cap - 1) * 10_000), 0)
+            assert len(starts) == cap
+            for blocks in (cap + 1, 2 * CHUNK + 1, 3 * CHUNK + 5):
+                with pytest.raises(SchemaError) as exc_info:
+                    block_schedule(replace(config, horizon_ms=(blocks - 1) * 10_000), 0)
+                assert exc_info.value.path == "horizon_ms"
 
     def test_a_seed_holds_at_most_max_updates(self, monkeypatch):
         # the cap counts ticks before they are drawn, outages aside: 11 from 0
@@ -122,6 +222,39 @@ class TestBlockSchedule:
             with pytest.raises(SchemaError) as exc_info:
                 sim.SeedWorld(config, 0).updates
             assert exc_info.value.path == path
+
+    # constant(0) and uniform(0, 3) gaps hold only by the clamp to 1 ms
+    @pytest.mark.parametrize("gaps, max_gap", [
+        (constant(0), 1), (uniform(0, 3), 3), (normal(20, 9, 1, 40), 40),
+        (constant(10_000), 10_000),
+    ])
+    @pytest.mark.parametrize("block", [1, 2, *CHUNK_ENDS])
+    # 0: on a block's start; -1 at block 1: before the first gap
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("faults", [NO_DRIFT, DRIFT])
+    def test_cut_at_a_chunk_end_is_the_reference(self, gaps, max_gap, block, offset, faults):
+        config = schedule_config(gaps, uniform(0, 9), faults, genesis=1_000)
+        horizon = horizon_at(config, 4, block, offset, max_gap)
+        assert_schedule_is_the_reference(replace(config, horizon_ms=horizon), 4)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        short_dists, short_dists, drifts, st.sampled_from([0, 1_546_300_800_000]),
+        st.integers(0, 2**32), st.data(),
+    )
+    def test_any_schedule_is_the_reference(self, gaps, mining, faults, genesis, seed, data):
+        config = schedule_config(gaps, mining, faults, genesis)
+        max_gap = max(1, gaps.value_ms, gaps.max_ms)
+        where = data.draw(st.sampled_from(["anywhere", "on a block", "before the first gap"]))
+        if where == "anywhere":
+            horizon = genesis + data.draw(st.integers(1, 2_000) | st.integers(1, 2_000_000))
+        else:
+            block = 1 if where != "on a block" else data.draw(
+                st.sampled_from(CHUNK_ENDS) | st.integers(0, 2_000) | st.integers(0, 150_000)
+            )
+            offset = -1 if where != "on a block" else data.draw(st.sampled_from([-1, 0, 1]))
+            horizon = horizon_at(config, seed, block, offset, max_gap)
+        assert_schedule_is_the_reference(replace(config, horizon_ms=horizon), seed)
 
     def test_drift_keeps_timestamps_strictly_increasing(self):
         config = plain_config(
@@ -409,6 +542,46 @@ class TestRunMechanics:
         assert any(line.startswith("oracle,timefeed,update,") for line in lines)
         assert any(line.startswith("block,") for line in lines)
         assert any(line.startswith("tx,") for line in lines)
+
+
+def count_substreams(monkeypatch) -> Counter:
+    """How often the simulator makes each named substream from here on."""
+    made = Counter()
+
+    def counting(seed: int, name: str):
+        made[name] += 1
+        return substream(seed, name)
+
+    monkeypatch.setattr(sim, "substream", counting)
+    return made
+
+
+class TestSubstreams:
+    @pytest.mark.parametrize("preset", [deferred_overtake_scenario, deferred_fifo_scenario])
+    def test_a_race_run_makes_none(self, monkeypatch, preset):
+        # every distribution of both presets is a constant, and none jitters
+        plain = run(preset(), 3)
+        made = count_substreams(monkeypatch)
+        counted = run(preset(), 3)
+        assert made == {}
+        assert counted.records == plain.records and counted.tx_meta == plain.tx_meta
+
+    def test_invoice_demo_makes_each_drawn_one_once(self, monkeypatch):
+        config = invoice_demo_scenario()
+        plain_world = sim.SeedWorld(config, 1)
+        plain = {m: run(config, 1, m, world=plain_world).records for m in config.measures}
+        made = count_substreams(monkeypatch)
+        world = sim.SeedWorld(config, 1)
+        assert made == {"chain/block_time": 1, "chain/mining": 1}
+        own = {"delay/mno", "delay/customer", "participant/mno"}
+        expected = {
+            MeasureKind.STORAGE_ORACLE: own | {"delay/oracle:timefeed"},  # the world's updates
+            MeasureKind.REQUEST_RESPONSE_ORACLE: own | {"delay/oracle:timeserver"},
+        }
+        for measure in config.measures:
+            made.clear()
+            assert run(config, 1, measure, world=world).records == plain[measure]
+            assert set(made.values()) == {1} and set(made) == expected.get(measure, own)
 
 
 class TestDemoNarrative:
