@@ -348,8 +348,7 @@ class ProcessInstance:
         if pending is None:
             return ApplyResult(status="rejected", reason="unknown_request")
         if pending.anchor is not None:
-            if pending.anchor.measured_ms is None:
-                pending.anchor.measured_ms = value
+            pending.anchor.measured_ms = value
             return ApplyResult(status="accepted")
         tx = pending.tx
         if self.done or tx.op not in self._enabled:

@@ -22,8 +22,8 @@ to announce.
 
 Every update, claim and callback is one frozen ``Transaction`` that
 carries the instant it is visible and its block (None if dropped); an
-update's is built from the columns only when it is looked up, once per
-world. ``RunTrace.tx_meta`` (by id), the chain's ``txs`` (by block) and the
+update's is built from its row on each lookup, equal each time but never
+kept. ``RunTrace.tx_meta`` (by id), the chain's ``txs`` (by block) and the
 oracle events are read-only views that lay the run's own objects over the
 update columns, which have no rows in a run that drives no push provider.
 Claims and callbacks are made by one ``_send``, which numbers them per
@@ -147,6 +147,7 @@ def block_schedule(
     if n > MAX_BLOCKS:
         raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
     starts = np.concatenate(chunks)
+    del chunks
 
     mining = streams.draw(net.mining_time, "chain/mining", n)
     mining[0] = 0
@@ -226,7 +227,6 @@ class _Updates:
         self.multi = self.numbers[np.diff(firsts, append=kept) > 1].tolist()  # of 2 or more
         rows = slice(None) if len(pushes) == 1 else self.provider[:kept] == 0  # views if alone
         self.cell = tuple(c[:kept][rows] for c in (self.block, self.value))
-        self.built: dict[int, Transaction] = {}
 
     def tx_id(self, row: int) -> str:
         return f"{self.senders[self.provider[row]]}-{self.number[row]}"
@@ -237,15 +237,12 @@ class _Updates:
         return int(self.tick[row]), UPDATE_RANK, int(self.provider[row])
 
     def tx(self, row: int) -> Transaction:
-        """The row's update, built on its first lookup."""
-        tx = self.built.get(row)
-        if tx is None:
-            tx = self.built[row] = Transaction(
-                self.tx_id(row), self.senders[self.provider[row]], int(self.tick[row]),
-                "__oracle_update__", visible_at=int(self.visible[row]),
-                block=int(self.block[row]) if row < self.kept else None,
-            )
-        return tx
+        """The row's update, built from its columns on each lookup and not kept."""
+        return Transaction(
+            self.tx_id(row), self.senders[self.provider[row]], int(self.tick[row]),
+            "__oracle_update__", visible_at=int(self.visible[row]),
+            block=int(self.block[row]) if row < self.kept else None,
+        )
 
     def rows(self, number) -> range:
         """The rows of a block's included updates."""
@@ -646,9 +643,8 @@ class _Runner:
         if self.instance is not None:
             self.instance.finalize()
             records = list(self.instance.records)
-        u, dropped = self.updates, self.dropped
-        if len(u.tick):  # else it is in order: the run's own go by submission
-            dropped = sorted(u.dropped + dropped, key=itemgetter(0))
+        u = self.updates
+        dropped = sorted(u.dropped + self.dropped, key=itemgetter(0))
         events = _OracleEvents(self.oracle_events, u, self.world.starts, self.row_order)
         return RunTrace(
             scenario=self.config.name, seed=self.world.seed, measure=self.measure,

@@ -11,9 +11,11 @@ blocks so that every case crosses chunk edges.
 """
 
 import copy
+import gc
 import heapq
 import io
 import pickle
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import replace
 from operator import itemgetter
@@ -265,9 +267,11 @@ def test_run_mappings_behave_as_dicts(trace):
         assert list(mapping) == list(as_dict) and len(mapping) == len(as_dict)
         assert mapping == as_dict and as_dict == mapping
         assert all(mapping.get(key) == value for key, value in as_dict.items())
-    # one object per transaction: the blocks hold the objects tx_meta gives
+    # the blocks hold the claims and callbacks tx_meta gives, and updates
+    # equal to its own: each lookup builds an update from its row again
     for number, block in txs.items():
-        assert all(meta[tx.id] is tx and tx.block == number for tx in block)
+        assert all(tx.block == number for tx in block)
+        assert all(meta[tx.id] == tx if tx.op == UPDATE else meta[tx.id] is tx for tx in block)
     assert all(txs.get(key) is None for key in (-1, len(trace.chain), 1.5, "1", None))
     for provider in {tx.sender for tx in meta.values() if tx.op == UPDATE}:
         count = sum(tx_id.startswith(f"{provider}-") for tx_id in meta)
@@ -361,22 +365,50 @@ def test_world_and_export_build_no_update(monkeypatch):
     assert 0 < len(in_run) == shared
 
 
-def test_runs_of_one_world_share_each_update(monkeypatch):
+def invoice_from_two_days_early():
+    """invoice-demo from two days before its start is due: its seed-1 world
+    holds 25,981 updates over 113,844 blocks."""
+    base = invoice_demo_scenario()
+    genesis = INVOICE_START_DUE - 2 * MS_PER_DAY
+    return replace(base, network=replace(base.network, genesis_timestamp_ms=genesis))
+
+
+def test_a_second_run_of_one_world_builds_its_sealed_updates_again(monkeypatch):
     built = counting(monkeypatch)
-    config = replace(
-        invoice_demo_scenario(),
-        network=replace(
-            invoice_demo_scenario().network,
-            genesis_timestamp_ms=INVOICE_START_DUE - 2 * MS_PER_DAY,
-        ),
-    )
+    config = invoice_from_two_days_early()
     world = SeedWorld(config, 1)
     first = run(config, 1, MeasureKind.STORAGE_ORACLE, world=world)
+    sealed_first = [tx for tx in built if tx.op == UPDATE]
+    del built[:]
     second = run(config, 1, MeasureKind.STORAGE_ORACLE, world=world)
-    updates = [tx for tx in built if tx.op == UPDATE]
-    assert updates and len({tx.id for tx in updates}) == len(updates)
-    for tx in updates:
-        assert first.tx_meta[tx.id] is second.tx_meta[tx.id] is tx
+    sealed_second = [tx for tx in built if tx.op == UPDATE]
+    assert sealed_first and len({tx.id for tx in sealed_first}) == len(sealed_first)
+    assert sealed_second == sealed_first
+    for tx, again in zip(sealed_first, sealed_second):
+        assert again is not tx
+        assert first.tx_meta[tx.id] == second.tx_meta[tx.id] == tx
+
+
+def test_lookups_leave_the_world_as_built():
+    # the world holds the update columns; a run and every lookup of its
+    # transactions build updates from them and keep none there
+    config = invoice_from_two_days_early()
+    world = SeedWorld(config, 1)
+    assert len(world.updates.tick) == 25_981
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace = run(config, 1, MeasureKind.STORAGE_ORACLE, world=world)
+        for _ in trace.tx_meta.values():
+            pass
+        for _ in trace.chain.txs.values():
+            pass
+        del trace
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 100_000
 
 
 def reference_events(config, trace) -> list[tuple]:

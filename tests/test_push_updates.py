@@ -30,6 +30,7 @@ from chaintime.sim import SeedWorld, run
 
 SEED = 2
 SO, BT = MeasureKind.STORAGE_ORACLE, MeasureKind.BLOCK_TIMESTAMP
+UPDATE = "__oracle_update__"
 
 # element -> priority of the mno entry that claims it
 PRIORITIES = {"start_timer": 1, "send_invoice": 3, "overdue_timer": 2, "patience_cycle": 2}
@@ -159,9 +160,11 @@ def test_update_stream_digests_are_pinned(case):
         assert len(ids) == len(set(ids))
     assert trace.dropped
     # one record per transaction: the chain's blocks hold the tx_meta objects
+    # of claims and callbacks, and updates equal to tx_meta's, built again
     meta = trace.tx_meta
     for number, txs in trace.chain.txs.items():
-        assert all(tx is meta[tx.id] and tx.block == number for tx in txs)
+        assert all(tx.block == number for tx in txs)
+        assert all(tx == meta[tx.id] if tx.op == UPDATE else tx is meta[tx.id] for tx in txs)
     assert {tx_id for tx_id, tx in meta.items() if tx.block is None} == set(trace.dropped)
     assert len(meta) == sum(map(len, trace.chain.txs.values())) + len(trace.dropped)
 

@@ -1,6 +1,7 @@
 """Simulator: schedules, determinism, tx placement, and oracle mechanics."""
 
 import io
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -208,6 +209,25 @@ class TestBlockSchedule:
                 with pytest.raises(SchemaError) as exc_info:
                     block_schedule(replace(config, horizon_ms=(blocks - 1) * 10_000), 0)
                 assert exc_info.value.path == "horizon_ms"
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_the_gap_chunks_do_not_outlive_the_starts(self, seed):
+        # the chunks are freed once concatenated into the starts, so the peak
+        # passes the returned columns by a chunk or two of scratch, not by
+        # the whole chain again; a short schedule first keeps the first
+        # call's one-time allocations out of the measure
+        config = invoice_demo_scenario()
+        assert not config.faults.miner_drift_enabled
+        first_day = config.network.genesis_timestamp_ms + MS_PER_DAY
+        block_schedule(replace(config, horizon_ms=first_day), seed)
+        tracemalloc.start()
+        try:
+            columns = block_schedule(config, seed)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        returned = sum({id(column): column.nbytes for column in columns}.values())
+        assert peak - returned <= 2 * CHUNK * np.dtype(np.int64).itemsize
 
     def test_a_seed_holds_at_most_max_updates(self, monkeypatch):
         # the cap counts ticks before they are drawn, outages aside: 11 from 0

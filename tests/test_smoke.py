@@ -1,6 +1,7 @@
 """Smoke tests: the demos run at their smallest size, the public names resolve."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,8 @@ import pytest
 
 import chaintime
 
-DEMOS = Path(__file__).resolve().parent.parent / "demos"
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = ROOT / "demos"
 
 # the smallest argument list of each demo
 DEMO_ARGS = {
@@ -40,3 +42,15 @@ def test_demo_exits_zero(demo):
 def test_public_names_resolve():
     missing = [name for name in chaintime.__all__ if not hasattr(chaintime, name)]
     assert missing == []
+
+
+def test_readme_line_counts_match_the_sources():
+    # "`src/chaintime` is N lines: `sim.py` N, ... and `rng.py` N."
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(r"`src/chaintime` is ([\d,]+) lines: (.*?)\.(?:\s|$)", readme, re.S)
+    total, sizes = (s.replace(",", "") for s in sentence.groups())
+    stated = {name: int(n) for name, n in re.findall(r"`(\w+\.py)` (\d+)", sizes)}
+    sources = ROOT / "src" / "chaintime"
+    actual = {path.name: len(path.read_text().splitlines()) for path in sources.glob("*.py")}
+    assert stated == actual
+    assert int(total) == sum(actual.values())
