@@ -5,12 +5,15 @@ timer/message catches, event-based gateways with loop-backs) one accepted
 transaction at a time. Every temporal guard is evaluated under a single
 time measure, and each enforcement decision is recorded together with the
 simulator's ground truth so it can be classified as TP/TN/FP/FN (or
-Match/Mismatch for deferred choice races).
+Match/Mismatch for deferred choice races). Each apply or on_callback call
+counts its decision in ``decisions``; its pull-oracle requests and newly
+enabled elements stay on the instance until the runner takes them, per block.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -271,19 +274,6 @@ class _PendingGuard:
     anchor: Anchor | None = None
 
 
-@dataclass
-class ApplyResult:
-    status: str  # "accepted" | "rejected" | "parked"
-    reason: str | None = None
-    records: list[GuardRecord] = field(default_factory=list)
-    newly_enabled: list[str] = field(default_factory=list)
-    requests: list[int] = field(default_factory=list)  # pull-oracle queries to make
-
-    @property
-    def accepted(self) -> bool:
-        return self.status == "accepted"
-
-
 class ProcessInstance:
     """Mutable execution state of one process model under one time measure."""
 
@@ -298,6 +288,9 @@ class ProcessInstance:
         self.measure_kind = measure_kind
         self.cycle_limit = cycle_limit
         self.records: list[GuardRecord] = []
+        self.decisions: Counter[str] = Counter()  # "accepted", "parked" or a reason
+        self.requests: list[int] = []  # pull-oracle queries to make
+        self.newly_enabled: list[str] = []
         self.done = False
         self._request_counter = itertools.count()
         self._read = _SYNC_READS.get(measure_kind)  # None: ask the pull oracle
@@ -330,30 +323,33 @@ class ProcessInstance:
         if isinstance(self.model.elements.get(element_id), MessageCatch):
             self._message_notes.setdefault(element_id, []).append(s_tx)
 
-    def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> ApplyResult:
+    def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> None:
         """Advance the state machine by one transaction, if its guard passes."""
-        element_id = tx.op
-        if self.done or element_id not in self._enabled:
+        element = self.model.elements.get(tx.op)
+        if self.done or tx.op not in self._enabled:
             self._drop_note(tx)  # a refused message never triggers a race
-            return ApplyResult(status="rejected", reason="element_not_enabled")
-        element = self.model.elements[element_id]
-        if isinstance(element, (Task, MessageCatch)):
-            return self._accept_unguarded(element, tx, ctx, real_now)
-        return self._guard(element, tx, ctx, real_now)
+            decision = "element_not_enabled"
+        elif isinstance(element, (Task, MessageCatch)):
+            decision = self._accept_unguarded(element, tx, ctx, real_now)
+        else:
+            decision = self._guard(element, tx, ctx, real_now)
+        self.decisions[decision] += 1
 
-    def on_callback(self, request_id: int, value: SimTime, real_now: SimTime) -> ApplyResult:
+    def on_callback(self, request_id: int, value: SimTime, real_now: SimTime) -> None:
         """Finalize a parked pull-oracle decision with the callback's value,
         attributed to the block that requested it."""
         pending = self._pending.pop(request_id, None)
         if pending is None:
-            return ApplyResult(status="rejected", reason="unknown_request")
-        if pending.anchor is not None:
+            decision = "unknown_request"
+        elif pending.anchor is not None:
             pending.anchor.measured_ms = value
-            return ApplyResult(status="accepted")
-        tx = pending.tx
-        if self.done or tx.op not in self._enabled:
-            return ApplyResult(status="rejected", reason="superseded")
-        return self._guard(self.model.elements[tx.op], tx, pending.ctx, real_now, measured=value)
+            decision = "accepted"
+        elif self.done or pending.tx.op not in self._enabled:
+            decision = "superseded"
+        else:
+            tx = pending.tx
+            decision = self._guard(self.model.elements[tx.op], tx, pending.ctx, real_now, value)
+        self.decisions[decision] += 1
 
     def finalize(self) -> None:
         """Emit StuckPending records for guards still parked at the horizon."""
@@ -372,8 +368,7 @@ class ProcessInstance:
 
     # -- guard paths -------------------------------------------------------
 
-    def _accept_unguarded(self, element, tx, ctx, real_now) -> ApplyResult:
-        result = ApplyResult(status="accepted")
+    def _accept_unguarded(self, element, tx, ctx, real_now) -> str:
         anchor_value: SimTime | None = None
         if self._read is not None:
             try:
@@ -383,36 +378,37 @@ class ProcessInstance:
         round_ = self._enabled[element.id].round
         if round_ is not None:
             round_.applied.append(element.id)
-            self._resolve_gateway(round_, element.id, real_now, result)
+            self._resolve_gateway(round_, element.id, real_now)
         self._drop_note(tx)
         next_anchor = Anchor(truth_ms=tx.created_at, measured_ms=anchor_value)
         if self._read is None:
-            result.requests.append(self._request(tx, ctx, next_anchor))
-        self._advance(element.id, next_anchor, result)
-        return result
+            self.requests.append(self._request(tx, ctx, next_anchor))
+        self._advance(element.id, next_anchor)
+        return "accepted"
 
-    def _guard(self, element, tx, ctx, real_now, measured=None) -> ApplyResult:
+    def _guard(self, element, tx, ctx, real_now, measured=None) -> str:
         """Evaluate a timer guard against the next due of its schedule: the
         measured instant against the due, or for durations and relative
         cycles the measured interval since the anchor against the due minus
         the anchor. It passes iff the measured value reaches that target, and
         an acceptance lists the later iterations it has also passed as
         missed, not skipped. `measured` is a pull-oracle callback's value;
-        without it the guard measures now."""
+        without it the guard measures now. It returns the decision."""
         entry = self._enabled[element.id]
         if measured is None:
             if self._read is None:
-                return ApplyResult(status="parked", requests=[self._request(tx, ctx)])
+                self.requests.append(self._request(tx, ctx))
+                return "parked"
             try:
                 measured = self._read(ctx)
             except (MissingParameter, UninitializedOracle) as exc:
-                return ApplyResult(status="rejected", reason=type(exc).__name__)
+                return type(exc).__name__
         truth, observed, offset = tx.created_at, measured, 0
         delta = _is_delta(element)
         if delta:
             anchor = entry.anchor
             if anchor.measured_ms is None:
-                return ApplyResult(status="rejected", reason="anchor_pending")
+                return "anchor_pending"
             offset = anchor.truth_ms
             truth, observed = truth - offset, measured - anchor.measured_ms
         ctype = _constraint_type(element)
@@ -421,7 +417,7 @@ class ProcessInstance:
         accepted = observed >= target
         later = range(iteration + 1, len(entry.dues)) if accepted else ()
         missed = [j for j in later if entry.dues[j] - offset < observed]
-        record = GuardRecord(
+        self.records.append(GuardRecord(
             element=element.id,
             constraint_type=ctype,
             measure_kind=self.measure_kind,
@@ -436,26 +432,21 @@ class ProcessInstance:
             iteration=iteration if ctype == CYCLE else None,
             missed_iterations=tuple(missed),
             accepted=accepted,
-        )
-        self.records.append(record)
-        result = ApplyResult(status="accepted", records=[record])
+        ))
         if entry.round is not None:
             entry.round.applied.append(element.id)
         if not accepted:
-            result.status = "rejected"
-            result.reason = _NOT_DUE[ctype]
-            return result
+            return _NOT_DUE[ctype]
         if entry.round is not None:
-            self._resolve_gateway(entry.round, element.id, real_now, result)
+            self._resolve_gateway(entry.round, element.id, real_now)
         entry.next_index += 1
-        if entry.next_index < len(entry.dues):
-            return result
-        self._advance(element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured), result)
-        return result
+        if entry.next_index == len(entry.dues):
+            self._advance(element.id, Anchor(truth_ms=tx.created_at, measured_ms=measured))
+        return "accepted"
 
     # -- gateway handling --------------------------------------------------
 
-    def _resolve_gateway(self, round_, winner_branch, real_now, result) -> None:
+    def _resolve_gateway(self, round_, winner_branch, real_now) -> None:
         """Decide a race at its first acceptance, which wins it. The true
         winner is the branch triggered first (a message at its creation, a
         timer at its first due); a tie goes to the branch whose last guard
@@ -465,7 +456,7 @@ class ProcessInstance:
         last = {branch: i for i, branch in enumerate(round_.applied)}
         never = len(round_.applied)
         truth_winner = min(triggers, key=lambda b: (triggers[b], last.get(b, never), b))
-        record = GuardRecord(
+        self.records.append(GuardRecord(
             element=round_.gateway_id,
             constraint_type=DEFERRED_CHOICE,
             measure_kind=self.measure_kind,
@@ -474,9 +465,7 @@ class ProcessInstance:
             winner=winner_branch,
             truth_winner=truth_winner,
             accepted=True,
-        )
-        self.records.append(record)
-        result.records.append(record)
+        ))
         # losing branches leave the enabled set and the winner leaves the
         # race; _advance removes the winner once it has no dues left
         for branch in gateway.branches:
@@ -511,25 +500,25 @@ class ProcessInstance:
         self._pending[request_id] = _PendingGuard(tx, ctx, anchor)
         return request_id
 
-    def _advance(self, accepted_element, next_anchor, result) -> None:
+    def _advance(self, accepted_element, next_anchor) -> None:
         self._enabled.pop(accepted_element, None)
         target = self.model.flows.get(accepted_element)
         if target is None:
             if not self._enabled:
                 self.done = True
             return
-        self._enable(target, next_anchor, result)
+        self._enable(target, next_anchor)
 
-    def _enable(self, element_id, anchor, result) -> None:
+    def _enable(self, element_id, anchor) -> None:
         element = self.model.elements[element_id]
         if isinstance(element, EventGateway):
             round_ = _GatewayRound(gateway_id=element_id)
             for branch in element.branches:
                 self._enabled[branch] = self._entry(branch, anchor, round_)
-                result.newly_enabled.append(branch)
+                self.newly_enabled.append(branch)
         else:
             self._enabled[element_id] = self._entry(element_id, anchor)
-            result.newly_enabled.append(element_id)
+            self.newly_enabled.append(element_id)
 
     def _entry(self, element_id, anchor, round_=None) -> _EnabledEntry:
         """Enable one element; a timer's due schedule is computed here, once.

@@ -61,7 +61,7 @@ from .measures import (
     in_outage,
     so_update_times,
 )
-from .process import ApplyResult, ProcessInstance
+from .process import ProcessInstance
 from .rng import substream
 from .scenario import Distribution, Participant, ScenarioConfig, ScriptEntry
 
@@ -126,28 +126,27 @@ def block_schedule(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(real mining starts, reported timestamps, mining durations).
 
-    Gaps are drawn in chunks of 64, 128, ... up to _SCHEDULE_CHUNK, and only
-    the last is cut at the horizon. Drawing stops once more than MAX_BLOCKS
-    blocks exist; a chain of more than MAX_BLOCKS blocks is refused. Reported
-    timestamps differ from the real starts only when miner clock drift is
-    enabled; a running clamp keeps them strictly increasing.
+    Gaps are drawn in chunks of 64, 128, ... up to _SCHEDULE_CHUNK, each
+    summed into the starts, which grow in place and are cut at the horizon.
+    Drawing stops once more than MAX_BLOCKS blocks exist; a chain of more
+    than MAX_BLOCKS blocks is refused. Reported timestamps differ from the
+    real starts only when miner clock drift is enabled; a running clamp
+    keeps them strictly increasing.
     """
     net = config.network
     streams = _Streams(seed)
-    chunks = [np.array([net.genesis_timestamp_ms], dtype=np.int64)]
+    starts = np.array([net.genesis_timestamp_ms], dtype=np.int64)
     n, size = 1, 64
-    while chunks[-1][-1] <= config.horizon_ms and n <= MAX_BLOCKS:
+    while starts[-1] <= config.horizon_ms and n <= MAX_BLOCKS:
+        starts.resize(n + size, refcheck=False)  # grow before the draw allocates its scratch
         chunk = streams.draw(net.block_time, "chain/block_time", size)
-        np.cumsum(np.maximum(chunk, 1, out=chunk), out=chunk)
-        chunk += chunks[-1][-1]
-        chunks.append(chunk)
+        np.cumsum(np.maximum(chunk, 1, out=chunk), out=starts[n:])
+        starts[n:] += starts[n - 1]
         n, size = n + size, min(2 * size, _SCHEDULE_CHUNK)
-    chunks[-1] = chunks[-1][:np.searchsorted(chunks[-1], config.horizon_ms, side="right")]
-    n = sum(map(len, chunks))
+    n = int(np.searchsorted(starts, config.horizon_ms, side="right"))
     if n > MAX_BLOCKS:
         raise SchemaError("horizon_ms", f"the chain would pass {MAX_BLOCKS:,} blocks")
-    starts = np.concatenate(chunks)
-    del chunks
+    starts.resize(n, refcheck=False)
 
     mining = streams.draw(net.mining_time, "chain/mining", n)
     mining[0] = 0
@@ -227,6 +226,9 @@ class _Updates:
         self.multi = self.numbers[np.diff(firsts, append=kept) > 1].tolist()  # of 2 or more
         rows = slice(None) if len(pushes) == 1 else self.provider[:kept] == 0  # views if alone
         self.cell = tuple(c[:kept][rows] for c in (self.block, self.value))
+        for column in (self.row_of, self.tick, self.visible, self.block, self.provider,
+                       self.number, self.value, self.numbers, *self.cell):
+            column.setflags(write=False)  # shared by the seed's runs
 
     def tx_id(self, row: int) -> str:
         return f"{self.senders[self.provider[row]]}-{self.number[row]}"
@@ -375,6 +377,8 @@ class SeedWorld:
         self.seed = seed
         self.starts, timestamps, mining = block_schedule(config, seed)
         self.chain = Chain.from_schedule(timestamps, mining)
+        for column in (self.starts, self.chain.timestamps, self.chain.mining_durations):
+            column.setflags(write=False)  # shared by the seed's runs
         self.chain_params = ChainParams(
             genesis_timestamp=int(timestamps[0]),
             assumed_mean_block_time_ms=config.network.assumed_mean_block_time_ms,
@@ -508,24 +512,20 @@ class _Runner:
         updates = [(u.key(row), u.tx(row), None, row) for row in u.rows(number)]
         entries = self._order_block(self.pending_by_block.pop(number) + updates)
         self._place(number, entries)
-        request_ids: list[int] = []
-        enabled: list[str] = []
         for position, (_, tx, execute, args) in enumerate(entries):
-            if execute is None:
-                continue
-            result = execute(now, tx, position, *args)
-            if result is not None:
-                request_ids.extend(result.requests)
-                enabled.extend(result.newly_enabled)
-        if request_ids or enabled:
+            if execute is not None:
+                execute(now, tx, position, *args)
+        inst = self.instance
+        if inst is not None and (inst.requests or inst.newly_enabled):
             self._push(
                 now + int(self.world.chain.mining_durations[number]), K_BLOCK_VISIBLE,
-                self._block_visible, request_ids, enabled,
+                self._block_visible, inst.requests, inst.newly_enabled,
             )
+            inst.requests, inst.newly_enabled = [], []
 
-    def _apply_claim(self, now, tx, position) -> ApplyResult | None:
+    def _apply_claim(self, now, tx, position) -> None:
         if self.instance is None:
-            return None
+            return
         ctx = TxContext(
             tx=tx,
             block_number=tx.block,
@@ -534,7 +534,7 @@ class _Runner:
             chain_params=self.world.chain_params,
             oracle_view=self.cell,
         )
-        return self.instance.apply(tx, ctx, now)
+        self.instance.apply(tx, ctx, now)
 
     def _block_visible(self, now: SimTime, request_ids: list[int], enabled: list[str]) -> None:
         """The pull oracle sees the block's requests, then participants see
@@ -556,9 +556,9 @@ class _Runner:
         sender = f"oracle:{pull.provider}"
         self._send(now, sender, "__callback__", self._deliver_callback, request_id)
 
-    def _deliver_callback(self, now, tx, position, request_id: int) -> ApplyResult:
+    def _deliver_callback(self, now, tx, position, request_id: int) -> None:
         """The callback answers with the instant it was created."""
-        return self.instance.on_callback(request_id, tx.created_at, now)
+        self.instance.on_callback(request_id, tx.created_at, now)
 
     # -- participants ------------------------------------------------------
 

@@ -1,8 +1,11 @@
 """Process engine: classification rules and guarded execution paths."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
+from chaintime import sim
 from chaintime.chain import SchemaError, Transaction
 from chaintime.measures import ChainParams, MeasureKind, TxContext
 from chaintime.process import (
@@ -11,6 +14,7 @@ from chaintime.process import (
     DEFERRED_CHOICE,
     RELATIVE,
     EventGateway,
+    GuardRecord,
     MessageCatch,
     Outcome,
     ProcessInstance,
@@ -20,6 +24,7 @@ from chaintime.process import (
     TimerCatch,
     classify_absolute,
 )
+from chaintime.scenario import SCENARIO_PRESETS
 from chaintime.timers import parse_timer
 
 
@@ -107,34 +112,49 @@ def ctx_for(tx: Transaction, block: int = 1, block_ts: int = None) -> TxContext:
     )
 
 
+ACCEPTED, PARKED = Counter(accepted=1), Counter(parked=1)
+
+
+def decide(inst: ProcessInstance, call, *args, **kwargs) -> tuple[Counter, list[GuardRecord]]:
+    """Make one apply or on_callback call of inst: the decision it counted, as
+    a Counter, and the records it added."""
+    decisions, n = inst.decisions.copy(), len(inst.records)
+    call(*args, **kwargs)
+    return inst.decisions - decisions, inst.records[n:]
+
+
+def apply_tx(inst: ProcessInstance, tx: Transaction, real_now: int, block: int = 1):
+    return decide(inst, inst.apply, tx, ctx_for(tx, block=block), real_now=real_now)
+
+
 class TestEngineAbsolute:
     def test_rejects_before_deadline_with_tn_record(self):
         inst = make_instance()
         tx = claim("start", 500)
-        result = inst.apply(tx, ctx_for(tx), real_now=600)
-        assert result.status == "rejected" and result.reason == "deadline_not_reached"
-        assert result.records[0].outcome is Outcome.TN
+        decided, records = apply_tx(inst, tx, real_now=600)
+        assert decided == Counter(deadline_not_reached=1)
+        assert records[0].outcome is Outcome.TN
         assert inst.is_enabled("start")
 
     def test_accepts_after_deadline_and_enables_gateway(self):
         inst = make_instance()
         tx = claim("start", 1_500)
-        result = inst.apply(tx, ctx_for(tx), real_now=1_600)
-        assert result.accepted
-        assert result.records[0].outcome is Outcome.TP
-        assert sorted(result.newly_enabled) == ["note", "wait"]
+        decided, records = apply_tx(inst, tx, real_now=1_600)
+        assert decided == ACCEPTED
+        assert records[0].outcome is Outcome.TP
+        assert sorted(inst.newly_enabled) == ["note", "wait"]
 
     def test_unknown_element_rejected(self):
         inst = make_instance()
         tx = claim("nope", 1_500)
-        result = inst.apply(tx, ctx_for(tx), real_now=1_600)
-        assert result.status == "rejected" and result.reason == "element_not_enabled"
-        assert result.records == [] and inst.is_enabled("start")
+        decided, records = apply_tx(inst, tx, real_now=1_600)
+        assert decided == Counter(element_not_enabled=1)
+        assert records == [] and inst.is_enabled("start")
 
 
 def started(inst: ProcessInstance, at: int = 1_500) -> None:
     tx = claim("start", at)
-    assert inst.apply(tx, ctx_for(tx), real_now=at + 100).accepted
+    assert apply_tx(inst, tx, real_now=at + 100)[0] == ACCEPTED
 
 
 class TestEngineRelativeAndRace:
@@ -142,13 +162,13 @@ class TestEngineRelativeAndRace:
         inst = make_instance()
         started(inst, at=1_500)
         early = claim("wait", 3_000)  # delta 1500 < 2000
-        result = inst.apply(early, ctx_for(early), real_now=3_100)
-        assert result.status == "rejected"
-        assert result.records[0].outcome is Outcome.TN
+        decided, records = apply_tx(inst, early, real_now=3_100)
+        assert decided == Counter(delta_not_reached=1)
+        assert records[0].outcome is Outcome.TN
         late = claim("wait", 3_600)  # delta 2100 >= 2000
-        result = inst.apply(late, ctx_for(late), real_now=3_700)
-        assert result.accepted
-        record = next(r for r in result.records if r.constraint_type == RELATIVE)
+        decided, records = apply_tx(inst, late, real_now=3_700)
+        assert decided == ACCEPTED
+        record = next(r for r in records if r.constraint_type == RELATIVE)
         assert record.outcome is Outcome.TP and record.measured_ms == 2_100
 
     def test_timer_win_with_earlier_message_is_mismatch(self):
@@ -156,8 +176,8 @@ class TestEngineRelativeAndRace:
         started(inst, at=1_500)
         inst.note_message_created("note", 2_000)  # created but included late
         tx = claim("wait", 3_600)
-        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        _, records = apply_tx(inst, tx, real_now=3_700)
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.outcome is Outcome.MISMATCH
         assert gateway.winner == "wait" and gateway.truth_winner == "note"
         assert not inst.is_enabled("note")
@@ -167,9 +187,9 @@ class TestEngineRelativeAndRace:
         started(inst, at=1_500)
         inst.note_message_created("note", 2_000)
         tx = claim("note", 2_000, sender="customer")
-        result = inst.apply(tx, ctx_for(tx), real_now=2_100)
-        assert result.accepted
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        decided, records = apply_tx(inst, tx, real_now=2_100)
+        assert decided == ACCEPTED
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.outcome is Outcome.MATCH
         assert inst.done
 
@@ -177,12 +197,12 @@ class TestEngineRelativeAndRace:
         inst = make_instance()
         started(inst, at=1_500)
         early = claim("wait", 3_000)  # delta 1500 < 2000
-        assert inst.apply(early, ctx_for(early), real_now=3_100).status == "rejected"
+        assert apply_tx(inst, early, real_now=3_100)[0] == Counter(delta_not_reached=1)
         inst.note_message_created("note", 3_200)
         tx = claim("note", 3_200, sender="customer")
-        result = inst.apply(tx, ctx_for(tx), real_now=3_300)
-        assert result.accepted
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        decided, records = apply_tx(inst, tx, real_now=3_300)
+        assert decided == ACCEPTED
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.winner == "note" and gateway.truth_winner == "note"
         assert gateway.outcome is Outcome.MATCH
 
@@ -192,11 +212,11 @@ class TestEngineRelativeAndRace:
         # created at the due, but claiming 3000: measured delta 1500 < 2000
         lying = Transaction(id="wait-lie", sender="p", created_at=3_500, op="wait",
                             timestamp=3_000)
-        assert inst.apply(lying, ctx_for(lying), real_now=3_600).status == "rejected"
+        assert apply_tx(inst, lying, real_now=3_600)[0] == Counter(delta_not_reached=1)
         inst.note_message_created("note", 3_500)
         tx = claim("note", 3_500, sender="customer")
-        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        _, records = apply_tx(inst, tx, real_now=3_700)
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.winner == "note" and gateway.truth_winner == "wait"
         assert gateway.outcome is Outcome.MISMATCH and gateway.ground_truth_ms == 3_500
 
@@ -209,10 +229,10 @@ class TestEngineRelativeAndRace:
         inst.note_message_created("note", 3_500)
         for i in range(rejections):
             early = claim("wait", 3_000 + i)
-            assert inst.apply(early, ctx_for(early), real_now=3_100).status == "rejected"
+            assert apply_tx(inst, early, real_now=3_100)[0] == Counter(delta_not_reached=1)
         tx = claim("wait", 3_600)
-        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        _, records = apply_tx(inst, tx, real_now=3_700)
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.winner == "wait" and gateway.truth_winner == "wait"
         assert gateway.outcome is Outcome.MATCH
 
@@ -222,11 +242,11 @@ class TestEngineRelativeAndRace:
         inst = make_instance()
         inst.note_message_created("note", 500)
         early = claim("note", 500, sender="customer")
-        assert inst.apply(early, ctx_for(early), real_now=600).reason == "element_not_enabled"
+        assert apply_tx(inst, early, real_now=600)[0] == Counter(element_not_enabled=1)
         started(inst, at=1_500)
         tx = claim("wait", 3_600)
-        result = inst.apply(tx, ctx_for(tx), real_now=3_700)
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        _, records = apply_tx(inst, tx, real_now=3_700)
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.winner == "wait" and gateway.truth_winner == "wait"
         assert gateway.outcome is Outcome.MATCH and gateway.ground_truth_ms == 3_500
 
@@ -235,35 +255,35 @@ class TestEngineCycle:
     def advance_to_cycle(self, inst):
         started(inst, at=1_500)
         tx = claim("wait", 3_600)
-        assert inst.apply(tx, ctx_for(tx), real_now=3_700).accepted
+        assert apply_tx(inst, tx, real_now=3_700)[0] == ACCEPTED
 
     def test_iterations_consume_in_order_then_advance(self):
         inst = make_instance()
         self.advance_to_cycle(inst)
         # dues: anchor 3600 + 1s, + 2s
         early = claim("cycle", 4_500)
-        assert inst.apply(early, ctx_for(early), real_now=4_600).status == "rejected"
+        assert apply_tx(inst, early, real_now=4_600)[0] == Counter(iteration_not_due=1)
         first = claim("cycle", 4_700)
-        result = inst.apply(first, ctx_for(first), real_now=4_800)
-        assert result.accepted and result.records[0].iteration == 0
+        decided, records = apply_tx(inst, first, real_now=4_800)
+        assert decided == ACCEPTED and records[0].iteration == 0
         assert inst.cycle_next_index("cycle") == 1
         second = claim("cycle", 5_700)
-        result = inst.apply(second, ctx_for(second), real_now=5_800)
-        assert result.accepted and result.records[0].iteration == 1
+        decided, records = apply_tx(inst, second, real_now=5_800)
+        assert decided == ACCEPTED and records[0].iteration == 1
         assert inst.done
 
     def test_missed_iterations_reported_not_skipped(self):
         inst = make_instance()
         self.advance_to_cycle(inst)
         tardy = claim("cycle", 9_000)
-        result = inst.apply(tardy, ctx_for(tardy), real_now=9_100)
-        assert result.accepted
-        assert result.records[0].missed_iterations == (1,)
+        decided, records = apply_tx(inst, tardy, real_now=9_100)
+        assert decided == ACCEPTED
+        assert records[0].missed_iterations == (1,)
         assert inst.cycle_next_index("cycle") == 1  # second iteration still pending
         again = claim("cycle", 9_000, tx_id="cycle-9000-again")
-        result = inst.apply(again, ctx_for(again), real_now=9_100)
-        assert result.accepted and result.records[0].iteration == 1
-        assert result.records[0].missed_iterations == ()
+        decided, records = apply_tx(inst, again, real_now=9_100)
+        assert decided == ACCEPTED and records[0].iteration == 1
+        assert records[0].missed_iterations == ()
         assert inst.done
 
     def test_claim_after_the_last_iteration_is_not_enabled(self):
@@ -271,22 +291,22 @@ class TestEngineCycle:
         self.advance_to_cycle(inst)
         for at in (4_700, 5_700):
             tx = claim("cycle", at)
-            assert inst.apply(tx, ctx_for(tx), real_now=at + 100).accepted
+            assert apply_tx(inst, tx, real_now=at + 100)[0] == ACCEPTED
         extra = claim("cycle", 6_700)
-        result = inst.apply(extra, ctx_for(extra), real_now=6_800)
-        assert result.status == "rejected" and result.reason == "element_not_enabled"
-        assert result.records == []
+        decided, records = apply_tx(inst, extra, real_now=6_800)
+        assert decided == Counter(element_not_enabled=1)
+        assert records == []
 
 
 class TestRequestResponse:
     def test_guard_parks_and_resolves_at_requesting_block(self):
         inst = make_instance(MeasureKind.REQUEST_RESPONSE_ORACLE)
         tx = claim("start", 1_500)
-        result = inst.apply(tx, ctx_for(tx, block=4), real_now=1_600)
-        assert result.status == "parked"
-        done = inst.on_callback(result.requests[0], 2_000, real_now=2_100)
-        assert done.accepted
-        record = done.records[0]
+        assert apply_tx(inst, tx, real_now=1_600, block=4)[0] == PARKED
+        (request,) = inst.requests
+        decided, records = decide(inst, inst.on_callback, request, 2_000, real_now=2_100)
+        assert decided == ACCEPTED
+        record = records[0]
         assert record.block_number == 4  # decision attributed to requesting block
         # deadline 1000 <= s_tx 1500 and <= measured 2000: a true positive
         assert record.measured_ms == 2_000 and record.outcome is Outcome.TP
@@ -294,7 +314,7 @@ class TestRequestResponse:
     def test_unresolved_guard_becomes_stuck_at_horizon(self):
         inst = make_instance(MeasureKind.REQUEST_RESPONSE_ORACLE)
         tx = claim("start", 1_500)
-        assert inst.apply(tx, ctx_for(tx), real_now=1_600).status == "parked"
+        assert apply_tx(inst, tx, real_now=1_600)[0] == PARKED
         assert inst.finalize() is None
         stuck = [r for r in inst.records if r.outcome is Outcome.STUCK_PENDING]
         assert len(stuck) == 1
@@ -320,9 +340,9 @@ def claim_each_due(inst: ProcessInstance, element: str) -> list[int]:
     iterations = []
     for due in inst.element_due_times(element):
         tx = claim(element, due)
-        result = inst.apply(tx, ctx_for(tx), real_now=due + 100)
-        assert result.accepted
-        iterations.append(result.records[0].iteration)
+        decided, records = apply_tx(inst, tx, real_now=due + 100)
+        assert decided == ACCEPTED
+        iterations.append(records[0].iteration)
     return iterations
 
 
@@ -367,9 +387,8 @@ class TestEngineCycleAbsolute:
     def test_rejection_before_first_due_is_recorded(self):
         inst = self.make()
         early = claim("tick", 2_800)
-        result = inst.apply(early, ctx_for(early), real_now=2_900)
-        assert result.status == "rejected" and result.reason == "iteration_not_due"
-        (record,) = result.records
+        decided, (record,) = apply_tx(inst, early, real_now=2_900)
+        assert decided == Counter(iteration_not_due=1)
         assert record.constraint_type == CYCLE
         assert record.deadline_ms == 3_000 and record.required_delta_ms is None
         assert record.outcome is Outcome.TN and record.accepted is False
@@ -381,15 +400,13 @@ class TestEngineCycleAbsolute:
         # a sender claiming 3100 for a tx created at 2900 passes the 3000 due
         lying = Transaction(id="tick-lie", sender="p", created_at=2_900, op="tick",
                             timestamp=3_100)
-        result = inst.apply(lying, ctx_for(lying), real_now=3_000)
-        (record,) = result.records
-        assert result.accepted and record.outcome is Outcome.FP
+        decided, (record,) = apply_tx(inst, lying, real_now=3_000)
+        assert decided == ACCEPTED and record.outcome is Outcome.FP
         assert record.deadline_ms == 3_000 and record.iteration == 0
         assert record.ground_truth_ms == 2_900 and record.measured_ms == 3_100
         tardy = claim("tick", 4_500)
-        result = inst.apply(tardy, ctx_for(tardy), real_now=4_600)
-        (record,) = result.records
-        assert result.accepted and record.outcome is Outcome.TP
+        decided, (record,) = apply_tx(inst, tardy, real_now=4_600)
+        assert decided == ACCEPTED and record.outcome is Outcome.TP
         assert record.deadline_ms == 4_000 and record.iteration == 1
         assert record.missed_iterations == ()
         assert inst.done
@@ -397,9 +414,8 @@ class TestEngineCycleAbsolute:
     def test_missed_iterations_listed_on_late_acceptance(self):
         inst = self.make()
         tardy = claim("tick", 4_500)
-        result = inst.apply(tardy, ctx_for(tardy), real_now=4_600)
-        (record,) = result.records
-        assert result.accepted and record.outcome is Outcome.TP
+        decided, (record,) = apply_tx(inst, tardy, real_now=4_600)
+        assert decided == ACCEPTED and record.outcome is Outcome.TP
         assert record.deadline_ms == 3_000 and record.iteration == 0
         assert record.missed_iterations == (1,)
         assert inst.cycle_next_index("tick") == 1 and not inst.done
@@ -419,9 +435,9 @@ class TestEngineCycleAbsolute:
         started(inst, at=2_500)
         inst.note_message_created("note", 2_700)
         tx = claim("tick", 3_100)
-        result = inst.apply(tx, ctx_for(tx), real_now=3_100)
-        assert result.accepted
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        decided, records = apply_tx(inst, tx, real_now=3_100)
+        assert decided == ACCEPTED
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.outcome is Outcome.MISMATCH
         assert gateway.winner == "tick" and gateway.truth_winner == "note"
         assert gateway.ground_truth_ms == 2_700
@@ -443,19 +459,20 @@ def anchored_race_instance() -> ProcessInstance:
 
 
 def callback(inst, request_id: int, value: int):
-    return inst.on_callback(request_id, value, real_now=value + 100)
+    return decide(inst, inst.on_callback, request_id, value, real_now=value + 100)
 
 
 class TestRequestResponseAnchors:
     def setup_pending_anchor(self):
         inst = anchored_race_instance()
         tx = claim("start", 1_500)
-        parked = inst.apply(tx, ctx_for(tx, block=1), real_now=1_600)
-        assert callback(inst, parked.requests[0], 1_700).accepted
+        assert apply_tx(inst, tx, real_now=1_600)[0] == PARKED
+        (parked,) = inst.requests
+        assert callback(inst, parked, 1_700)[0] == ACCEPTED
         send = claim("send", 2_000)
-        result = inst.apply(send, ctx_for(send, block=2), real_now=2_100)
-        assert result.accepted  # not parked: its one request is the anchor's
-        (anchor_request,) = result.requests
+        decided, _ = apply_tx(inst, send, real_now=2_100, block=2)
+        assert decided == ACCEPTED  # not parked: its one request is the anchor's
+        _, anchor_request = inst.requests
         return inst, anchor_request
 
     @pytest.mark.parametrize("branch", ["wait", "cycle"])
@@ -463,28 +480,28 @@ class TestRequestResponseAnchors:
         inst, _ = self.setup_pending_anchor()
         before = len(inst.records)
         tx = claim(branch, 9_000)
-        parked = inst.apply(tx, ctx_for(tx, block=3), real_now=9_100)
-        assert parked.status == "parked"
-        result = callback(inst, parked.requests[0], 9_500)
-        assert result.status == "rejected" and result.reason == "anchor_pending"
-        assert result.records == [] and len(inst.records) == before
+        assert apply_tx(inst, tx, real_now=9_100, block=3)[0] == PARKED
+        _, _, parked = inst.requests
+        decided, records = callback(inst, parked, 9_500)
+        assert decided == Counter(anchor_pending=1)
+        assert records == [] and len(inst.records) == before
         assert inst.is_enabled(branch)
 
     def test_relative_guard_parks_then_records_delta(self):
         inst, anchor_id = self.setup_pending_anchor()
-        assert callback(inst, anchor_id, 2_400).accepted  # anchor measured at 2400
+        assert callback(inst, anchor_id, 2_400)[0] == ACCEPTED  # anchor measured at 2400
         tx = claim("wait", 4_300)
-        parked = inst.apply(tx, ctx_for(tx, block=5), real_now=4_400)
-        assert parked.status == "parked"
-        result = callback(inst, parked.requests[0], 4_600)
-        assert result.accepted
-        record = next(r for r in result.records if r.constraint_type == RELATIVE)
+        assert apply_tx(inst, tx, real_now=4_400, block=5)[0] == PARKED
+        _, _, parked = inst.requests
+        decided, records = callback(inst, parked, 4_600)
+        assert decided == ACCEPTED
+        record = next(r for r in records if r.constraint_type == RELATIVE)
         assert record.element == "wait" and record.tx_id == "wait-4300"
         assert record.measured_ms == 2_200 and record.raw_measured_ms == 4_600
         assert record.ground_truth_ms == 2_300 and record.required_delta_ms == 2_000
         assert record.deadline_ms is None and record.block_number == 5
         assert record.outcome is Outcome.TP and record.accepted is True
-        gateway = next(r for r in result.records if r.constraint_type == DEFERRED_CHOICE)
+        gateway = next(r for r in records if r.constraint_type == DEFERRED_CHOICE)
         assert gateway.winner == "wait" and not inst.is_enabled("cycle")
         assert inst.done
 
@@ -492,13 +509,62 @@ class TestRequestResponseAnchors:
         inst, _ = self.setup_pending_anchor()
         for branch in ("wait", "cycle"):
             tx = claim(branch, 9_000)
-            assert inst.apply(tx, ctx_for(tx, block=3), real_now=9_100).status == "parked"
+            assert apply_tx(inst, tx, real_now=9_100, block=3)[0] == PARKED
         inst.finalize()
         stuck = [r for r in inst.records if r.outcome is Outcome.STUCK_PENDING]
         assert [(r.element, r.constraint_type) for r in stuck] == [
             ("wait", RELATIVE), ("cycle", CYCLE),
         ]
         assert all(r.outcome is Outcome.STUCK_PENDING for r in stuck)
+
+
+class TestRunnerTakesEffects:
+    """The preset scenarios, each under its measures, run through the
+    simulator with the engine's calls and the visibility events watched."""
+
+    def test_each_call_counts_one_decision_and_requests_reach_visibility_once(
+        self, monkeypatch
+    ):
+        counts, made, pushed, seen = [], [], [], []
+
+        def counting(method):
+            def call(inst, *args, **kwargs):
+                total, n = sum(inst.decisions.values()), len(inst.requests)
+                method(inst, *args, **kwargs)
+                counts.append(sum(inst.decisions.values()) - total)
+                made.extend(inst.requests[n:])
+            return call
+
+        push, block_visible = sim._Runner._push, sim._Runner._block_visible
+
+        def pushing(runner, at, kind, handler, *args):
+            if kind == sim.K_BLOCK_VISIBLE:
+                pushed.append(tuple(args[0]))  # a copy: later appends must not reach it
+            push(runner, at, kind, handler, *args)
+
+        def visible(runner, now, request_ids, enabled):
+            seen.append(tuple(request_ids))
+            block_visible(runner, now, request_ids, enabled)
+
+        monkeypatch.setattr(ProcessInstance, "apply", counting(ProcessInstance.apply))
+        monkeypatch.setattr(ProcessInstance, "on_callback", counting(ProcessInstance.on_callback))
+        monkeypatch.setattr(sim._Runner, "_push", pushing)
+        monkeypatch.setattr(sim._Runner, "_block_visible", visible)
+        requested = 0
+        for preset in SCENARIO_PRESETS.values():
+            config = preset()
+            world = sim.SeedWorld(config, 0)
+            for measure in config.measures:
+                for watched in (counts, made, pushed, seen):
+                    watched.clear()
+                sim.run(config, 0, measure, world=world)
+                assert counts and set(counts) == {1}
+                # a block's requests are pushed with its one visibility event
+                assert [r for ids in pushed for r in ids] == made
+                # which hands each of them over once, as pushed, unless past the horizon
+                assert not Counter(seen) - Counter(pushed)
+                requested += sum(map(len, seen))
+        assert requested  # the request/response runs made requests that were seen
 
 
 class TestModelValidation:

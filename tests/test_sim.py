@@ -212,9 +212,9 @@ class TestBlockSchedule:
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_the_gap_chunks_do_not_outlive_the_starts(self, seed):
-        # the chunks are freed once concatenated into the starts, so the peak
-        # passes the returned columns by a chunk or two of scratch, not by
-        # the whole chain again; a short schedule first keeps the first
+        # each chunk is summed into the starts, which grow in place, so the
+        # peak passes the returned columns by a chunk or two of scratch, not
+        # by the whole chain again; a short schedule first keeps the first
         # call's one-time allocations out of the measure
         config = invoice_demo_scenario()
         assert not config.faults.miner_drift_enabled
