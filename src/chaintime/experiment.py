@@ -9,6 +9,7 @@ seed list.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, IO, Iterable
@@ -92,6 +93,50 @@ def sweep(
             if per_run is not None:
                 per_run(trace)
     return report
+
+
+def check_trace(config: ScenarioConfig, trace: RunTrace) -> list[str]:
+    """One line naming the measure per broken rule. A claim at position p of block b reads BT:
+    its block's timestamp; BN: genesis + b * assumed_mean_block_time_ms; PA: its timestamp; SO:
+    the last oracles.push[0] update placed before (b, p); RO: b's real start + mining + latency.
+    An instant record holds (s_tx, raw); an outcome is what plain comparisons of its values say."""
+    chain, starts, measure, problems = trace.chain, trace.real_starts, trace.measure, []
+    if measure is MeasureKind.STORAGE_ORACLE:  # push[0]'s (block start, value), as placed
+        provider = config.push_oracles[0].provider
+        updates = [(-1, None)] + [  # the sentinel: no update before the claim's block
+            (at, value) for name, kind, at, value in trace.oracle_events
+            if name == provider and kind == "update"]
+    for r in trace.records:
+        where = f"{trace.scenario} seed={trace.seed} {measure.value} {r.element} tx={r.tx_id}"
+        expected = r.outcome  # a StuckPending record measured nothing
+        target = r.required_delta_ms if r.deadline_ms is None else r.deadline_ms
+        if target is not None:  # by (the target truly passed, the measure says so)
+            truly, reported = target <= r.ground_truth_ms, target <= r.measured_ms
+            expected = (Outcome.TN, Outcome.FP, Outcome.FN, Outcome.TP)[2 * truly + reported]
+        elif r.winner is not None:
+            expected = Outcome.MATCH if r.winner == r.truth_winner else Outcome.MISMATCH
+        if r.outcome is not expected:
+            problems.append(f"{where}: outcome {r.outcome.value}, expected {expected.value}")
+        if r.raw_measured_ms is None:
+            continue
+        b = (claim := trace.tx_meta[r.tx_id]).block
+        if measure is MeasureKind.BLOCK_TIMESTAMP:
+            exact = int(chain.timestamps[b])
+        elif measure is MeasureKind.BLOCK_NUMBER:
+            exact = int(chain.timestamps[0]) + b * config.network.assumed_mean_block_time_ms
+        elif measure is MeasureKind.PARAMETER:
+            exact = claim.timestamp
+        elif measure is MeasureKind.STORAGE_ORACLE:  # b's updates follow those of earlier blocks
+            before = chain.txs[b][:chain.txs[b].index(claim)]
+            placed = sum(tx.sender == f"oracle:{provider}" for tx in before)
+            exact = updates[bisect_left(updates, (int(starts[b]),)) - 1 + placed][1]
+        else:
+            exact = int(starts[b] + chain.mining_durations[b]) + config.pull_oracles[0].latency_ms
+        if r.raw_measured_ms != exact or (r.deadline_ms is not None and r.measured_ms != exact):
+            problems.append(f"{where}: measured {r.raw_measured_ms}, exact {exact}")
+        if r.deadline_ms is not None and r.ground_truth_ms != claim.created_at:
+            problems.append(f"{where}: truth {r.ground_truth_ms}, created {claim.created_at}")
+    return problems
 
 
 # ---------------------------------------------------------------------------

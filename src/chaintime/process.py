@@ -291,7 +291,6 @@ class ProcessInstance:
         self.decisions: Counter[str] = Counter()  # "accepted", "parked" or a reason
         self.requests: list[int] = []  # pull-oracle queries to make
         self.newly_enabled: list[str] = []
-        self.done = False
         self._request_counter = itertools.count()
         self._read = _SYNC_READS.get(measure_kind)  # None: ask the pull oracle
         self._pending: dict[int, _PendingGuard] = {}
@@ -303,6 +302,10 @@ class ProcessInstance:
 
     def enabled_elements(self) -> list[str]:
         return sorted(self._enabled)
+
+    @property
+    def done(self) -> bool:
+        return not self._enabled
 
     def is_enabled(self, element_id: str) -> bool:
         return element_id in self._enabled
@@ -326,7 +329,7 @@ class ProcessInstance:
     def apply(self, tx: Transaction, ctx: TxContext, real_now: SimTime) -> None:
         """Advance the state machine by one transaction, if its guard passes."""
         element = self.model.elements.get(tx.op)
-        if self.done or tx.op not in self._enabled:
+        if tx.op not in self._enabled:
             self._drop_note(tx)  # a refused message never triggers a race
             decision = "element_not_enabled"
         elif isinstance(element, (Task, MessageCatch)):
@@ -344,7 +347,7 @@ class ProcessInstance:
         elif pending.anchor is not None:
             pending.anchor.measured_ms = value
             decision = "accepted"
-        elif self.done or pending.tx.op not in self._enabled:
+        elif pending.tx.op not in self._enabled:
             decision = "superseded"
         else:
             tx = pending.tx
@@ -503,11 +506,8 @@ class ProcessInstance:
     def _advance(self, accepted_element, next_anchor) -> None:
         self._enabled.pop(accepted_element, None)
         target = self.model.flows.get(accepted_element)
-        if target is None:
-            if not self._enabled:
-                self.done = True
-            return
-        self._enable(target, next_anchor)
+        if target is not None:
+            self._enable(target, next_anchor)
 
     def _enable(self, element_id, anchor) -> None:
         element = self.model.elements[element_id]

@@ -602,7 +602,7 @@ class _Runner:
         attempts_left: int,
     ) -> None:
         instance = self.instance
-        if instance.done or not instance.is_enabled(entry.element):
+        if not instance.is_enabled(entry.element):
             return
         if instance.cycle_next_index(entry.element) > iteration:
             return

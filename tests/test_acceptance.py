@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, each a single pass/fail line.
 
 Criteria 3, 5, 6, and 7 share one 100-seed sweep of the invoicing demo
-(all five measures, faults disabled), audited incrementally so traces are
-not retained.
+(all five measures, faults disabled), audited incrementally with
+`check_trace` so traces are not retained.
 """
 
 import io
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chaintime.chain import Transaction
-from chaintime.experiment import emit_report, sweep
+from chaintime.experiment import check_trace, emit_report, sweep
 from chaintime.measures import ChainParams, MeasureKind, PushOracleConfig, TxContext, measure_bn
 from chaintime.process import Outcome
 from chaintime.scenario import (
@@ -41,73 +41,28 @@ SEED_COUNT = 100
 class SweepAudit:
     """Incrementally collected facts about the shared demo sweep."""
 
-    range_violations: list[str] = field(default_factory=list)
-    bt_fp_violations: list[str] = field(default_factory=list)
-    pa_outcomes: Counter = field(default_factory=Counter)
+    problems: dict = field(default_factory=dict)  # measure -> check_trace's lines
+    outcomes: Counter = field(default_factory=Counter)  # (measure, outcome) -> count
     pa_constraints: set = field(default_factory=set)
-    raw_err: dict = field(default_factory=dict)  # (seed, measure) -> (sum, count)
-
-    def per_seed_means(self) -> dict:
-        means = {}
-        for (seed, measure), (total, count) in self.raw_err.items():
-            means.setdefault(seed, {})[measure] = total / count if count else 0.0
-        return means
+    means: dict = field(default_factory=dict)  # seed -> measure -> mean |raw - s_tx|
 
 
-def _audit_trace(audit: SweepAudit, trace) -> None:
-    chain_ts = trace.chain.timestamps
-    starts = trace.real_starts
-    mining = trace.chain.mining_durations
-    genesis = int(chain_ts[0])
-    measure = trace.measure
-    err_total, err_count = 0, 0
-    for record in trace.records:
-        if measure is MeasureKind.PARAMETER:
-            audit.pa_outcomes[record.outcome] += 1
-            audit.pa_constraints.add(record.constraint_type)
-        if record.raw_measured_ms is None or record.tx_id is None:
-            continue
-        meta = trace.tx_meta.get(record.tx_id)
-        if meta is None:
-            audit.range_violations.append(f"{trace.seed}:{record.tx_id}:no-meta")
-            continue
-        s_tx = meta.created_at
-        raw = record.raw_measured_ms
-        block = record.block_number
-        err_total += abs(raw - s_tx)
-        err_count += 1
-        where = f"seed={trace.seed} tx={record.tx_id}"
-        if measure is MeasureKind.PARAMETER and raw != s_tx:
-            audit.range_violations.append(f"{where}: PA {raw} != s_tx {s_tx}")
-        elif measure is MeasureKind.BLOCK_TIMESTAMP:
-            s_i = int(chain_ts[block])
-            d_tx = s_i - s_tx
-            if raw != s_tx + d_tx:
-                audit.range_violations.append(f"{where}: BT {raw} != s_tx + d_tx")
-            deadline = record.deadline_ms
-            if deadline is not None:
-                is_fp = record.outcome is Outcome.FP
-                condition = s_tx < deadline <= s_i
-                if is_fp != condition:
-                    audit.bt_fp_violations.append(
-                        f"{where}: FP={is_fp} but (s_tx < s_e <= s_i)={condition}"
-                    )
-        elif measure is MeasureKind.BLOCK_NUMBER and raw < genesis:
-            audit.range_violations.append(f"{where}: BN {raw} < s_0 {genesis}")
-        elif measure is MeasureKind.STORAGE_ORACLE and raw > int(chain_ts[block]):
-            audit.range_violations.append(f"{where}: SO {raw} > s_i")
-        elif measure is MeasureKind.REQUEST_RESPONSE_ORACLE:
-            floor = int(starts[block]) + int(mining[block])
-            if raw < floor:
-                audit.range_violations.append(f"{where}: RO {raw} < s_i + m_i")
-    audit.raw_err[(trace.seed, measure)] = (err_total, err_count)
+def _audit_trace(audit: SweepAudit, config, trace) -> None:
+    measure, records = trace.measure, trace.records
+    audit.problems.setdefault(measure, []).extend(check_trace(config, trace))
+    audit.outcomes.update((measure, record.outcome) for record in records)
+    if measure is MeasureKind.PARAMETER:
+        audit.pa_constraints.update(record.constraint_type for record in records)
+    errors = [abs(record.raw_measured_ms - trace.tx_meta[record.tx_id].created_at)
+              for record in records if record.raw_measured_ms is not None]
+    audit.means.setdefault(trace.seed, {})[measure] = sum(errors) / len(errors) if errors else 0.0
 
 
 @pytest.fixture(scope="module")
 def demo_audit() -> SweepAudit:
     audit = SweepAudit()
     config = invoice_demo_scenario()
-    sweep(config, range(SEED_COUNT), per_run=lambda trace: _audit_trace(audit, trace))
+    sweep(config, range(SEED_COUNT), per_run=lambda trace: _audit_trace(audit, config, trace))
     return audit
 
 
@@ -169,7 +124,8 @@ def test_criterion_02_block_time_statistics():
 
 
 def test_criterion_03_measure_value_ranges(demo_audit):
-    assert demo_audit.range_violations == []
+    # every measured value is its exact definition, which lies in the paper's range
+    assert demo_audit.problems == {measure: [] for measure in MeasureKind}
 
 
 def test_criterion_04_classification_oracle():
@@ -197,20 +153,20 @@ def test_criterion_04_classification_oracle():
 
 def test_criterion_05_parameter_measure_is_perfect(demo_audit):
     assert demo_audit.pa_constraints >= {"absolute", "relative", "cycle", "deferred_choice"}
-    assert demo_audit.pa_outcomes[Outcome.FP] == 0
-    assert demo_audit.pa_outcomes[Outcome.FN] == 0
-    assert demo_audit.pa_outcomes[Outcome.MISMATCH] == 0
+    for outcome in (Outcome.FP, Outcome.FN, Outcome.MISMATCH):
+        assert demo_audit.outcomes[(MeasureKind.PARAMETER, outcome)] == 0
 
 
 def test_criterion_06_bt_false_positive_characterization(demo_audit):
-    assert demo_audit.bt_fp_violations == []
+    # BT measures s_i and each outcome is re-derived, so FP iff s_tx < s_e <= s_i
+    assert demo_audit.problems[MeasureKind.BLOCK_TIMESTAMP] == []
+    assert demo_audit.outcomes[(MeasureKind.BLOCK_TIMESTAMP, Outcome.FP)] > 0
 
 
 def test_criterion_07_accuracy_ordering(demo_audit):
-    means = demo_audit.per_seed_means()
-    assert len(means) == SEED_COUNT
+    assert len(demo_audit.means) == SEED_COUNT
     ok = 0
-    for per_measure in means.values():
+    for per_measure in demo_audit.means.values():
         pa = per_measure[MeasureKind.PARAMETER]
         bt = per_measure[MeasureKind.BLOCK_TIMESTAMP]
         bn = per_measure[MeasureKind.BLOCK_NUMBER]

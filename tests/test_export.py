@@ -27,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 from chaintime import chain as chain_module, sim
 from chaintime.chain import Chain, Transaction
 from chaintime.dists import constant, uniform
+from chaintime.experiment import check_trace
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.scenario import (
     INVOICE_START_DUE,
@@ -472,17 +473,9 @@ def reordered_before_a_claim():
 @given(push_cases().map(lambda case: (*case[:2], MeasureKind.STORAGE_ORACLE)))
 @example(reordered_before_a_claim())
 def test_a_storage_read_is_the_last_update_placed_before_the_claim(case):
-    """The last update of oracles.push[0] in the blocks before the claim's,
-    in block order, then in its own block before it, under every ordering."""
-    config, trace = case[0], run(*case)
-    push, txs = config.push_oracles[0], trace.chain.txs
-    for record in (record for record in trace.records if record.tx_id is not None):
-        claim = trace.tx_meta[record.tx_id]
-        own = txs[claim.block]
-        placed = [tx for number in sorted(txs) if number < claim.block for tx in txs[number]]
-        placed += own[:[tx.id for tx in own].index(claim.id)]
-        updates = [tx for tx in placed if tx.sender == f"oracle:{push.provider}"]
-        assert record.raw_measured_ms == updates[-1].created_at - push.staleness_ms
+    """The read is the last update of oracles.push[0] placed before the claim,
+    check_trace's SO rule, under every ordering."""
+    assert check_trace(case[0], run(*case)) == []
 
 
 def overlapping_config(**network):

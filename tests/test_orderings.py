@@ -1,5 +1,5 @@
-"""Golden digests for the runs no preset reaches: the two non-FIFO miner
-orderings under the storage oracle, and miner clock drift.
+"""Golden digests and exact values for the runs no preset reaches: the two
+non-FIFO miner orderings, and miner clock drift.
 
 The scenario is a shortened invoice-demo (genesis two days before the
 invoice window) whose mno claims carry non-zero priorities, so that
@@ -7,7 +7,8 @@ invoice window) whose mno claims carry non-zero priorities, so that
 block with. Each digest is the sha256 of the run's record lines followed by
 its trace export. Every case must also differ from the plain run (FIFO,
 drift off) under the same measure, so a policy that silently fell back to
-FIFO would fail here.
+FIFO would fail here. Every run must pass `check_trace`, which must also
+catch one shifted value or flipped outcome.
 """
 
 import hashlib
@@ -16,8 +17,9 @@ from dataclasses import replace
 
 import pytest
 
-from chaintime.experiment import record_lines
+from chaintime.experiment import check_trace, record_lines, sweep
 from chaintime.measures import MeasureKind
+from chaintime.process import Outcome
 from chaintime.scenario import INVOICE_START_DUE, MS_PER_DAY, invoice_demo_scenario
 from chaintime.sim import run
 
@@ -78,3 +80,25 @@ def test_ordering_digest_is_pinned(case, plain_digests):
     got = digest(short_invoice(ordering, drift), measure)
     assert got == expected
     assert got != plain_digests[measure]
+
+
+@pytest.mark.parametrize("drift", [False, True])
+@pytest.mark.parametrize("ordering", ["fifo_by_arrival", "priority_then_arrival", "adversarial_reorder"])
+def test_every_record_holds_its_exact_value(ordering, drift):
+    config, traces = short_invoice(ordering, drift), []
+    sweep(config, [SEED], per_run=traces.append)
+    for trace in traces:
+        assert any(record.raw_measured_ms is not None for record in trace.records)
+        assert check_trace(config, trace) == []
+
+
+@pytest.mark.parametrize("measure", list(MeasureKind))
+def test_a_shifted_value_or_a_flipped_outcome_is_one_problem(measure):
+    config = short_invoice()
+    trace = run(config, SEED, measure)
+    i, record = next((i, r) for i, r in enumerate(trace.records) if r.raw_measured_ms is not None)
+    flipped = Outcome.FN if record.outcome is Outcome.TP else Outcome.TP
+    for change in ({"raw_measured_ms": record.raw_measured_ms + 1}, {"outcome": flipped}):
+        records = [*trace.records[:i], replace(record, **change), *trace.records[i + 1:]]
+        problems = check_trace(config, replace(trace, records=records))
+        assert len(problems) == 1 and measure.value in problems[0], problems

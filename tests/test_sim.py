@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from chaintime.dists import constant, normal, uniform
+from chaintime.experiment import check_trace
 from chaintime.measures import MeasureKind, PullOracleConfig, PushOracleConfig
 from chaintime.process import Outcome
 from chaintime.rng import substream
@@ -338,12 +339,11 @@ class TestRunMechanics:
         assert all(block != 0 for block, _ in placements(trace).values())
 
     def test_storage_oracle_reads_lag_block_timestamp(self):
+        # each read is an update placed before the claim, so no later than s_i
         config = invoice_demo_scenario()
         trace = run(config, seed=11, measure=MeasureKind.STORAGE_ORACLE)
-        guard_records = [r for r in trace.records if r.raw_measured_ms is not None]
-        assert guard_records
-        for record in guard_records:
-            assert record.raw_measured_ms <= int(trace.chain.timestamps[record.block_number])
+        assert any(r.raw_measured_ms is not None for r in trace.records)
+        assert check_trace(config, trace) == []
 
     def test_storage_oracle_reads_the_first_push_provider(self):
         fresh = PushOracleConfig(provider="fresh", cadence_ms=1_000)
@@ -374,15 +374,11 @@ class TestRunMechanics:
         assert exc_info.value.path == path
 
     def test_pull_oracle_values_follow_block_visibility(self):
+        # each answer is s_i + m_i + the latency
         config = invoice_demo_scenario()
         trace = run(config, seed=12, measure=MeasureKind.REQUEST_RESPONSE_ORACLE)
-        starts = trace.real_starts
-        mining = trace.chain.mining_durations
-        resolved = [r for r in trace.records if r.raw_measured_ms is not None]
-        assert resolved
-        for record in resolved:
-            block = record.block_number
-            assert record.raw_measured_ms >= int(starts[block]) + int(mining[block])
+        assert any(r.raw_measured_ms is not None for r in trace.records)
+        assert check_trace(config, trace) == []
 
     def test_pull_outage_leads_to_stuck_pending(self):
         base = invoice_demo_scenario()
